@@ -9,8 +9,8 @@ quality     predictor quality over growing sample counts, three seeds
 reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt
 
 All outputs are deterministic functions of the flags. Entropic quantities
-are in nats. EXPMODEL_THREADS caps internal parallelism (0 = automatic)
-without affecting output bytes.
+are in nats. The EXPMODEL_THREADS environment variable of earlier versions
+is accepted and ignored; every command runs serially.
 """
 
 from __future__ import annotations
@@ -245,17 +245,24 @@ def _write_report(path: str, config: RunConfig, seeds, curves, quality_per_seed)
             f"({n_by_sigma[0.1]}, {n_by_sigma[0.2]}, {n_by_sigma[0.4]})  {verdict(mono_n)}"
         )
 
-    qs_at_32 = {seed: quality_per_seed[seed][32].q for seed in seeds if 32 in quality_per_seed[seed]}
-    for seed, q in qs_at_32.items():
+    for seed in seeds:
+        if 32 not in quality_per_seed[seed]:
+            lines.append(f"seed={seed}: Q(32) not computed, N = 32 is not in the schedule  N/A")
+            continue
+        q = quality_per_seed[seed][32].q
         lines.append(f"seed={seed}: Q(32) = {q:.4f}  (target >0.99, accept >= {ref['Q_at_32']})  "
                      f"{verdict(q >= ref['Q_at_32'])}")
     big_n = sorted(n for n in next(iter(quality_per_seed.values())) if n >= 50)
-    spread = 0.0
-    for n in big_n:
-        qs = [quality_per_seed[seed][n].q for seed in seeds]
-        spread = max(spread, max(qs) - min(qs))
-    lines.append(f"max pairwise Q spread at N >= 50 = {spread:.4f}  "
-                 f"(accept <= {ref['spread_at_50']})  {verdict(spread <= ref['spread_at_50'])}")
+    if not big_n:
+        lines.append("max pairwise Q spread at N >= 50 not computed, "
+                     "no schedule point has N >= 50  N/A")
+    else:
+        spread = 0.0
+        for n in big_n:
+            qs = [quality_per_seed[seed][n].q for seed in seeds]
+            spread = max(spread, max(qs) - min(qs))
+        lines.append(f"max pairwise Q spread at N >= 50 = {spread:.4f}  "
+                     f"(accept <= {ref['spread_at_50']})  {verdict(spread <= ref['spread_at_50'])}")
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,9 +19,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._threads import run_chunks
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
 from .scattering import ScatteringFunction, log_gaussian, _require_finite
+
+# Samples per block of the kernel-product sum: at most this many kernel rows
+# per channel are held at once, whatever the sample count.
+KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -141,23 +144,18 @@ class DensityModel:
     def joint_on_grid(self, xs, ys) -> np.ndarray:
         """Joint PDF on the tensor grid xs x ys; out[a, b] = f(xs[a], ys[b]).
 
-        Uses the separable form of the kernel, so the cost is two kernel
-        matrices and one matrix product. Rows are filled in fixed-size chunks
-        (optionally on a thread pool); values do not depend on the chunking.
+        Uses the separable form of the kernel: the grid is the running sum
+        of g_x(x_i) g_y(y_i)^T over blocks of samples (see
+        :func:`accumulate_kernel_products`), divided by n. Memory is
+        O(Gx*Gy + KERNEL_BLOCK*(Gx + Gy)) for any sample count.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         _require_finite("xs", xs)
         _require_finite("ys", ys)
-        n = len(self.data)
-        gy = np.exp(log_gaussian(ys[None, :], self.data.y[:, None], self.sf.sigma))
-        out = np.empty((xs.size, ys.size))
-
-        def fill(lo: int, hi: int) -> None:
-            gx = np.exp(log_gaussian(xs[None, lo:hi], self.data.x[:, None], self.sf.sigma))
-            out[lo:hi] = gx.T @ gy / n
-
-        run_chunks(fill, xs.size)
+        out = np.zeros((xs.size, ys.size))
+        accumulate_kernel_products(out, self.data.x, self.data.y, xs, ys, self.sf.sigma)
+        out /= len(self.data)
         return out
 
     def marginal_on_grid(self, xs) -> np.ndarray:
@@ -165,6 +163,22 @@ class DensityModel:
         _require_finite("xs", xs)
         g = np.exp(log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma))
         return g.mean(axis=0)
+
+
+def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float) -> None:
+    """Add sum_i g(xs - x[i]) g(ys - y[i])^T to out, in place.
+
+    out has shape (xs.size, ys.size). Samples are taken in blocks of
+    KERNEL_BLOCK, so each sample's two kernel rows are built exactly once and
+    no more than one block of rows is held at a time. Adding the samples of
+    a dataset in consecutive slices gives the unnormalized joint grid of
+    every prefix on the way.
+    """
+    for lo in range(0, len(x), KERNEL_BLOCK):
+        hi = lo + KERNEL_BLOCK
+        gx = np.exp(log_gaussian(xs[None, :], x[lo:hi, None], sigma))
+        gy = np.exp(log_gaussian(ys[None, :], y[lo:hi, None], sigma))
+        out += gx.T @ gy
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -232,11 +246,16 @@ def read_dataset_csv(path) -> Dataset:
         if header[:3] != ["i", "x", "y"]:
             raise InvalidParameter(f"unrecognized dataset header {header!r} in {path}")
         with_clean = header == ["i", "x", "y", "x_o", "y_o"]
-        rows = [row for row in csv.reader(fh) if row]
-    x = [float(r[1]) for r in rows]
-    y = [float(r[2]) for r in rows]
-    if with_clean:
-        xc = [float(r[3]) for r in rows]
-        yc = [float(r[4]) for r in rows]
-        return Dataset(x, y, xc, yc, meta=meta)
-    return Dataset(x, y, meta=meta)
+        columns = [1, 2, 3, 4] if with_clean else [1, 2]
+        values = []
+        for k, row in enumerate(filter(None, csv.reader(fh)), start=1):
+            if len(row) < len(header):
+                raise InvalidParameter(
+                    f"row {k} of {path} has {len(row)} fields, the header has {len(header)}"
+                )
+            try:
+                values.extend([float(row[c]) for c in columns])
+            except ValueError as exc:
+                raise InvalidParameter(f"row {k} of {path}: {exc}") from None
+    table = np.array(values, dtype=float).reshape(-1, len(columns))
+    return Dataset(*table.T, meta=meta)

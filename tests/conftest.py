@@ -29,5 +29,11 @@ def logistic200():
 
 
 @pytest.fixture(scope="session")
+def logistic600():
+    """Longer benchmark dataset spanning several kernel-product blocks."""
+    return generate(GenerationMeta(seed=1, sigma_noise=SIGMA, n=600))
+
+
+@pytest.fixture(scope="session")
 def model200(logistic200, sf02):
     return DensityModel(logistic200, sf02)

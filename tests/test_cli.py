@@ -96,6 +96,18 @@ def test_info_requires_sigma_for_plain_csv(tmp_path, capsys):
     assert "InvalidParameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,0.1", "row 1 of"),
+    ("1,abc,0.2", "could not convert string to float: 'abc'"),
+], ids=["short_row", "non_float_field"])
+def test_info_rejects_malformed_row(tmp_path, capsys, row, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"i,x,y\n{row}\n")
+    assert run("info", "--basic", str(bad), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "InvalidParameter" in err and message in err
+
+
 def test_predict_writes_four_columns(tmp_path, samples_csv):
     test = tmp_path / "t"
     assert run("generate", "--sigma", "0.2", "--seed", "42", "--out-dir", str(test)) == 0
@@ -180,6 +192,18 @@ def test_reproduce_artifacts_and_determinism(tmp_path):
 
     fig4_header = (out_a / "fig4.csv").read_text().splitlines()[0]
     assert fig4_header == "x_t,y_t,y_p,err"
+
+
+def test_reproduce_small_n_reports_uncomputed_criteria(tmp_path):
+    # With --n 20 the schedule has no N = 32 and no N >= 50.
+    assert run("reproduce", "--seed", "1", "--n", "20", "--out-dir", str(tmp_path)) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    q32 = [line for line in lines if "Q(32)" in line]
+    spread = [line for line in lines if "spread at N >= 50" in line]
+    assert len(q32) == 3 and len(spread) == 1
+    for line in q32 + spread:
+        assert line.endswith("N/A")
+        assert "PASS" not in line and "FAIL" not in line
 
 
 def test_module_entry_point(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from expmodel import (Dataset, DensityModel, EmptyDataset, InvalidParameter,
                       ShapeMismatch, read_dataset_csv, write_dataset_csv)
+from expmodel.density import KERNEL_BLOCK
 from expmodel.generator import GenerationMeta, generate
 from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
 
@@ -72,12 +73,14 @@ def test_joint_grid_matches_pointwise(model200):
             assert grid[a, b] == pytest.approx(model200.joint_pdf(x, y), rel=1e-9)
 
 
-def test_joint_grid_matches_brute_force(logistic200, sf02):
-    data = logistic200.prefix(25)
-    m = DensityModel(data, sf02)
+def test_joint_grid_matches_brute_force(logistic200, logistic600, sf02):
+    # 25 samples fit in one kernel-product block; 600 fill two and part of a third.
+    assert 2 * KERNEL_BLOCK < len(logistic600) < 3 * KERNEL_BLOCK
     axis = np.linspace(-2.0, 2.0, 41)
-    expected = kde_joint_grid(data.x, data.y, sf02.sigma, axis)
-    assert np.allclose(m.joint_on_grid(axis, axis), expected, rtol=1e-10, atol=1e-300)
+    for data in (logistic200.prefix(25), logistic600):
+        m = DensityModel(data, sf02)
+        expected = kde_joint_grid(data.x, data.y, sf02.sigma, axis)
+        assert np.allclose(m.joint_on_grid(axis, axis), expected, rtol=1e-10, atol=1e-300)
 
 
 def test_marginal_single_sample_peak(one_sample_model):

@@ -7,6 +7,7 @@ from expmodel import (Dataset, DensityModel, InfoRecord, InvalidGrid,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
                       default_schedule, entropy_quadrature,
                       experimental_information, indeterminacy, info_curve)
+from expmodel.density import KERNEL_BLOCK
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
@@ -133,6 +134,17 @@ def test_information_limit_decreases_with_sigma(logistic200, span):
     limits = [info_curve(logistic200, ScatteringFunction(s, span), grid).info_limit
               for s in (0.1, 0.2, 0.4)]
     assert limits[0] > limits[1] > limits[2]
+
+
+def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid257):
+    # Schedule points on both sides of the 256-sample block boundaries.
+    schedule = [1, KERNEL_BLOCK - 1, KERNEL_BLOCK, KERNEL_BLOCK + 1, 2 * KERNEL_BLOCK - 1, 600]
+    curve = info_curve(logistic600, sf02, grid257, schedule=schedule)
+    assert [r.n for r in curve.records] == schedule
+    for rec in curve.records:
+        model = DensityModel(logistic600.prefix(rec.n), sf02)
+        expected = experimental_information(model, grid257)
+        assert rec.info == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # --- records and curve ------------------------------------------------------
