@@ -7,7 +7,7 @@ samples, and extracts the law as a conditional-average predictor with a
 quantified quality score.
 """
 
-from .density import Dataset, DensityModel, Sample, read_dataset_csv, write_dataset_csv
+from .density import Dataset, DensityModel, Sample
 from .errors import (DegenerateVariance, EmptyDataset, ExperimentModelError,
                      InvalidGrid, InvalidParameter, InvalidSchedule,
                      OutOfDomain, ShapeMismatch)
@@ -19,6 +19,7 @@ from .predictor import (CaPredictor, QualityReport, ca_quality_theoretical,
                         predictor_quality, quality_sweep,
                         write_predictions_csv, write_quality_csv)
 from .scattering import ScatteringFunction, SpanConfig, gaussian_eval
+from .tables import read_dataset_csv, write_dataset_csv
 
 __version__ = "0.1.0"
 

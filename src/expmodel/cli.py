@@ -16,19 +16,19 @@ is accepted and ignored; every command runs serially.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .density import Dataset, read_dataset_csv, write_dataset_csv
+from .density import Dataset
 from .errors import ExperimentModelError, InvalidParameter
 from .generator import GenerationMeta, generate
 from .information import InfoCurve, QuadratureGrid, info_curve
 from .predictor import (CaPredictor, quality_sweep, write_predictions_csv,
                         write_quality_csv)
 from .scattering import ScatteringFunction, SpanConfig
+from .tables import read_dataset_csv, write_dataset_csv, write_table
 
 # Offset between the basic-set seed and the seed of the held-out test set.
 TEST_SEED_OFFSET = 7919
@@ -44,7 +44,7 @@ REFERENCE = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     sigma: Optional[float]
     n: Optional[int]
@@ -159,23 +159,6 @@ def _curves_by_seed(config: RunConfig, sigma: float, seeds: Sequence[int]) -> di
     return out
 
 
-def _write_curves_csv(path: str, blocks: list[tuple[list, InfoCurve]], extra_header: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(extra_header + ["N", "logN", "I", "R", "C", "K"])
-        for prefix_cols, curve in blocks:
-            for r in curve.records:
-                writer.writerow(
-                    prefix_cols
-                    + [r.n, _fmt17(r.log_n), _fmt17(r.info), _fmt17(r.redundancy),
-                       _fmt17(r.cost), _fmt17(r.complexity)]
-                )
-
-
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def cmd_reproduce(config: RunConfig) -> None:
     seeds = [config.seed, config.seed + 1, config.seed + 2]
     sigma_main = 0.2
@@ -183,13 +166,11 @@ def cmd_reproduce(config: RunConfig) -> None:
 
     curves = {s: _curves_by_seed(config, s, seeds) for s in sigma_sweep}
 
-    _write_curves_csv(_out(config, "fig2.csv"),
-                      [([seed], curves[sigma_main][seed]) for seed in seeds],
-                      ["seed"])
-    _write_curves_csv(_out(config, "fig3.csv"),
-                      [([repr(float(s)), seed], curves[s][seed])
-                       for s in (0.1, 0.4) for seed in seeds],
-                      ["sigma", "seed"])
+    write_table(_out(config, "fig2.csv"), ("seed",) + InfoCurve.COLUMNS,
+                ((seed, *row) for seed in seeds for row in curves[sigma_main][seed].rows()))
+    write_table(_out(config, "fig3.csv"), ("sigma", "seed") + InfoCurve.COLUMNS,
+                ((repr(float(s)), seed, *row)
+                 for s in (0.1, 0.4) for seed in seeds for row in curves[s][seed].rows()))
 
     # Prediction trace: reduced 50-sample basic set against a fresh test set.
     sf = config.sf(sigma_main)
@@ -299,46 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basic", default=None, help="basic dataset CSV path")
         p.add_argument("--test", default=None, help="test dataset CSV path")
 
-    for name, helptext in [
-        ("generate", "write a noisy chaotic benchmark dataset (samples.csv)"),
-        ("info", "information curve and summary for a dataset"),
-        ("predict", "conditional-average predictions for a test set"),
-        ("quality", "predictor quality over sample counts, three seeds"),
-        ("reproduce", "full benchmark sweep: fig2..fig5 CSVs and report.txt"),
+    for name, func, helptext in [
+        ("generate", cmd_generate, "write a noisy chaotic benchmark dataset (samples.csv)"),
+        ("info", cmd_info, "information curve and summary for a dataset"),
+        ("predict", cmd_predict, "conditional-average predictions for a test set"),
+        ("quality", cmd_quality, "predictor quality over sample counts, three seeds"),
+        ("reproduce", cmd_reproduce, "full benchmark sweep: fig2..fig5 CSVs and report.txt"),
     ]:
         p = sub.add_parser(name, help=helptext)
         add_common(p)
+        p.set_defaults(func=func)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        sigma=args.sigma,
-        n=args.n,
-        seed=args.seed,
-        span_l=args.span_l,
-        grid_points=args.grid_points,
-        schedule=args.schedule,
-        out_dir=args.out_dir,
-        basic=args.basic,
-        test=args.test,
-    )
-    commands = {
-        "generate": cmd_generate,
-        "info": cmd_info,
-        "predict": cmd_predict,
-        "quality": cmd_quality,
-        "reproduce": cmd_reproduce,
-    }
+    args = build_parser().parse_args(argv)
+    config = RunConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(RunConfig)})
     try:
-        commands[args.command](config)
-    except ExperimentModelError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        args.func(config)
+    except (ExperimentModelError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical or internal failure

@@ -12,10 +12,9 @@ well defined.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -74,11 +73,6 @@ class Dataset:
         self.x_clean = x_clean
         self.y_clean = y_clean
         self.meta = meta
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]], meta=None) -> "Dataset":
-        arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
-        return cls(arr[:, 0], arr[:, 1], meta=meta)
 
     def __len__(self) -> int:
         return self.x.size
@@ -158,12 +152,6 @@ class DensityModel:
         out /= len(self.data)
         return out
 
-    def marginal_on_grid(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        _require_finite("xs", xs)
-        g = np.exp(log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma))
-        return g.mean(axis=0)
-
 
 def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float) -> None:
     """Add sum_i g(xs - x[i]) g(ys - y[i])^T to out, in place.
@@ -184,78 +172,3 @@ def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float) -> N
 def _logsumexp(a: np.ndarray) -> float:
     m = np.max(a)
     return float(m + np.log(np.sum(np.exp(a - m))))
-
-
-# --- dataset CSV format ------------------------------------------------------
-#
-# Optional leading comment "# seed=<s> sigma=<v> map=<name> prng=<name> n=<n>",
-# then the header "i,x,y" or "i,x,y,x_o,y_o" and one row per sample in
-# insertion order, 17 significant digits (floats round-trip exactly).
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    meta = dataset.meta
-    with open(path, "w", newline="") as fh:
-        if meta is not None:
-            fh.write(
-                f"# seed={meta.seed} sigma={float(meta.sigma_noise)!r} "
-                f"map={meta.map_name} prng={meta.prng_name} n={len(dataset)}\n"
-            )
-        writer = csv.writer(fh)
-        if dataset.has_clean:
-            writer.writerow(["i", "x", "y", "x_o", "y_o"])
-            for i in range(len(dataset)):
-                writer.writerow(
-                    [i + 1, _fmt(dataset.x[i]), _fmt(dataset.y[i]),
-                     _fmt(dataset.x_clean[i]), _fmt(dataset.y_clean[i])]
-                )
-        else:
-            writer.writerow(["i", "x", "y"])
-            for i in range(len(dataset)):
-                writer.writerow([i + 1, _fmt(dataset.x[i]), _fmt(dataset.y[i])])
-
-
-def read_dataset_csv(path) -> Dataset:
-    from .generator import GenerationMeta  # local import; generator depends on density
-
-    meta: Optional[GenerationMeta] = None
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            fields = dict(
-                item.split("=", 1) for item in first[1:].strip().split() if "=" in item
-            )
-            try:
-                meta = GenerationMeta(
-                    seed=int(fields["seed"]),
-                    sigma_noise=float(fields["sigma"]),
-                    n=int(fields["n"]),
-                    map_name=fields.get("map", "ulam"),
-                    prng_name=fields.get("prng", "pcg64"),
-                )
-            except (KeyError, ValueError, InvalidParameter):
-                meta = None  # unknown comment style; data rows still load
-            header_line = fh.readline()
-        else:
-            header_line = first
-        header = [h.strip() for h in header_line.strip().split(",")]
-        if header[:3] != ["i", "x", "y"]:
-            raise InvalidParameter(f"unrecognized dataset header {header!r} in {path}")
-        with_clean = header == ["i", "x", "y", "x_o", "y_o"]
-        columns = [1, 2, 3, 4] if with_clean else [1, 2]
-        values = []
-        for k, row in enumerate(filter(None, csv.reader(fh)), start=1):
-            if len(row) < len(header):
-                raise InvalidParameter(
-                    f"row {k} of {path} has {len(row)} fields, the header has {len(header)}"
-                )
-            try:
-                values.extend([float(row[c]) for c in columns])
-            except ValueError as exc:
-                raise InvalidParameter(f"row {k} of {path}: {exc}") from None
-    table = np.array(values, dtype=float).reshape(-1, len(columns))
-    return Dataset(*table.T, meta=meta)

@@ -19,8 +19,8 @@ renormalized; the leak is a property of the instrument, not of the estimator.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +29,7 @@ import numpy as np
 from .density import Dataset, DensityModel, accumulate_kernel_products
 from .errors import InvalidGrid, InvalidSchedule
 from .scattering import ScatteringFunction, SpanConfig
+from .tables import write_table
 
 # Densities at or below this value contribute 0 to entropy integrands
 # (removes -inf * 0 at working precision).
@@ -49,7 +50,8 @@ class QuadratureGrid:
     points_per_axis:
         Number of nodes per axis, at least 129. The step is
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
-        being integrated (checked by :meth:`require_resolves`).
+        being integrated (checked by :meth:`require_resolves`). One grid of
+        float64 values must fit in physical memory.
     """
 
     span: SpanConfig
@@ -59,6 +61,13 @@ class QuadratureGrid:
         if int(self.points_per_axis) != self.points_per_axis or self.points_per_axis < 129:
             raise InvalidGrid(
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
+            )
+        needed = 8 * self.points_per_axis ** 2
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if needed > physical:
+            raise InvalidGrid(
+                f"a {self.points_per_axis}^2 grid needs {needed} bytes, more than "
+                f"the {physical} bytes of physical memory"
             )
 
     @property
@@ -174,25 +183,20 @@ class InfoCurve:
                 return rec
         raise KeyError(f"no record for n={n}")
 
+    # Columns of the information-curve table, one row per record.
+    COLUMNS = ("N", "logN", "I", "R", "C", "K")
+
+    def rows(self):
+        """The records as rows of the information-curve table."""
+        return ((r.n, r.log_n, r.info, r.redundancy, r.cost, r.complexity)
+                for r in self.records)
+
     def write_records_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N", "logN", "I", "R", "C", "K"])
-            for r in self.records:
-                writer.writerow(
-                    [r.n, _fmt(r.log_n), _fmt(r.info), _fmt(r.redundancy),
-                     _fmt(r.cost), _fmt(r.complexity)]
-                )
+        write_table(path, self.COLUMNS, self.rows())
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N_opt", "I_inf", "K_inf"])
-            writer.writerow([self.n_opt, _fmt(self.info_limit), _fmt(self.complexity_limit)])
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+        write_table(path, ["N_opt", "I_inf", "K_inf"],
+                    [(self.n_opt, self.info_limit, self.complexity_limit)])
 
 
 def default_schedule(n_max: int) -> list[int]:
@@ -254,12 +258,7 @@ def info_curve(data: Dataset,
         h_z = _indeterminacy_of_values(joint_sum / n, grid)
         records.append(InfoRecord.from_info(n, h_z - h_u))
 
-    n_opt = records[0].n
-    best = records[0].cost
-    for rec in records[1:]:
-        if rec.cost < best:
-            best = rec.cost
-            n_opt = rec.n
+    n_opt = min(records, key=lambda rec: rec.cost).n
 
     tail = min(len(records), max(3, math.ceil(len(records) / 10)))
     info_limit = float(np.mean([r.info for r in records[-tail:]]))

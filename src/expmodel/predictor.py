@@ -9,7 +9,6 @@ queries arbitrarily far from the data.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +17,8 @@ import numpy as np
 from .density import Dataset
 from .errors import DegenerateVariance, EmptyDataset, InvalidParameter, ShapeMismatch
 from .information import default_schedule, _validate_schedule
-from .scattering import ScatteringFunction, _require_finite
+from .scattering import ScatteringFunction, _require_finite, log_gaussian
+from .tables import write_table
 
 
 class CaPredictor:
@@ -30,19 +30,18 @@ class CaPredictor:
         self.data = data
         self.sf = sf
 
-    def _log_similarity(self, x) -> np.ndarray:
-        # Column j holds log g(x_j - x_i) up to the common kernel constant,
-        # which cancels in the normalized weights.
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = (x[None, :] - self.data.x[:, None]) / self.sf.sigma
-        return -0.5 * d * d
+    def _weights(self, xs) -> np.ndarray:
+        # Column j holds C_i(xs[j]). Subtracting each column's largest log
+        # kernel before exponentiating keeps far queries a convex combination.
+        lw = log_gaussian(np.atleast_1d(xs)[None, :], self.data.x[:, None], self.sf.sigma)
+        w = np.exp(lw - lw.max(axis=0, keepdims=True))
+        w /= w.sum(axis=0, keepdims=True)
+        return w
 
     def weights(self, x: float) -> np.ndarray:
         """Similarity coefficients C_i(x): nonnegative, summing to one."""
         _require_finite("x", x)
-        ls = self._log_similarity(x)[:, 0]
-        w = np.exp(ls - ls.max())
-        return w / w.sum()
+        return self._weights(x)[:, 0]
 
     def predict(self, x: float) -> float:
         """Kernel-weighted average of the stored y values at query x."""
@@ -51,10 +50,7 @@ class CaPredictor:
     def predict_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         _require_finite("xs", xs)
-        ls = self._log_similarity(xs)
-        w = np.exp(ls - ls.max(axis=0, keepdims=True))
-        w /= w.sum(axis=0, keepdims=True)
-        return self.data.y @ w
+        return self.data.y @ self._weights(xs)
 
 
 @dataclass(frozen=True)
@@ -145,10 +141,6 @@ def quality_sweep(basic: Dataset,
     return out
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_predictions_csv(path, x_t, y_t, y_p) -> None:
     """Prediction table: x_t, y_t, y_p, err with err = y_p - y_t."""
     x_t = np.asarray(x_t, dtype=float)
@@ -156,20 +148,12 @@ def write_predictions_csv(path, x_t, y_t, y_p) -> None:
     y_p = np.asarray(y_p, dtype=float)
     if not (x_t.shape == y_t.shape == y_p.shape):
         raise ShapeMismatch("prediction columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_t", "y_t", "y_p", "err"])
-        for a, b, c in zip(x_t, y_t, y_p):
-            writer.writerow([_fmt(a), _fmt(b), _fmt(c), _fmt(c - b)])
+    write_table(path, ["x_t", "y_t", "y_p", "err"],
+                ((a, b, c, c - b) for a, b, c in zip(x_t.tolist(), y_t.tolist(), y_p.tolist())))
 
 
 def write_quality_csv(path, rows: Sequence[tuple[int, int, QualityReport]]) -> None:
     """Quality table over (n, seed) runs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "seed", "Q", "var_y", "var_yp", "cov", "mse"])
-        for n, seed, rep in rows:
-            writer.writerow(
-                [n, seed, _fmt(rep.q), _fmt(rep.var_true), _fmt(rep.var_pred),
-                 _fmt(rep.cov), _fmt(rep.mse)]
-            )
+    write_table(path, ["N", "seed", "Q", "var_y", "var_yp", "cov", "mse"],
+                ((n, seed, rep.q, rep.var_true, rep.var_pred, rep.cov, rep.mse)
+                 for n, seed, rep in rows))

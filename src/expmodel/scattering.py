@@ -82,12 +82,14 @@ def gaussian_eval(x, u, sigma):
     _require_finite("sigma", sigma)
     if np.any(np.asarray(sigma) <= 0):
         raise InvalidParameter(f"sigma must be > 0, got {sigma!r}")
-    t = (np.asarray(x, dtype=float) - u) / sigma
-    out = np.exp(-0.5 * t * t) / (SQRT_2PI * sigma)
+    out = np.exp(log_gaussian(x, u, sigma))
     return float(out) if np.isscalar(x) and np.isscalar(u) else out
 
 
 def log_gaussian(x, u, sigma):
-    """Log of gaussian_eval without validation; internal fast path."""
+    """Log of gaussian_eval, the one place the kernel formula is written.
+
+    No validation: the fast path of every kernel sum.
+    """
     t = (np.asarray(x, dtype=float) - u) / sigma
     return -0.5 * t * t - np.log(SQRT_2PI * sigma)

@@ -78,10 +78,13 @@ def test_info_single_sample_dataset(tmp_path):
 
 
 def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
-    code = run("info", "--basic", str(samples_csv), "--sigma", "0.1",
-               "--grid-points", "129", "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "InvalidGrid" in capsys.readouterr().err
+    # 129 points are too coarse for sigma = 0.1; a 2 000 000^2 grid (32 TB)
+    # exceeds any physical memory and is refused before it is allocated.
+    for sigma, points in [("0.1", "129"), ("0.2", "2000000")]:
+        code = run("info", "--basic", str(samples_csv), "--sigma", sigma,
+                   "--grid-points", points, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "InvalidGrid" in capsys.readouterr().err
 
 
 def test_info_rejects_bad_schedule(tmp_path, samples_csv):
@@ -192,6 +195,17 @@ def test_reproduce_artifacts_and_determinism(tmp_path):
 
     fig4_header = (out_a / "fig4.csv").read_text().splitlines()[0]
     assert fig4_header == "x_t,y_t,y_p,err"
+
+
+def test_fig2_rows_equal_info_curve(tmp_path, samples_csv):
+    # fig2.csv is the info_curve.csv table of each seed behind a seed column.
+    assert run("reproduce", "--seed", "1", "--out-dir", str(tmp_path / "rep")) == 0
+    assert run("info", "--basic", str(samples_csv), "--out-dir", str(tmp_path / "info")) == 0
+    fig2 = (tmp_path / "rep" / "fig2.csv").read_bytes().splitlines(keepends=True)
+    seed1 = [fig2[0]] + [row for row in fig2[1:] if row.startswith(b"1,")]
+    stripped = b"".join(row.split(b",", 1)[1] for row in seed1)
+    assert len(seed1) == 17
+    assert stripped == (tmp_path / "info" / "info_curve.csv").read_bytes()
 
 
 def test_reproduce_small_n_reports_uncomputed_criteria(tmp_path):

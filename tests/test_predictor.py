@@ -54,6 +54,12 @@ def test_weights_are_a_convex_combination_everywhere(predictor50):
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
 
+def test_weights_are_normalised_scattering_kernels(predictor50, basic50, sf02):
+    for x in (-0.7, 0.0, 0.3):
+        g = gauss(x, basic50.x, sf02.sigma)
+        np.testing.assert_allclose(predictor50.weights(x), g / g.sum(), rtol=1e-12)
+
+
 def test_weights_reject_empty_and_bad_input(sf02):
     with pytest.raises(EmptyDataset):
         CaPredictor(Dataset([], []), sf02)
