@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,6 +39,21 @@ DENSITY_FLOOR = 1e-300
 # Near-geometric ladder used when no explicit schedule is given.
 _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 
+# Bytes held per grid node at the peak of info_curve: the running sum, the
+# normalised grid and the entropy integrand (float64 each) plus the boolean
+# mask of nodes above DENSITY_FLOOR. The kernel product of
+# accumulate_kernel_products is never live together with the last three.
+GRID_BYTES_PER_NODE = 3 * 8 + 1
+
+
+def _memory_limit() -> int:
+    """Bytes a process may allocate: physical memory, capped by RLIMIT_AS."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    return limit
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -50,8 +66,9 @@ class QuadratureGrid:
     points_per_axis:
         Number of nodes per axis, at least 129. The step is
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
-        being integrated (checked by :meth:`require_resolves`). One grid of
-        float64 values must fit in physical memory.
+        being integrated (checked by :meth:`require_resolves`). The arrays
+        an information curve holds at once on this grid must fit in
+        physical memory and the soft RLIMIT_AS.
     """
 
     span: SpanConfig
@@ -62,12 +79,12 @@ class QuadratureGrid:
             raise InvalidGrid(
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
             )
-        needed = 8 * self.points_per_axis ** 2
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if needed > physical:
+        needed = GRID_BYTES_PER_NODE * self.points_per_axis ** 2
+        available = _memory_limit()
+        if needed > available:
             raise InvalidGrid(
                 f"a {self.points_per_axis}^2 grid needs {needed} bytes, more than "
-                f"the {physical} bytes of physical memory"
+                f"the {available} bytes this process may allocate"
             )
 
     @property

@@ -5,6 +5,13 @@ y_p(x) = sum_i y_i C_i(x), where C_i are the normalized kernel similarities
 between x and the stored x_i. The weights are computed in log domain
 (maximum-exponent subtraction), so they stay a valid convex combination for
 queries arbitrarily far from the data.
+
+Queries are taken in blocks of at most QUERY_BLOCK_ELEMS kernel values
+(max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). Each block's
+log kernels are shifted by their column maxima and exponentiated in place;
+a prediction is then the ratio of the kernel-weighted target sum to the
+kernel sum, so no normalised n x q weight matrix is ever formed. Memory is
+O(QUERY_BLOCK_ELEMS + n + q) for any sample and query count.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from .information import default_schedule, _validate_schedule
 from .scattering import ScatteringFunction, _require_finite, log_gaussian
 from .tables import write_table
 
+# Kernel values held per query block (about 1 MB of float64): the memory of
+# one prediction call, whatever the sample and query counts.
+QUERY_BLOCK_ELEMS = 1 << 17
+
 
 class CaPredictor:
     """Conditional-average predictor built on a basic dataset."""
@@ -30,27 +41,35 @@ class CaPredictor:
         self.data = data
         self.sf = sf
 
-    def _weights(self, xs) -> np.ndarray:
-        # Column j holds C_i(xs[j]). Subtracting each column's largest log
-        # kernel before exponentiating keeps far queries a convex combination.
-        lw = log_gaussian(np.atleast_1d(xs)[None, :], self.data.x[:, None], self.sf.sigma)
-        w = np.exp(lw - lw.max(axis=0, keepdims=True))
-        w /= w.sum(axis=0, keepdims=True)
-        return w
+    def _block_kernels(self, xs: np.ndarray) -> np.ndarray:
+        # Column j is C_i(xs[j]) up to a factor, with largest entry exactly 1.
+        # Subtracting each column's largest log kernel before exponentiating
+        # keeps far queries a convex combination.
+        e = log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma)
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        return e
 
     def weights(self, x: float) -> np.ndarray:
         """Similarity coefficients C_i(x): nonnegative, summing to one."""
         _require_finite("x", x)
-        return self._weights(x)[:, 0]
+        e = self._block_kernels(np.atleast_1d(x))[:, 0]
+        return e / e.sum()
 
     def predict(self, x: float) -> float:
         """Kernel-weighted average of the stored y values at query x."""
         return float(self.predict_many([x])[0])
 
     def predict_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        """Predictions at every query, one query block at a time."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         _require_finite("xs", xs)
-        return self.data.y @ self._weights(xs)
+        block = max(1, QUERY_BLOCK_ELEMS // len(self.data))
+        out = np.empty(xs.shape)
+        for lo in range(0, xs.size, block):
+            e = self._block_kernels(xs[lo:lo + block])
+            np.divide(self.data.y @ e, e.sum(axis=0), out=out[lo:lo + block])
+        return out
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,9 @@ def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> Quali
     var_true = float(np.mean((yt - mean_true) ** 2))
     var_pred = float(np.mean((yp - mean_pred) ** 2))
     denom = var_true + var_pred
-    if denom == 0.0:
-        raise DegenerateVariance("both variances vanish; quality undefined")
+    if denom < np.finfo(float).tiny:
+        # Subnormal variances keep too few significant bits to give q.
+        raise DegenerateVariance(f"variance sum {denom!r} vanishes; quality undefined")
     cov = float(np.mean((yt - mean_true) * (yp - mean_pred)))
     mse = float(np.mean((yt - yp) ** 2))
     return QualityReport(

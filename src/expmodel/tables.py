@@ -52,6 +52,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
+    try:
+        return _parse_dataset_csv(path)
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path} is not a text file: {exc}") from None
+
+
+def _parse_dataset_csv(path) -> Dataset:
     meta: Optional[GenerationMeta] = None
     with open(path, newline="") as fh:
         first = fh.readline()

@@ -1,8 +1,13 @@
+import os
+import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmodel.cli import main
 from expmodel import read_dataset_csv
@@ -85,6 +90,22 @@ def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
                    "--grid-points", points, "--out-dir", str(tmp_path))
         assert code == 2
         assert "InvalidGrid" in capsys.readouterr().err
+
+
+def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
+    # The running sum, normalised grid and entropy integrand of a 2001^2 grid
+    # take about 100 MB, over a 64 MiB soft RLIMIT_AS; 257^2 still fits.
+    limit = 64 << 20
+    real = resource.getrlimit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        (limit, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
+    one = tmp_path / "one.csv"
+    one.write_text("i,x,y\n1,0.1,0.2\n")
+    args = ("info", "--basic", str(one), "--sigma", "0.2", "--out-dir", str(tmp_path))
+    assert run(*args, "--grid-points", "2001") == 2
+    err = capsys.readouterr().err
+    assert "InvalidGrid" in err and str(limit) in err
+    assert run(*args, "--grid-points", "257") == 0
 
 
 def test_info_rejects_bad_schedule(tmp_path, samples_csv):
@@ -237,3 +258,32 @@ def test_threads_env_does_not_change_output(tmp_path, samples_csv, monkeypatch):
     monkeypatch.setenv("EXPMODEL_THREADS", "3")
     assert run("info", "--basic", str(samples_csv), "--out-dir", str(out2)) == 0
     assert (out1 / "info_curve.csv").read_bytes() == (out2 / "info_curve.csv").read_bytes()
+
+
+_CSV_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.text(alphabet=',"#=\r\n\t\x00 .-+e0123456789abcinxy', max_size=8),
+)
+_CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(str.encode),
+    st.builds(
+        lambda comment, header, rows: comment + header + "\n" + "\n".join(map(",".join, rows)),
+        st.sampled_from(["", "# seed=1 sigma=0.2 n=3\n", "# seed=x sigma=-1\n",
+                         "# seed=1 sigma=1e400 n=1\n", "# seed=1 sigma=1e-300 n=2\n"]),
+        st.sampled_from(["i,x,y", "i,x,y,x_o,y_o", "x,y", ""]),
+        st.lists(st.lists(_CSV_FIELD, max_size=6), max_size=6),
+    ).map(str.encode),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(content=_CSV_BYTES, sigma=st.sampled_from([(), ("--sigma", "0.2")]))
+def test_info_exit_code_contract_on_arbitrary_csv(content, sigma):
+    # Any input file gives success or a reported input error, never exit 1.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basic.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        assert run("info", "--basic", path, *sigma, "--out-dir", tmp) in (0, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, ScatteringFunction, ShapeMismatch,
                       SpanConfig, ca_quality_theoretical, generate,
                       predictor_quality, quality_sweep)
-from expmodel.predictor import write_predictions_csv, write_quality_csv
+from expmodel.predictor import (QUERY_BLOCK_ELEMS, write_predictions_csv,
+                                write_quality_csv)
 from oracles import extended_axis, gauss, trap1
 
 
@@ -119,6 +122,53 @@ def test_predict_many_matches_scalar_path(predictor50):
     batch = predictor50.predict_many(xs)
     for x, v in zip(xs, batch):
         assert predictor50.predict(x) == pytest.approx(v, rel=1e-12)
+
+
+def test_predict_many_matches_oracle_across_block_boundary(basic50, span):
+    # A wide kernel keeps the oracle's plain Gaussians above underflow out to
+    # |x| = 10 L, so far-field queries can sit on both sides of the boundary.
+    sf = ScatteringFunction(1.0, span)
+    p = CaPredictor(basic50, sf)
+    block = QUERY_BLOCK_ELEMS // len(basic50)
+    far = 10 * span.half_width
+    xs = np.linspace(-1.5, 1.5, block + 1)
+    xs[[0, block - 2, block]] = [far, far, far]
+    xs[[1, block - 1]] = [-far, -far]
+    expected = []
+    for x in xs:
+        g = gauss(x, basic50.x, sf.sigma)
+        expected.append(basic50.y @ (g / g.sum()))
+    np.testing.assert_allclose(p.predict_many(xs), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(basic50.y).max())
+
+
+def test_predict_many_shapes(predictor50):
+    empty = predictor50.predict_many([])
+    assert empty.shape == (0,) and empty.dtype == float
+    scalar = predictor50.predict_many(0.3)
+    assert scalar.shape == (1,)
+    assert scalar[0] == predictor50.predict_many([0.3])[0]
+
+
+def _predict_many_peak(predictor, xs):
+    tracemalloc.start()
+    try:
+        predictor.predict_many(xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_many_memory_does_not_grow_with_queries(sf02):
+    basic = generate(GenerationMeta(seed=5, sigma_noise=0.2, n=3000))
+    p = CaPredictor(basic, sf02)
+    xs = np.linspace(-2.0, 2.0, 3000)
+    peak_small = _predict_many_peak(p, xs[:300])
+    peak = _predict_many_peak(p, xs)
+    # A whole n x q weight matrix would be 72 MB here.
+    assert peak <= 4 * QUERY_BLOCK_ELEMS * 8
+    # Only the q-vector of predictions grows with the query count.
+    assert peak <= peak_small + 8 * xs.size + (64 << 10)
 
 
 # --- quality ------------------------------------------------------------------
