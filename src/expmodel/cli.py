@@ -6,7 +6,8 @@ generate    write a noisy chaotic benchmark dataset
 info        information curve and proper-sample-count summary for a dataset
 predict     conditional-average predictions of a test set from a basic set
 quality     predictor quality over growing sample counts, three seeds
-reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt
+reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt, the
+            records of expmodel.criteria next to the published targets
 
 All outputs are deterministic functions of the flags. Entropic quantities
 are in nats. The EXPMODEL_THREADS environment variable of earlier versions
@@ -21,6 +22,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from . import criteria
 from .density import Dataset
 from .errors import ExperimentModelError, InvalidParameter
 from .generator import GenerationMeta, generate
@@ -32,16 +34,6 @@ from .tables import read_dataset_csv, write_dataset_csv, write_table
 
 # Offset between the basic-set seed and the seed of the held-out test set.
 TEST_SEED_OFFSET = 7919
-
-# Reference values of the benchmark study and the acceptance intervals used
-# by the reproduce report.
-REFERENCE = {
-    "I_inf": (3.8, 3.3, 4.3),
-    "K_inf": (45.0, 30.0, 60.0),
-    "N_opt": (32, 15, 64),
-    "Q_at_32": 0.98,
-    "spread_at_50": 0.02,
-}
 
 
 @dataclasses.dataclass
@@ -185,68 +177,13 @@ def cmd_reproduce(config: RunConfig) -> None:
     rows, per_seed = _quality_rows(config, sigma_main, seeds)
     write_quality_csv(_out(config, "fig5.csv"), rows)
 
-    _write_report(_out(config, "report.txt"), config, seeds, curves, per_seed)
+    _write_report(_out(config, "report.txt"), criteria.evaluate(curves, per_seed, sf))
     print(_out(config, "report.txt"))
 
 
-def _write_report(path: str, config: RunConfig, seeds, curves, quality_per_seed) -> None:
-    ref = REFERENCE
-    lines = []
-    verdict = lambda ok: "PASS" if ok else "FAIL"
-
-    def check(name, value, lo, hi, target):
-        ok = lo <= value <= hi
-        shown = f"{value}" if isinstance(value, int) else f"{value:.4f}"
-        lines.append(f"{name} = {shown}  (target {target}, accept [{lo}, {hi}])  {verdict(ok)}")
-        return ok
-
-    ok_i, ok_k, ok_n = [], [], []
-    for seed in seeds:
-        c = curves[0.2][seed]
-        ok_i.append(check(f"sigma=0.2 seed={seed}: I_inf", c.info_limit, *ref["I_inf"][1:], ref["I_inf"][0]))
-        ok_k.append(check(f"sigma=0.2 seed={seed}: K_inf", c.complexity_limit, *ref["K_inf"][1:], ref["K_inf"][0]))
-        ok_n.append(check(f"sigma=0.2 seed={seed}: N_opt", c.n_opt, *ref["N_opt"][1:], ref["N_opt"][0]))
-        near = c.n_opt <= c.complexity_limit + 10
-        lines.append(f"sigma=0.2 seed={seed}: N_opt <= K_inf + 10  {verdict(near)}")
-    lines.append(f"criterion I_inf in [3.3, 4.3] for >=2 of 3 seeds: {verdict(sum(ok_i) >= 2)}")
-    lines.append(f"criterion K_inf in [30, 60] for >=2 of 3 seeds: {verdict(sum(ok_k) >= 2)}")
-    lines.append(f"criterion N_opt in [15, 64] for >=2 of 3 seeds: {verdict(sum(ok_n) >= 2)}")
-
-    for seed in seeds:
-        i_by_sigma = {s: curves[s][seed].info_limit for s in (0.1, 0.2, 0.4)}
-        n_by_sigma = {s: curves[s][seed].n_opt for s in (0.1, 0.2, 0.4)}
-        mono_i = i_by_sigma[0.1] > i_by_sigma[0.2] > i_by_sigma[0.4]
-        mono_n = n_by_sigma[0.1] >= n_by_sigma[0.2] >= n_by_sigma[0.4]
-        lines.append(
-            f"seed={seed}: I_inf by sigma {i_by_sigma[0.1]:.4f} > {i_by_sigma[0.2]:.4f} "
-            f"> {i_by_sigma[0.4]:.4f}  {verdict(mono_i)}"
-        )
-        lines.append(
-            f"seed={seed}: N_opt non-increasing in sigma "
-            f"({n_by_sigma[0.1]}, {n_by_sigma[0.2]}, {n_by_sigma[0.4]})  {verdict(mono_n)}"
-        )
-
-    for seed in seeds:
-        if 32 not in quality_per_seed[seed]:
-            lines.append(f"seed={seed}: Q(32) not computed, N = 32 is not in the schedule  N/A")
-            continue
-        q = quality_per_seed[seed][32].q
-        lines.append(f"seed={seed}: Q(32) = {q:.4f}  (target >0.99, accept >= {ref['Q_at_32']})  "
-                     f"{verdict(q >= ref['Q_at_32'])}")
-    big_n = sorted(n for n in next(iter(quality_per_seed.values())) if n >= 50)
-    if not big_n:
-        lines.append("max pairwise Q spread at N >= 50 not computed, "
-                     "no schedule point has N >= 50  N/A")
-    else:
-        spread = 0.0
-        for n in big_n:
-            qs = [quality_per_seed[seed][n].q for seed in seeds]
-            spread = max(spread, max(qs) - min(qs))
-        lines.append(f"max pairwise Q spread at N >= 50 = {spread:.4f}  "
-                     f"(accept <= {ref['spread_at_50']})  {verdict(spread <= ref['spread_at_50'])}")
-
+def _write_report(path: str, records) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{record}\n" for record in records))
 
 
 def _parse_schedule(text: str) -> list[int]:

@@ -24,8 +24,13 @@ import numpy as np
 
 from .density import Dataset
 from .errors import InvalidParameter, OutOfDomain
+from .memory import memory_limit
 
 TRANSIENT_STEPS = 100
+
+# Float64 values held per sample at the peak of generate: the clean and noisy
+# columns, their copies in the Dataset, and the Box-Muller temporaries.
+FLOATS_PER_SAMPLE = 9
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ def generate(meta: GenerationMeta) -> Dataset:
     whose clean columns hold the underlying map iterates. The attached meta
     records the initial condition actually used.
     """
+    needed = 8 * FLOATS_PER_SAMPLE * meta.n
+    available = memory_limit()
+    if needed > available:
+        raise InvalidParameter(f"n={meta.n} samples need {needed} bytes, more than "
+                               f"the {available} bytes this process may allocate")
     s_init, s_x, s_y = np.random.SeedSequence(meta.seed).spawn(3)
 
     if meta.initial_x is not None:

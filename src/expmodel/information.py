@@ -20,8 +20,6 @@ renormalized; the leak is a property of the instrument, not of the estimator.
 from __future__ import annotations
 
 import math
-import os
-import resource
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +27,7 @@ import numpy as np
 
 from .density import Dataset, DensityModel, accumulate_kernel_products
 from .errors import InvalidGrid, InvalidSchedule
+from .memory import memory_limit
 from .scattering import ScatteringFunction, SpanConfig
 from .tables import write_table
 
@@ -46,15 +45,6 @@ _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 GRID_BYTES_PER_NODE = 3 * 8 + 1
 
 
-def _memory_limit() -> int:
-    """Bytes a process may allocate: physical memory, capped by RLIMIT_AS."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
-    return limit
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform tensor grid over the span square [-L, L]^2.
@@ -68,7 +58,8 @@ class QuadratureGrid:
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
         being integrated (checked by :meth:`require_resolves`). The arrays
         an information curve holds at once on this grid must fit in
-        physical memory and the soft RLIMIT_AS.
+        physical memory and in what the soft RLIMIT_AS leaves of the
+        address space.
     """
 
     span: SpanConfig
@@ -80,7 +71,7 @@ class QuadratureGrid:
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
             )
         needed = GRID_BYTES_PER_NODE * self.points_per_axis ** 2
-        available = _memory_limit()
+        available = memory_limit()
         if needed > available:
             raise InvalidGrid(
                 f"a {self.points_per_axis}^2 grid needs {needed} bytes, more than "

@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expmodel import memory, read_dataset_csv
 from expmodel.cli import main
-from expmodel import read_dataset_csv
 
 
 def run(*argv):
@@ -93,18 +95,22 @@ def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
 
 
 def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
-    # The running sum, normalised grid and entropy integrand of a 2001^2 grid
-    # take about 100 MB, over a 64 MiB soft RLIMIT_AS; 257^2 still fits.
-    limit = 64 << 20
+    # The running sum, normalised grid and entropy integrand take 25 B per
+    # node. With 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB:
+    # a 2001^2 grid (100 MB) and a 1700^2 grid (72 MB, below the limit
+    # itself) are refused before allocation; 257^2 still fits.
+    limit, mapped = 96 << 20, 32 << 20
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
         (limit, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
+    monkeypatch.setattr(memory, "mapped_bytes", lambda: mapped)
     one = tmp_path / "one.csv"
     one.write_text("i,x,y\n1,0.1,0.2\n")
     args = ("info", "--basic", str(one), "--sigma", "0.2", "--out-dir", str(tmp_path))
-    assert run(*args, "--grid-points", "2001") == 2
-    err = capsys.readouterr().err
-    assert "InvalidGrid" in err and str(limit) in err
+    for points in ("2001", "1700"):
+        assert run(*args, "--grid-points", points) == 2
+        err = capsys.readouterr().err
+        assert "InvalidGrid" in err and str(limit - mapped) in err
     assert run(*args, "--grid-points", "257") == 0
 
 
@@ -218,15 +224,61 @@ def test_reproduce_artifacts_and_determinism(tmp_path):
     assert fig4_header == "x_t,y_t,y_p,err"
 
 
-def test_fig2_rows_equal_info_curve(tmp_path, samples_csv):
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """Output directory of the default ``reproduce --seed 1``."""
+    out = tmp_path_factory.mktemp("reproduce")
+    assert run("reproduce", "--seed", "1", "--out-dir", str(out)) == 0
+    return out
+
+
+def test_fig2_rows_equal_info_curve(tmp_path, samples_csv, reproduced):
     # fig2.csv is the info_curve.csv table of each seed behind a seed column.
-    assert run("reproduce", "--seed", "1", "--out-dir", str(tmp_path / "rep")) == 0
     assert run("info", "--basic", str(samples_csv), "--out-dir", str(tmp_path / "info")) == 0
-    fig2 = (tmp_path / "rep" / "fig2.csv").read_bytes().splitlines(keepends=True)
+    fig2 = (reproduced / "fig2.csv").read_bytes().splitlines(keepends=True)
     seed1 = [fig2[0]] + [row for row in fig2[1:] if row.startswith(b"1,")]
     stripped = b"".join(row.split(b",", 1)[1] for row in seed1)
     assert len(seed1) == 17
     assert stripped == (tmp_path / "info" / "info_curve.csv").read_bytes()
+
+
+def _argmin_cost(path, keys):
+    """N of the smallest cost (first of ties) per group of an info-curve table."""
+    groups = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            groups.setdefault(tuple(float(row[k]) for k in keys), []).append(row)
+    return {key: int(min(rows, key=lambda r: float(r["C"]))["N"]) for key, rows in groups.items()}
+
+
+def test_report_matches_acceptance_and_figures(reproduced):
+    # The report's verdicts are those of tests/test_acceptance.py on the same
+    # seeds, and its N_opt values, read with the benchmark's patterns, are
+    # the argmin of the cost column in fig2.csv and fig3.csv.
+    report = (reproduced / "report.txt").read_text()
+    verdicts = re.findall(r"^criterion (\d) .*  (PASS|FAIL|N/A)$", report, re.M)
+    assert verdicts == [("1", "PASS"), ("2", "PASS"), ("3", "PASS"), ("4", "FAIL")]
+    before_4 = report.split("criterion 4 ")[0].splitlines()
+    assert all(line.endswith("  PASS") for line in before_4)
+    n_opt = _argmin_cost(reproduced / "fig2.csv", ["seed"])
+    n_opt = {(0.2, seed): n for (seed,), n in n_opt.items()}
+    n_opt.update(_argmin_cost(reproduced / "fig3.csv", ["sigma", "seed"]))
+    assert [int(v) for v in re.findall(r"N_opt = (\d+)", report)] == [n_opt[(0.2, s)] for s in (1, 2, 3)]
+    mono = re.findall(r"N_opt non-increasing in sigma \((\d+), (\d+), (\d+)\)", report)
+    assert [tuple(map(int, m)) for m in mono] == [
+        tuple(n_opt[(sigma, s)] for sigma in (0.1, 0.2, 0.4)) for s in (1, 2, 3)]
+
+
+def test_reproduce_without_half_point_reports_uncomputed_criteria(tmp_path):
+    # Schedule 30, 40 has no point <= 40 // 2 to start the last doubling of
+    # criterion 1 from, no N = 32 and no N >= 50 for criterion 4.
+    assert run("reproduce", "--seed", "1", "--n", "40", "--schedule", "30,40",
+               "--out-dir", str(tmp_path)) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    plateau, quality = lines[:4], lines[-5:]
+    assert plateau[0].startswith("criterion 1 ") and quality[0].startswith("criterion 4 ")
+    for line in plateau + quality:
+        assert line.endswith("  N/A") and "PASS" not in line and "FAIL" not in line
 
 
 def test_reproduce_small_n_reports_uncomputed_criteria(tmp_path):
@@ -287,3 +339,42 @@ def test_info_exit_code_contract_on_arbitrary_csv(content, sigma):
         with open(path, "wb") as fh:
             fh.write(content)
         assert run("info", "--basic", path, *sigma, "--out-dir", tmp) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert run("generate", "--sigma", "0.2", "--n", "20", "--out-dir", str(out)) == 0
+    return str(out / "samples.csv")
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value
+        return exc.code
+
+
+# Sizes are small or far beyond any memory, so a size the checks let through
+# stays cheap; floats range over everything, nan, inf and subnormals included.
+_COUNT = st.one_of(st.integers(-3, 40), st.integers(10 ** 13, 10 ** 40)).map(str)
+_FLAGS = {
+    "--n": st.one_of(_COUNT, st.sampled_from(["nan", "inf", "1.5", ""])),
+    "--sigma": st.one_of(st.floats(0.01, 0.5), st.floats()).map(repr),
+    "--span-l": st.one_of(st.floats(0.5, 4.0), st.floats()).map(repr),
+    "--grid-points": st.one_of(st.integers(129, 300), st.integers(-3, 128),
+                               st.integers(10 ** 7, 10 ** 40)).map(str) | st.just("nan"),
+    "--schedule": st.one_of(st.lists(_COUNT, max_size=4).map(",".join), st.just("1,nan")),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["generate", "info", "quality"]),
+       flags=st.fixed_dictionaries({}, optional=_FLAGS))
+def test_flag_values_exit_with_documented_codes(small_csv, command, flags):
+    # Any flag value gives success or a reported input error, never exit 1.
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *(f"{k}={v}" for k, v in flags.items()), "--out-dir", tmp]
+        if command == "info":
+            argv += ["--basic", small_csv]
+        assert _exit_code(argv) in (0, 2)
