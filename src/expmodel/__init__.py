@@ -7,7 +7,7 @@ samples, and extracts the law as a conditional-average predictor with a
 quantified quality score.
 """
 
-from .density import Dataset, DensityModel, Sample
+from .density import Dataset, DensityModel
 from .errors import (DegenerateVariance, EmptyDataset, ExperimentModelError,
                      InvalidGrid, InvalidParameter, InvalidSchedule,
                      OutOfDomain, ShapeMismatch)
@@ -39,7 +39,6 @@ __all__ = [
     "OutOfDomain",
     "QualityReport",
     "QuadratureGrid",
-    "Sample",
     "ScatteringFunction",
     "ShapeMismatch",
     "SpanConfig",

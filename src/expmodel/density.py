@@ -13,8 +13,6 @@ well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -24,18 +22,6 @@ from .scattering import ScatteringFunction, log_gaussian, _require_finite
 # Samples per block of the kernel-product sum: at most this many kernel rows
 # per channel are held at once, whatever the sample count.
 KERNEL_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One measured pair of channel signals."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidParameter(f"sample must be finite, got ({self.x}, {self.y})")
 
 
 class Dataset:
@@ -76,12 +62,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.size
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (Sample(float(a), float(b)) for a, b in zip(self.x, self.y))
-
-    def sample(self, i: int) -> Sample:
-        return Sample(float(self.x[i]), float(self.y[i]))
 
     @property
     def has_clean(self) -> bool:

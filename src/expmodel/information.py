@@ -214,7 +214,10 @@ def default_schedule(n_max: int) -> list[int]:
     return [n for n in _BASE_SCHEDULE if n < n_max] + [n_max]
 
 
-def _validate_schedule(schedule: Sequence[int], n_available: int) -> list[int]:
+def resolve_schedule(schedule: Optional[Sequence[int]], n_available: int) -> list[int]:
+    """The schedule checked against n_available samples; None gives the default."""
+    if schedule is None:
+        return default_schedule(n_available)
     sched = [int(n) for n in schedule]
     if len(sched) == 0:
         raise InvalidSchedule("schedule is empty")
@@ -250,9 +253,7 @@ def info_curve(data: Dataset,
     limit is its exponential.
     """
     grid.require_resolves(sf.sigma)
-    if schedule is None:
-        schedule = default_schedule(len(data))
-    sched = _validate_schedule(schedule, len(data))
+    sched = resolve_schedule(schedule, len(data))
 
     axis = grid.axis
     joint_sum = np.zeros((axis.size, axis.size))

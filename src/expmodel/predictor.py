@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import Dataset
 from .errors import DegenerateVariance, EmptyDataset, InvalidParameter, ShapeMismatch
-from .information import default_schedule, _validate_schedule
+from .information import resolve_schedule
 from .scattering import ScatteringFunction, _require_finite, log_gaussian
 from .tables import write_table
 
@@ -150,9 +150,7 @@ def quality_sweep(basic: Dataset,
     Every schedule point n yields a predictor on the first n basic samples,
     evaluated on the full test set.
     """
-    if schedule is None:
-        schedule = default_schedule(len(basic))
-    sched = _validate_schedule(schedule, len(basic))
+    sched = resolve_schedule(schedule, len(basic))
     out = []
     for n in sched:
         predictor = CaPredictor(basic.prefix(n), sf)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmodel import memory, read_dataset_csv
+from expmodel import cli, generate, memory, read_dataset_csv
 from expmodel.cli import main
 
 
@@ -368,13 +368,65 @@ _FLAGS = {
 }
 
 
+# The flags each subcommand reads; --out-dir is read by all of them.
+_READS = {
+    "generate": {"--sigma", "--n", "--seed"},
+    "info": {"--basic", "--sigma", "--span-l", "--grid-points", "--schedule"},
+    "predict": {"--basic", "--test", "--sigma", "--n", "--span-l"},
+    "quality": {"--sigma", "--n", "--seed", "--span-l", "--schedule"},
+    "reproduce": {"--n", "--seed", "--span-l", "--grid-points", "--schedule"},
+}
+_ALL_FLAGS = set().union(*_READS.values())
+_UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_FLAGS - reads)
+
+
 @settings(max_examples=40, deadline=None)
-@given(command=st.sampled_from(["generate", "info", "quality"]),
-       flags=st.fixed_dictionaries({}, optional=_FLAGS))
-def test_flag_values_exit_with_documented_codes(small_csv, command, flags):
+@given(command_flags=st.sampled_from(["generate", "info", "quality"]).flatmap(
+    lambda command: st.tuples(st.just(command), st.fixed_dictionaries(
+        {}, optional={k: v for k, v in _FLAGS.items() if k in _READS[command]}))))
+def test_flag_values_exit_with_documented_codes(small_csv, command_flags):
+    command, flags = command_flags
     # Any flag value gives success or a reported input error, never exit 1.
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, *(f"{k}={v}" for k, v in flags.items()), "--out-dir", tmp]
         if command == "info":
             argv += ["--basic", small_csv]
         assert _exit_code(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_help_lists_only_the_flags_a_command_reads(capsys, command):
+    assert _exit_code([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == _READS[command] | {"--out-dir", "--help"}
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
+def test_unread_flag_exits_2(tmp_path, small_csv, capsys, command, flag):
+    # Without the unread flag each argv succeeds.
+    base = {
+        "generate": ["--sigma", "0.2", "--n", "5"],
+        "info": ["--basic", small_csv],
+        "predict": ["--basic", small_csv, "--test", small_csv],
+        "quality": ["--sigma", "0.2", "--n", "10", "--schedule", "1,10"],
+        "reproduce": ["--n", "20", "--schedule", "5,10,20"],
+    }[command]
+    value = {"--sigma": "0.1", "--n": "10", "--seed": "2", "--span-l": "2.0",
+             "--grid-points": "257", "--schedule": "1,2", "--basic": small_csv,
+             "--test": small_csv}[flag]
+    assert _exit_code([command, *base, flag, value, "--out-dir", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert _exit_code([command, *base, "--out-dir", str(tmp_path)]) == 0
+
+
+def test_reproduce_generates_each_dataset_once(tmp_path, monkeypatch):
+    metas = []
+
+    def counted(meta):
+        metas.append((meta.seed, meta.sigma_noise))
+        return generate(meta)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    assert run("reproduce", "--seed", "1", "--n", "20", "--out-dir", str(tmp_path)) == 0
+    assert len(metas) == 10
+    assert set(metas) == {(seed, sigma) for seed in (1, 2, 3) for sigma in (0.1, 0.2, 0.4)} | {(1 + 7919, 0.2)}
