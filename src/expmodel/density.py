@@ -4,15 +4,15 @@ A DensityModel is a dataset of measured pairs plus the instrument's
 scattering function. The joint density is the plain average of kernels
 centered at the samples; the marginal over x is the analytic average of the
 x-channel Gaussians (integrating a channel Gaussian over the real line gives
-exactly 1, so no quadrature is involved). The conditional density is the
-joint/marginal ratio evaluated in log domain: far away from all samples both
-sums underflow to zero in direct arithmetic, while the log-domain ratio stays
-well defined.
+exactly 1, so no quadrature is involved). The conditional density of y given
+x averages the y-channel Gaussians with the normalised similarities C_i(x),
+the weights of the conditional-average predictor. These are computed in log
+domain with each query's largest log kernel subtracted, so far from all
+samples, where the joint and marginal underflow to zero, they stay a convex
+combination and the conditional stays well defined.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -87,33 +87,33 @@ class DensityModel:
         self.data = data
         self.sf = sf
 
-    def _log_kernels_x(self, x):
-        return log_gaussian(x, self.data.x, self.sf.sigma)
+    def _block_kernels(self, xs: np.ndarray) -> np.ndarray:
+        # Column j is C_i(xs[j]) up to a factor, with largest entry exactly 1.
+        # Subtracting each column's largest log kernel before exponentiating
+        # keeps far queries a convex combination.
+        e = log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma)
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        return e
 
-    def _log_kernels_y(self, y):
-        return log_gaussian(y, self.data.y, self.sf.sigma)
+    def weights(self, x: float) -> np.ndarray:
+        """Similarity coefficients C_i(x): nonnegative, summing to one."""
+        e = self._block_kernels(np.array([_finite_scalar("x", x)]))[:, 0]
+        return e / e.sum()
 
     def joint_pdf(self, x: float, y: float) -> float:
-        """Average of sample-centered kernels at (x, y); strictly positive."""
-        _require_finite("x", x)
-        _require_finite("y", y)
-        lw = self._log_kernels_x(x) + self._log_kernels_y(y)
-        return float(np.exp(_logsumexp(lw) - math.log(len(self.data))))
+        """Average of sample-centered kernels at (x, y): one node of joint_on_grid."""
+        return float(self.joint_on_grid([_finite_scalar("x", x)], [_finite_scalar("y", y)])[0, 0])
 
     def marginal_pdf(self, x: float) -> float:
         """Analytic x-marginal: average of the x-channel Gaussians."""
-        _require_finite("x", x)
-        lw = self._log_kernels_x(x)
-        return float(np.exp(_logsumexp(lw) - math.log(len(self.data))))
+        x = _finite_scalar("x", x)
+        return float(np.exp(log_gaussian(x, self.data.x, self.sf.sigma)).mean())
 
     def conditional_pdf(self, y: float, given_x: float) -> float:
-        """Density of y given x, the joint/marginal ratio in log domain."""
-        _require_finite("y", y)
-        _require_finite("given_x", given_x)
-        lx = self._log_kernels_x(given_x)
-        num = _logsumexp(lx + self._log_kernels_y(y))
-        den = _logsumexp(lx)
-        return float(np.exp(num - den))
+        """Density of y given x: the y-channel Gaussians weighted by C_i(given_x)."""
+        gy = np.exp(log_gaussian(_finite_scalar("y", y), self.data.y, self.sf.sigma))
+        return float(self.weights(given_x) @ gy)
 
     def joint_on_grid(self, xs, ys) -> np.ndarray:
         """Joint PDF on the tensor grid xs x ys; out[a, b] = f(xs[a], ys[b]).
@@ -149,6 +149,8 @@ def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float) -> N
         out += gx.T @ gy
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _finite_scalar(name: str, value) -> float:
+    if np.ndim(value) != 0:
+        raise InvalidParameter(f"{name} must be a scalar, got shape {np.shape(value)}")
+    _require_finite(name, value)
+    return float(value)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -40,19 +40,17 @@ class GenerationMeta:
     seed: int
     sigma_noise: float
     n: int
-    map_name: str = "ulam"
     initial_x: Optional[float] = None
-    prng_name: str = "pcg64"
+
+    # The map and the noise generator are fixed; the dataset CSV names them.
+    map_name: ClassVar[str] = "ulam"
+    prng_name: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidParameter(f"n must be >= 1, got {self.n}")
         if not math.isfinite(self.sigma_noise) or self.sigma_noise < 0:
             raise InvalidParameter(f"sigma_noise must be >= 0, got {self.sigma_noise}")
-        if self.map_name != "ulam":
-            raise InvalidParameter(f"unknown map {self.map_name!r}")
-        if self.prng_name != "pcg64":
-            raise InvalidParameter(f"unknown prng {self.prng_name!r}")
         if self.initial_x is not None and not -1.0 <= self.initial_x <= 1.0:
             raise InvalidParameter(f"initial_x must lie in [-1, 1], got {self.initial_x}")
 

@@ -56,17 +56,17 @@ class QuadratureGrid:
     points_per_axis:
         Number of nodes per axis, at least 129. The step is
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
-        being integrated (checked by :meth:`require_resolves`). The arrays
-        an information curve holds at once on this grid must fit in
-        physical memory and in what the soft RLIMIT_AS leaves of the
-        address space.
+        being integrated, whose span must be this one (both checked by
+        :meth:`require_resolves`). The arrays an information curve holds at
+        once on this grid must fit in physical memory and in what the soft
+        RLIMIT_AS leaves of the address space.
     """
 
     span: SpanConfig
     points_per_axis: int
 
     def __post_init__(self) -> None:
-        if int(self.points_per_axis) != self.points_per_axis or self.points_per_axis < 129:
+        if not isinstance(self.points_per_axis, (int, np.integer)) or self.points_per_axis < 129:
             raise InvalidGrid(
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
             )
@@ -92,11 +92,16 @@ class QuadratureGrid:
         w[-1] *= 0.5
         return w
 
-    def require_resolves(self, sigma: float) -> None:
-        """Reject grids coarser than a quarter kernel width per step."""
-        if self.step > sigma / 4.0 + 1e-15:
+    def require_resolves(self, sf: ScatteringFunction) -> None:
+        """Reject grids off sf's span (H_u is taken on it) or coarser than sigma/4 per step."""
+        if self.span != sf.span:
             raise InvalidGrid(
-                f"grid step {self.step:.6g} exceeds sigma/4 = {sigma / 4.0:.6g}; "
+                f"grid half width {self.span.half_width} differs from the kernel's "
+                f"{sf.span.half_width}"
+            )
+        if self.step > sf.sigma / 4.0 + 1e-15:
+            raise InvalidGrid(
+                f"grid step {self.step:.6g} exceeds sigma/4 = {sf.sigma / 4.0:.6g}; "
                 f"increase points_per_axis"
             )
 
@@ -134,7 +139,7 @@ def entropy_quadrature(pdf: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def indeterminacy(model: DensityModel, grid: QuadratureGrid) -> float:
     """H_z of the model's joint density relative to the uniform reference."""
-    grid.require_resolves(model.sf.sigma)
+    grid.require_resolves(model.sf)
     return _indeterminacy_of_values(model.joint_on_grid(grid.axis, grid.axis), grid)
 
 
@@ -252,7 +257,7 @@ def info_curve(data: Dataset,
     of the schedule (at least the last three records) and the complexity
     limit is its exponential.
     """
-    grid.require_resolves(sf.sigma)
+    grid.require_resolves(sf)
     sched = resolve_schedule(schedule, len(data))
 
     axis = grid.axis

@@ -1,17 +1,18 @@
 """Conditional-average predictor and its quality statistic.
 
-The predictor is the conditional mean extracted from the kernel estimator:
-y_p(x) = sum_i y_i C_i(x), where C_i are the normalized kernel similarities
-between x and the stored x_i. The weights are computed in log domain
-(maximum-exponent subtraction), so they stay a valid convex combination for
-queries arbitrarily far from the data.
+The predictor is the conditional mean extracted from the kernel estimator: a
+CaPredictor is a DensityModel, and y_p(x) = sum_i y_i C_i(x) with the same
+normalised similarities C_i(x) that weight its conditional density. They are
+computed in log domain (maximum-exponent subtraction, see
+:class:`expmodel.density.DensityModel`), so they stay a valid convex
+combination for queries arbitrarily far from the data.
 
 Queries are taken in blocks of at most QUERY_BLOCK_ELEMS kernel values
-(max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). Each block's
-log kernels are shifted by their column maxima and exponentiated in place;
-a prediction is then the ratio of the kernel-weighted target sum to the
-kernel sum, so no normalised n x q weight matrix is ever formed. Memory is
-O(QUERY_BLOCK_ELEMS + n + q) for any sample and query count.
+(max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). A prediction
+is the ratio of the kernel-weighted target sum to the kernel sum of its
+block's shifted kernels, so no normalised n x q weight matrix is ever
+formed. Memory is O(QUERY_BLOCK_ELEMS + n + q) for any sample and query
+count.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Dataset
-from .errors import DegenerateVariance, EmptyDataset, InvalidParameter, ShapeMismatch
+from .density import Dataset, DensityModel
+from .errors import DegenerateVariance, InvalidParameter, ShapeMismatch
 from .information import resolve_schedule
-from .scattering import ScatteringFunction, _require_finite, log_gaussian
+from .scattering import ScatteringFunction, _require_finite
 from .tables import write_table
 
 # Kernel values held per query block (about 1 MB of float64): the memory of
@@ -32,29 +33,8 @@ from .tables import write_table
 QUERY_BLOCK_ELEMS = 1 << 17
 
 
-class CaPredictor:
+class CaPredictor(DensityModel):
     """Conditional-average predictor built on a basic dataset."""
-
-    def __init__(self, data: Dataset, sf: ScatteringFunction):
-        if len(data) == 0:
-            raise EmptyDataset("the basic set must contain at least one sample")
-        self.data = data
-        self.sf = sf
-
-    def _block_kernels(self, xs: np.ndarray) -> np.ndarray:
-        # Column j is C_i(xs[j]) up to a factor, with largest entry exactly 1.
-        # Subtracting each column's largest log kernel before exponentiating
-        # keeps far queries a convex combination.
-        e = log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma)
-        e -= e.max(axis=0)
-        np.exp(e, out=e)
-        return e
-
-    def weights(self, x: float) -> np.ndarray:
-        """Similarity coefficients C_i(x): nonnegative, summing to one."""
-        _require_finite("x", x)
-        e = self._block_kernels(np.atleast_1d(x))[:, 0]
-        return e / e.sum()
 
     def predict(self, x: float) -> float:
         """Kernel-weighted average of the stored y values at query x."""
@@ -63,6 +43,8 @@ class CaPredictor:
     def predict_many(self, xs) -> np.ndarray:
         """Predictions at every query, one query block at a time."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if xs.ndim != 1:
+            raise InvalidParameter(f"queries must be one-dimensional, got shape {xs.shape}")
         _require_finite("xs", xs)
         block = max(1, QUERY_BLOCK_ELEMS // len(self.data))
         out = np.empty(xs.shape)

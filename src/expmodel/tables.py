@@ -66,14 +66,14 @@ def _parse_dataset_csv(path) -> Dataset:
             fields = dict(
                 item.split("=", 1) for item in first[1:].strip().split() if "=" in item
             )
+            ours = (fields.get("map", GenerationMeta.map_name) == GenerationMeta.map_name
+                    and fields.get("prng", GenerationMeta.prng_name) == GenerationMeta.prng_name)
             try:
                 meta = GenerationMeta(
                     seed=int(fields["seed"]),
                     sigma_noise=float(fields["sigma"]),
                     n=int(fields["n"]),
-                    map_name=fields.get("map", "ulam"),
-                    prng_name=fields.get("prng", "pcg64"),
-                )
+                ) if ours else None
             except (KeyError, ValueError, InvalidParameter):
                 meta = None  # unknown comment style; data rows still load
             header_line = fh.readline()

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from expmodel import (Dataset, DensityModel, EmptyDataset, InvalidParameter,
-                      ShapeMismatch, read_dataset_csv, write_dataset_csv)
+from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
+                      InvalidParameter, ScatteringFunction, ShapeMismatch,
+                      read_dataset_csv, write_dataset_csv)
 from expmodel.density import KERNEL_BLOCK
 from expmodel.generator import GenerationMeta, generate
-from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
+from oracles import (extended_axis, gauss, kde_joint_grid, kde_marginal_grid,
+                     trap1, trap2)
 
 
 @pytest.fixture()
@@ -142,9 +144,41 @@ def test_conditional_times_marginal_is_joint(model200):
         assert product == pytest.approx(model200.joint_pdf(x, y), rel=1e-12)
 
 
+# Oracle sums above this stay clear of the subnormal range, where the plain
+# Gaussians of the oracle lose relative precision.
+ORACLE_FLOOR = 1e-290
+
+
+@pytest.mark.parametrize("sigma", [0.2, 1.0])
+def test_pointwise_densities_match_brute_force(logistic200, span, sigma):
+    # The wide kernel keeps the oracle above underflow out to |x| = 10 L.
+    m = DensityModel(logistic200, ScatteringFunction(sigma, span))
+    far = np.geomspace(span.half_width, 10 * span.half_width, 8)
+    xs = np.concatenate([np.linspace(-span.half_width, span.half_width, 17), far, -far])
+    ys = np.linspace(-span.half_width, span.half_width, 5)
+
+    expected = kde_marginal_grid(logistic200.x, sigma, xs)
+    ok = expected > ORACLE_FLOOR
+    got = np.array([m.marginal_pdf(x) for x in xs])
+    np.testing.assert_allclose(got[ok], expected[ok], rtol=1e-12, atol=0)
+
+    checked = 0
+    for x in xs:
+        gx = gauss(x, logistic200.x, sigma)
+        for y in ys:
+            num = gx @ gauss(y, logistic200.y, sigma)
+            den = gx.sum()
+            if min(num, den) > ORACLE_FLOOR:
+                assert m.conditional_pdf(y, x) == pytest.approx(num / den, rel=1e-12)
+                checked += 1
+    assert ok.sum() >= 17 and checked >= 17 * len(ys)
+    if sigma == 1.0:
+        assert ok.all() and checked == xs.size * ys.size
+
+
 def test_densities_finite_and_nonnegative_everywhere(model200, span):
     # Conditional stays positive arbitrarily far out thanks to the log-domain
-    # ratio; joint and marginal may underflow to zero but never go negative.
+    # weights; joint and marginal may underflow to zero but never go negative.
     for x in (-10 * span.half_width, -2.0, 0.0, 3.7, 10 * span.half_width):
         c = model200.conditional_pdf(0.2, x)
         assert math.isfinite(c) and c > 0
@@ -163,6 +197,26 @@ def test_query_validation(model200):
         model200.conditional_pdf(0.0, float("nan"))
 
 
+@pytest.mark.parametrize("query", [
+    lambda m, q: m.joint_pdf(q, 0.0),
+    lambda m, q: m.joint_pdf(0.0, q),
+    lambda m, q: m.marginal_pdf(q),
+    lambda m, q: m.conditional_pdf(q, 0.0),
+    lambda m, q: m.conditional_pdf(0.0, q),
+    lambda m, q: m.weights(q),
+    lambda m, q: m.predict(q),
+], ids=["joint_x", "joint_y", "marginal", "conditional_y", "conditional_x",
+        "weights", "predict"])
+@pytest.mark.parametrize("value", [np.array([0.0, 1.0]), [0.5], np.array([[0.5]])],
+                         ids=["pair", "list", "matrix"])
+def test_pointwise_queries_reject_arrays(sf02, query, value):
+    # Two samples, so a two-query array would broadcast against them silently.
+    m = CaPredictor(Dataset([0.0, 1.0], [0.0, 1.0]), sf02)
+    with pytest.raises(InvalidParameter):
+        query(m, value)
+    query(m, np.float64(0.5))  # a numpy scalar is a scalar
+
+
 def test_csv_round_trip(tmp_path, logistic200):
     path = tmp_path / "samples.csv"
     write_dataset_csv(logistic200, path)
@@ -174,6 +228,15 @@ def test_csv_round_trip(tmp_path, logistic200):
     assert back.meta.seed == 1 and back.meta.n == 200
     assert back.meta.sigma_noise == 0.2
     assert back.meta.map_name == "ulam" and back.meta.prng_name == "pcg64"
+
+
+@pytest.mark.parametrize("comment", ["map=henon prng=pcg64", "map=ulam prng=mt19937"])
+def test_csv_from_another_generator_loads_without_meta(tmp_path, comment):
+    path = tmp_path / "other.csv"
+    path.write_text(f"# seed=1 sigma=0.2 {comment} n=2\ni,x,y\n1,0.1,0.2\n2,0.3,0.4\n")
+    back = read_dataset_csv(path)
+    assert back.meta is None
+    assert back.x.tolist() == [0.1, 0.3] and back.y.tolist() == [0.2, 0.4]
 
 
 def test_csv_without_clean_columns(tmp_path):

@@ -33,8 +33,6 @@ def test_meta_validation():
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=-0.1, n=10)
     with pytest.raises(InvalidParameter):
-        GenerationMeta(seed=1, sigma_noise=0.2, n=10, map_name="henon")
-    with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=0.2, n=10, initial_x=1.5)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from expmodel import (Dataset, DensityModel, InfoRecord, InvalidGrid,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
-                      default_schedule, entropy_quadrature,
+                      SpanConfig, default_schedule, entropy_quadrature,
                       experimental_information, indeterminacy, info_curve)
 from expmodel.density import KERNEL_BLOCK
 
@@ -26,6 +26,8 @@ def centered_kernel_pdf(sf, cx=0.0, cy=0.0):
 def test_grid_rejects_too_few_points(span):
     with pytest.raises(InvalidGrid):
         QuadratureGrid(span, 128)
+    with pytest.raises(InvalidGrid):
+        QuadratureGrid(span, 257.0)  # equal to an integer, but not one
 
 
 def test_grid_step_and_axis(span, grid257):
@@ -35,10 +37,23 @@ def test_grid_step_and_axis(span, grid257):
 
 
 def test_grid_kernel_resolution_check(span, grid257):
-    grid257.require_resolves(0.2)  # h = 0.015625 <= 0.05
+    grid257.require_resolves(ScatteringFunction(0.2, span))  # h = 0.015625 <= 0.05
     coarse = QuadratureGrid(span, 129)
     with pytest.raises(InvalidGrid):
-        coarse.require_resolves(0.1)  # h = 0.03125 > 0.025
+        coarse.require_resolves(ScatteringFunction(0.1, span))  # h = 0.03125 > 0.025
+
+
+def test_grid_span_must_match_kernel_span(logistic200):
+    # H_u is taken on the kernel's span and the quadrature on the grid's; with
+    # these two spans I(200) would read 2.9912, against 2.18 with either alone.
+    sf = ScatteringFunction(0.2, SpanConfig(3.0))
+    grid = QuadratureGrid(SpanConfig(2.0), 257)
+    with pytest.raises(InvalidGrid):
+        info_curve(logistic200, sf, grid)
+    with pytest.raises(InvalidGrid):
+        indeterminacy(DensityModel(logistic200, sf), grid)
+    with pytest.raises(InvalidGrid):
+        experimental_information(DensityModel(logistic200, sf), grid)
 
 
 # --- entropy quadrature -----------------------------------------------------
