@@ -51,10 +51,6 @@ def _generate(args, seed: int, sigma: float) -> Dataset:
     return generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=n))
 
 
-def _sf(args, sigma: float) -> ScatteringFunction:
-    return ScatteringFunction(sigma, SpanConfig(args.span_l))
-
-
 def _grid(args) -> QuadratureGrid:
     return QuadratureGrid(SpanConfig(args.span_l), args.grid_points)
 
@@ -87,7 +83,7 @@ def cmd_info(args) -> None:
         raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
     sigma = _resolve_sigma(args, dataset)
-    curve = info_curve(dataset, _sf(args, sigma), _grid(args), args.schedule)
+    curve = info_curve(dataset, ScatteringFunction(sigma), _grid(args), args.schedule)
     curve.write_records_csv(_out(args, "info_curve.csv"))
     curve.write_summary_csv(_out(args, "summary.csv"))
     print(f"N_opt={curve.n_opt} I_inf={curve.info_limit:.6f} K_inf={curve.complexity_limit:.6f}")
@@ -99,11 +95,10 @@ def cmd_predict(args) -> None:
     basic = read_dataset_csv(args.basic)
     test = read_dataset_csv(args.test)
     sigma = _resolve_sigma(args, basic)
-    sf = _sf(args, sigma)
     if args.n is not None:
         basic = basic.prefix(args.n)
-    predictor = CaPredictor(basic, sf)
-    outside = int((abs(test.x) > args.span_l).sum())
+    predictor = CaPredictor(basic, ScatteringFunction(sigma))
+    outside = int((abs(test.x) > SpanConfig(args.span_l).half_width).sum())
     if outside:
         print(f"warning: {outside} test inputs lie outside the span (-L, L)",
               file=sys.stderr)
@@ -129,7 +124,7 @@ def cmd_quality(args) -> None:
     test = _generate(args, args.seed + TEST_SEED_OFFSET, args.sigma)
     # One basic set at a time: memory stays that of one set whatever the seeds.
     basics = ((seed, _generate(args, seed, args.sigma)) for seed in _seeds(args))
-    rows, _ = _quality_rows(basics, test, _sf(args, args.sigma), args.schedule)
+    rows, _ = _quality_rows(basics, test, ScatteringFunction(args.sigma), args.schedule)
     write_quality_csv(_out(args, "quality.csv"), rows)
     print(_out(args, "quality.csv"))
 
@@ -141,7 +136,7 @@ def cmd_reproduce(args) -> None:
     basics = {seed: _generate(args, seed, SIGMA_MAIN) for seed in seeds}
     grid = _grid(args)
     curves = {s: {seed: info_curve(basics[seed] if s == SIGMA_MAIN else _generate(args, seed, s),
-                                   _sf(args, s), grid, args.schedule)
+                                   ScatteringFunction(s), grid, args.schedule)
                   for seed in seeds}
               for s in SIGMA_SWEEP}
 
@@ -153,7 +148,7 @@ def cmd_reproduce(args) -> None:
                  for seed in seeds for row in curves[s][seed].rows()))
 
     # Prediction trace: reduced 50-sample basic set against the test set.
-    sf = _sf(args, SIGMA_MAIN)
+    sf = ScatteringFunction(SIGMA_MAIN)
     test = _generate(args, args.seed + TEST_SEED_OFFSET, SIGMA_MAIN)
     basic = basics[args.seed]
     reduced = basic.prefix(min(50, len(basic)))
@@ -163,7 +158,7 @@ def cmd_reproduce(args) -> None:
     rows, per_seed = _quality_rows(basics.items(), test, sf, args.schedule)
     write_quality_csv(_out(args, "fig5.csv"), rows)
 
-    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, per_seed, sf))
+    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, per_seed, sf, grid))
     print(_out(args, "report.txt"))
 
 
@@ -206,7 +201,7 @@ COMMANDS = [
     ("predict", cmd_predict, "conditional-average predictions for a test set",
      ("--basic", "--test", "--sigma", "--n", "--span-l", "--out-dir")),
     ("quality", cmd_quality, "predictor quality over sample counts, three seeds",
-     ("--sigma", "--n", "--seed", "--span-l", "--schedule", "--out-dir")),
+     ("--sigma", "--n", "--seed", "--schedule", "--out-dir")),
     ("reproduce", cmd_reproduce, "full benchmark sweep: fig2..fig5 CSVs and report.txt",
      ("--n", "--seed", "--span-l", "--grid-points", "--schedule", "--out-dir")),
 ]

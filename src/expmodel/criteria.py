@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .information import InfoCurve
+from .information import InfoCurve, QuadratureGrid
 from .predictor import QualityReport
 from .scattering import ScatteringFunction
 
@@ -56,11 +56,12 @@ def _published(name: str, ref) -> str:
     return f"published {name} target {ref[0]:g}, accept [{ref[1]:g}, {ref[2]:g}]"
 
 
-def plateau(curves: Mapping[int, InfoCurve], sf: ScatteringFunction) -> list[Record]:
+def plateau(curves: Mapping[int, InfoCurve], sf: ScatteringFunction,
+            grid: QuadratureGrid) -> list[Record]:
     """Criterion 1, for >= 2 seeds: at the last schedule point N,
-    0 < I(N) <= min(log N, -H_u) + QUAD_TOL and K_inf <= min(N, exp(-H_u));
-    from the largest point <= N // 2 to N, I grows less than R."""
-    neg_h_u = -sf.calibration_entropy()
+    0 < I(N) <= min(log N, -H_u) + QUAD_TOL and K_inf <= min(N, exp(-H_u)), H_u
+    of sf on grid; from the largest point <= N // 2 to N, I grows less than R."""
+    neg_h_u = -grid.calibration_entropy(sf)
     records = []
     for seed, curve in curves.items():
         last, k = curve.records[-1], curve.complexity_limit
@@ -127,8 +128,9 @@ def quality(reports: Mapping[int, Mapping[int, QualityReport]]) -> list[Record]:
 
 
 def evaluate(curves: Mapping[float, Mapping[int, InfoCurve]],
-             reports: Mapping[int, Mapping[int, QualityReport]], sf: ScatteringFunction) -> list[Record]:
+             reports: Mapping[int, Mapping[int, QualityReport]], sf: ScatteringFunction,
+             grid: QuadratureGrid) -> list[Record]:
     """Criteria 1-4 over info curves by sigma and seed and quality reports by
     seed and N; criteria 1 and 2 read the curves at the width of ``sf``."""
     main = curves[sf.sigma]
-    return plateau(main, sf) + sample_count(main) + monotonicity(curves) + quality(reports)
+    return plateau(main, sf, grid) + sample_count(main) + monotonicity(curves) + quality(reports)

@@ -91,8 +91,20 @@ class DensityModel:
         # Column j is C_i(xs[j]) up to a factor, with largest entry exactly 1.
         # Subtracting each column's largest log kernel before exponentiating
         # keeps far queries a convex combination.
-        e = log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma)
-        e -= e.max(axis=0)
+        with np.errstate(over="ignore"):  # far columns are handled below
+            e = log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma)
+        top = e.max(axis=0)
+        far = np.isneginf(top)
+        if far.any():
+            # Every squared scaled distance overflowed; in that limit the
+            # nearest sample takes all the weight. It is found from the sample
+            # values, as x - x_i rounds alike for all of them there.
+            x, q = self.data.x[:, None], xs[far]
+            below = np.where(x <= q, x, -np.inf).max(axis=0)
+            above = np.where(x >= q, x, np.inf).min(axis=0)
+            e[:, far] = np.where(x == np.where(q - below <= above - q, below, above), 0.0, -np.inf)
+            top[far] = 0.0
+        e -= top
         np.exp(e, out=e)
         return e
 

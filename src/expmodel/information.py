@@ -47,7 +47,8 @@ GRID_BYTES_PER_NODE = 3 * 8 + 1
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform tensor grid over the span square [-L, L]^2.
+    """Uniform tensor grid over the span square [-L, L]^2, the one holder of
+    the span: the uniform reference and H_u are taken on it.
 
     Parameters
     ----------
@@ -56,7 +57,7 @@ class QuadratureGrid:
     points_per_axis:
         Number of nodes per axis, at least 129. The step is
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
-        being integrated, whose span must be this one (both checked by
+        being integrated, which must be narrower than L (both checked by
         :meth:`require_resolves`). The arrays an information curve holds at
         once on this grid must fit in physical memory and in what the soft
         RLIMIT_AS leaves of the address space.
@@ -93,17 +94,23 @@ class QuadratureGrid:
         return w
 
     def require_resolves(self, sf: ScatteringFunction) -> None:
-        """Reject grids off sf's span (H_u is taken on it) or coarser than sigma/4 per step."""
-        if self.span != sf.span:
+        """Reject kernels as wide as the span or narrower than 4 grid steps."""
+        if sf.sigma >= self.span.half_width:
             raise InvalidGrid(
-                f"grid half width {self.span.half_width} differs from the kernel's "
-                f"{sf.span.half_width}"
+                f"sigma={sf.sigma} must be smaller than the span half width "
+                f"{self.span.half_width}"
             )
         if self.step > sf.sigma / 4.0 + 1e-15:
             raise InvalidGrid(
                 f"grid step {self.step:.6g} exceeds sigma/4 = {sf.sigma / 4.0:.6g}; "
                 f"increase points_per_axis"
             )
+
+    def calibration_entropy(self, sf: ScatteringFunction) -> float:
+        """Closed-form calibration uncertainty H_u of sf, in nats: the kernel's
+        entropy relative to the uniform reference on this span,
+        2*log(sigma/L) + log(pi/2) + 1, exact while its mass lies inside."""
+        return 2.0 * math.log(sf.sigma / self.span.half_width) + math.log(math.pi / 2.0) + 1.0
 
 
 def _entropy_of_values(values: np.ndarray, grid: QuadratureGrid) -> float:
@@ -149,7 +156,7 @@ def _indeterminacy_of_values(values: np.ndarray, grid: QuadratureGrid) -> float:
 
 def experimental_information(model: DensityModel, grid: QuadratureGrid) -> float:
     """I(N) = H_z - H_u; the span terms cancel, leaving pure information."""
-    return indeterminacy(model, grid) - model.sf.calibration_entropy()
+    return indeterminacy(model, grid) - grid.calibration_entropy(model.sf)
 
 
 @dataclass(frozen=True)
@@ -262,7 +269,7 @@ def info_curve(data: Dataset,
 
     axis = grid.axis
     joint_sum = np.zeros((axis.size, axis.size))
-    h_u = sf.calibration_entropy()
+    h_u = grid.calibration_entropy(sf)
     records = []
     done = 0
     for n in sched:

@@ -26,7 +26,7 @@ from .density import Dataset, DensityModel
 from .errors import DegenerateVariance, InvalidParameter, ShapeMismatch
 from .information import resolve_schedule
 from .scattering import ScatteringFunction, _require_finite
-from .tables import write_table
+from .tables import column_rows, write_table
 
 # Kernel values held per query block (about 1 MB of float64): the memory of
 # one prediction call, whatever the sample and query counts.
@@ -149,7 +149,7 @@ def write_predictions_csv(path, x_t, y_t, y_p) -> None:
     if not (x_t.shape == y_t.shape == y_p.shape):
         raise ShapeMismatch("prediction columns must have equal length")
     write_table(path, ["x_t", "y_t", "y_p", "err"],
-                ((a, b, c, c - b) for a, b, c in zip(x_t.tolist(), y_t.tolist(), y_p.tolist())))
+                ((a, b, c, c - b) for a, b, c in column_rows(x_t, y_t, y_p)))
 
 
 def write_quality_csv(path, rows: Sequence[tuple[int, int, QualityReport]]) -> None:

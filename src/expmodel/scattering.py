@@ -40,36 +40,23 @@ class SpanConfig:
 
 @dataclass(frozen=True)
 class ScatteringFunction:
-    """Product of two equal channel Gaussians, centered at the calibration unit."""
+    """Product of two equal channel Gaussians of width sigma, centered at the
+    calibration unit. The span its calibration entropy is measured on belongs
+    to the grid (:meth:`expmodel.information.QuadratureGrid.calibration_entropy`).
+    """
 
     sigma: float
-    span: SpanConfig
 
     def __post_init__(self) -> None:
         _require_finite("sigma", self.sigma)
         if self.sigma <= 0:
             raise InvalidParameter(f"sigma must be > 0, got {self.sigma}")
-        if self.sigma >= self.span.half_width:
-            # A kernel wider than the span degenerates every entropy statistic.
-            raise InvalidParameter(
-                f"sigma={self.sigma} must be smaller than the span half width "
-                f"{self.span.half_width}"
-            )
 
     def evaluate(self, z, u):
         """Kernel density at point z for calibration unit u, both (x, y) pairs."""
         zx, zy = z
         ux, uy = u
         return gaussian_eval(zx, ux, self.sigma) * gaussian_eval(zy, uy, self.sigma)
-
-    def calibration_entropy(self) -> float:
-        """Closed-form calibration uncertainty, in nats.
-
-        Equals the differential entropy of the kernel relative to the uniform
-        reference on the span: 2*log(sigma/L) + log(pi/2) + 1. Exact when the
-        kernel mass lies inside the span (sigma well below L).
-        """
-        return 2.0 * math.log(self.sigma / self.span.half_width) + math.log(math.pi / 2.0) + 1.0
 
 
 def gaussian_eval(x, u, sigma):

@@ -13,8 +13,8 @@ def span():
 
 
 @pytest.fixture(scope="session")
-def sf02(span):
-    return ScatteringFunction(SIGMA, span)
+def sf02():
+    return ScatteringFunction(SIGMA)
 
 
 @pytest.fixture(scope="session")

@@ -52,12 +52,12 @@ def grid(span):
 
 
 @pytest.fixture(scope="module")
-def curves(span, grid):
+def curves(grid):
     """Info curves by sigma and seed, plus per-seed wall time at 0.2."""
     out = {sigma: {} for sigma in SIGMAS}
     times = {}
     for sigma in SIGMAS:
-        sf = ScatteringFunction(sigma, span)
+        sf = ScatteringFunction(sigma)
         for seed in SEEDS:
             data = generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=N_SAMPLES))
             start = time.perf_counter()
@@ -68,9 +68,9 @@ def curves(span, grid):
 
 
 @pytest.fixture(scope="module")
-def sweeps(span):
+def sweeps():
     """Quality sweeps at sigma 0.2 for the three basic seeds, one test set."""
-    sf = ScatteringFunction(0.2, span)
+    sf = ScatteringFunction(0.2)
     test = generate(GenerationMeta(seed=TEST_SEED, sigma_noise=0.2, n=N_SAMPLES))
     out = {}
     for seed in SEEDS:
@@ -79,13 +79,13 @@ def sweeps(span):
     return out
 
 
-def test_criterion_1_information_plateau(span, curves):
+def test_criterion_1_information_plateau(grid, curves):
     # I = H_z - H_u <= -H_u since H_z <= 0, and I <= log N. -H_u is the closed
     # form here, so the bounds the records carry are checked independently.
     by_sigma, times = curves
     neg_h_u = -(2.0 * math.log(0.2 / HALF_WIDTH) + math.log(math.pi / 2.0) + 1.0)
     half = max(n for n in default_schedule(N_SAMPLES) if n <= N_SAMPLES // 2)
-    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2, span))
+    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2), grid)
     for rec in records[1:]:
         assert rec.values["bound"] == pytest.approx(min(math.log(N_SAMPLES), neg_h_u), rel=1e-12)
         assert rec.values["k_cap"] == pytest.approx(min(N_SAMPLES, math.exp(neg_h_u)), rel=1e-12)
@@ -123,7 +123,7 @@ def test_criterion_5a_information_bounds(curves):
 
 
 def test_criterion_5b_isolated_kernels(span):
-    sf = ScatteringFunction(0.05, span)
+    sf = ScatteringFunction(0.05)
     grid = QuadratureGrid(span, 321)
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
     info = experimental_information(DensityModel(data, sf), grid)
@@ -133,17 +133,18 @@ def test_criterion_5b_isolated_kernels(span):
 
 
 def test_criterion_5c_kernel_entropy(span, grid):
-    sf = ScatteringFunction(0.2, span)
+    sf = ScatteringFunction(0.2)
     h = entropy_quadrature(lambda X, Y: sf.evaluate((X, Y), (0.0, 0.0)), grid)
     ok_h = abs(h - (-0.38083)) <= 1e-3
     h_u = h - 2.0 * math.log(span.width)
-    ok_match = abs(h_u - sf.calibration_entropy()) <= 1e-3
-    detail = f"quadrature entropy {h:.5f} (pinned -0.38083), H_u gap {abs(h_u - sf.calibration_entropy()):.2e}"
+    gap = abs(h_u - grid.calibration_entropy(sf))
+    ok_match = gap <= 1e-3
+    detail = f"quadrature entropy {h:.5f} (pinned -0.38083), H_u gap {gap:.2e}"
     assert report("5c exact-cases kernel-entropy", ok_h and ok_match, detail), detail
 
 
-def test_criterion_5d_weights_and_bounds(span):
-    sf = ScatteringFunction(0.2, span)
+def test_criterion_5d_weights_and_bounds():
+    sf = ScatteringFunction(0.2)
     basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2, n=50))
     p = CaPredictor(basic, sf)
     rng = np.random.default_rng(101)
@@ -172,7 +173,7 @@ def test_criterion_5e_quality_exact_cases():
 
 def test_criterion_5f_model_quadrature_identities(span):
     sigma = 0.2
-    sf = ScatteringFunction(sigma, span)
+    sf = ScatteringFunction(sigma)
     basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=sigma, n=50))
     axis = extended_axis(span.half_width, sigma)
     y_p = CaPredictor(basic, sf).predict_many(axis)
@@ -199,7 +200,7 @@ def test_criterion_5f_model_quadrature_identities(span):
 
 
 def test_criterion_5g_grid_convergence(span):
-    sf = ScatteringFunction(0.2, span)
+    sf = ScatteringFunction(0.2)
     data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2, n=N_SAMPLES))
     m = DensityModel(data, sf)
     coarse = experimental_information(m, QuadratureGrid(span, GRID_POINTS))

@@ -86,8 +86,9 @@ def test_info_single_sample_dataset(tmp_path):
 
 def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
     # 129 points are too coarse for sigma = 0.1; a 2 000 000^2 grid (32 TB)
-    # exceeds any physical memory and is refused before it is allocated.
-    for sigma, points in [("0.1", "129"), ("0.2", "2000000")]:
+    # exceeds any physical memory and is refused before it is allocated; a
+    # kernel wider than the grid's span (L = 2) degenerates H_u.
+    for sigma, points in [("0.1", "129"), ("0.2", "2000000"), ("2.5", "257")]:
         code = run("info", "--basic", str(samples_csv), "--sigma", sigma,
                    "--grid-points", points, "--out-dir", str(tmp_path))
         assert code == 2
@@ -182,6 +183,14 @@ def test_predict_warns_outside_span(tmp_path, capsys):
     assert run("predict", "--basic", str(basic), "--test", str(test),
                "--sigma", "0.2", "--out-dir", str(tmp_path)) == 0
     assert "outside the span" in capsys.readouterr().err
+
+
+def test_predict_accepts_kernel_wider_than_span(tmp_path):
+    # The predictor reads no span, so sigma >= L is no error for it.
+    basic = tmp_path / "basic.csv"
+    basic.write_text("i,x,y\n1,-1.0,0.2\n2,1.0,0.6\n")
+    assert run("predict", "--basic", str(basic), "--test", str(basic),
+               "--sigma", "2.5", "--out-dir", str(tmp_path)) == 0
 
 
 def test_quality_covers_three_seeds(tmp_path):
@@ -373,7 +382,7 @@ _READS = {
     "generate": {"--sigma", "--n", "--seed"},
     "info": {"--basic", "--sigma", "--span-l", "--grid-points", "--schedule"},
     "predict": {"--basic", "--test", "--sigma", "--n", "--span-l"},
-    "quality": {"--sigma", "--n", "--seed", "--span-l", "--schedule"},
+    "quality": {"--sigma", "--n", "--seed", "--schedule"},
     "reproduce": {"--n", "--seed", "--span-l", "--grid-points", "--schedule"},
 }
 _ALL_FLAGS = set().union(*_READS.values())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       InvalidParameter, ScatteringFunction, ShapeMismatch,
                       read_dataset_csv, write_dataset_csv)
 from expmodel.density import KERNEL_BLOCK
-from expmodel.generator import GenerationMeta, generate
+from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
 from oracles import (extended_axis, gauss, kde_joint_grid, kde_marginal_grid,
                      trap1, trap2)
 
@@ -152,7 +153,7 @@ ORACLE_FLOOR = 1e-290
 @pytest.mark.parametrize("sigma", [0.2, 1.0])
 def test_pointwise_densities_match_brute_force(logistic200, span, sigma):
     # The wide kernel keeps the oracle above underflow out to |x| = 10 L.
-    m = DensityModel(logistic200, ScatteringFunction(sigma, span))
+    m = DensityModel(logistic200, ScatteringFunction(sigma))
     far = np.geomspace(span.half_width, 10 * span.half_width, 8)
     xs = np.concatenate([np.linspace(-span.half_width, span.half_width, 17), far, -far])
     ys = np.linspace(-span.half_width, span.half_width, 5)
@@ -255,6 +256,36 @@ def test_csv_rejects_unknown_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(InvalidParameter):
         read_dataset_csv(path)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dataset20k():
+    return generate(GenerationMeta(seed=1, sigma_noise=0.2, n=20000))
+
+
+def test_csv_writer_fits_the_generate_budget(tmp_path, dataset20k):
+    # generate checks 8 * FLOATS_PER_SAMPLE bytes per sample up front; the
+    # writer converts rows to Python floats a block at a time, within that.
+    n = len(dataset20k)
+    assert _peak_bytes(write_dataset_csv, dataset20k, tmp_path / "s.csv") < 8 * FLOATS_PER_SAMPLE * n
+
+
+def test_csv_reader_holds_no_python_float_per_cell(tmp_path, dataset20k):
+    # The reader holds the parsed float64 table (4 columns here), the
+    # Dataset's copy of it and the table's growth slack: under 3 x 32 B per
+    # row. A Python float per cell alone would take more.
+    path = tmp_path / "s.csv"
+    write_dataset_csv(dataset20k, path)
+    assert _peak_bytes(read_dataset_csv, path) < 3 * 8 * 4 * len(dataset20k)
 
 
 def test_generated_csv_prefix_comment(tmp_path):

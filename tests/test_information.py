@@ -5,7 +5,7 @@ import pytest
 
 from expmodel import (Dataset, DensityModel, InfoRecord, InvalidGrid,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
-                      SpanConfig, default_schedule, entropy_quadrature,
+                      default_schedule, entropy_quadrature,
                       experimental_information, indeterminacy, info_curve)
 from expmodel.density import KERNEL_BLOCK
 
@@ -37,23 +37,20 @@ def test_grid_step_and_axis(span, grid257):
 
 
 def test_grid_kernel_resolution_check(span, grid257):
-    grid257.require_resolves(ScatteringFunction(0.2, span))  # h = 0.015625 <= 0.05
+    grid257.require_resolves(ScatteringFunction(0.2))  # h = 0.015625 <= 0.05
     coarse = QuadratureGrid(span, 129)
     with pytest.raises(InvalidGrid):
-        coarse.require_resolves(ScatteringFunction(0.1, span))  # h = 0.03125 > 0.025
+        coarse.require_resolves(ScatteringFunction(0.1))  # h = 0.03125 > 0.025
 
 
-def test_grid_span_must_match_kernel_span(logistic200):
-    # H_u is taken on the kernel's span and the quadrature on the grid's; with
-    # these two spans I(200) would read 2.9912, against 2.18 with either alone.
-    sf = ScatteringFunction(0.2, SpanConfig(3.0))
-    grid = QuadratureGrid(SpanConfig(2.0), 257)
-    with pytest.raises(InvalidGrid):
-        info_curve(logistic200, sf, grid)
-    with pytest.raises(InvalidGrid):
-        indeterminacy(DensityModel(logistic200, sf), grid)
-    with pytest.raises(InvalidGrid):
-        experimental_information(DensityModel(logistic200, sf), grid)
+def test_grid_rejects_kernel_wider_than_span(logistic200, grid257):
+    # The span is the grid's alone; a kernel as wide as it degenerates H_u.
+    for sigma in (2.0, 2.5):
+        sf = ScatteringFunction(sigma)
+        with pytest.raises(InvalidGrid):
+            info_curve(logistic200, sf, grid257)
+        with pytest.raises(InvalidGrid):
+            experimental_information(DensityModel(logistic200, sf), grid257)
 
 
 # --- entropy quadrature -----------------------------------------------------
@@ -92,7 +89,7 @@ def test_entropy_rejects_invalid_density(grid257):
 
 def test_indeterminacy_of_single_sample_equals_calibration_entropy(sf02, grid257):
     m = DensityModel(Dataset([0.1], [-0.2]), sf02)
-    assert abs(indeterminacy(m, grid257) - sf02.calibration_entropy()) <= 1e-3
+    assert abs(indeterminacy(m, grid257) - grid257.calibration_entropy(sf02)) <= 1e-3
 
 
 def test_indeterminacy_never_positive(logistic200, sf02, grid257):
@@ -115,7 +112,7 @@ def test_information_of_one_sample_is_zero(logistic200, sf02, grid257):
 
 
 def test_information_of_four_isolated_kernels_is_log4(span):
-    sf = ScatteringFunction(0.05, span)
+    sf = ScatteringFunction(0.05)
     grid = QuadratureGrid(span, 321)  # step = sigma/4
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
     info = experimental_information(DensityModel(data, sf), grid)
@@ -146,7 +143,7 @@ def test_information_is_grid_converged(logistic200, sf02, span):
 
 def test_information_limit_decreases_with_sigma(logistic200, span):
     grid = QuadratureGrid(span, 257)
-    limits = [info_curve(logistic200, ScatteringFunction(s, span), grid).info_limit
+    limits = [info_curve(logistic200, ScatteringFunction(s), grid).info_limit
               for s in (0.1, 0.2, 0.4)]
     assert limits[0] > limits[1] > limits[2]
 
@@ -207,7 +204,7 @@ def test_schedule_validation(logistic200, sf02, grid257):
 
 
 def test_curve_requires_fine_enough_grid(logistic200, span):
-    sf = ScatteringFunction(0.1, span)
+    sf = ScatteringFunction(0.1)
     with pytest.raises(InvalidGrid):
         info_curve(logistic200, sf, QuadratureGrid(span, 129))
 

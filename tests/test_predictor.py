@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, ScatteringFunction, ShapeMismatch,
-                      SpanConfig, ca_quality_theoretical, generate,
+                      ca_quality_theoretical, generate,
                       predictor_quality, quality_sweep)
 from expmodel.predictor import (QUERY_BLOCK_ELEMS, write_predictions_csv,
                                 write_quality_csv)
@@ -21,8 +21,7 @@ def basic50():
 
 @pytest.fixture(scope="module")
 def predictor50(basic50):
-    span = SpanConfig(2.0)
-    return CaPredictor(basic50, ScatteringFunction(0.2, span))
+    return CaPredictor(basic50, ScatteringFunction(0.2))
 
 
 # --- weights ------------------------------------------------------------------
@@ -96,6 +95,19 @@ def test_predictions_stay_inside_target_hull(predictor50, basic50):
     assert np.all(preds >= lo - eps) and np.all(preds <= hi + eps)
 
 
+@pytest.mark.parametrize("x", [1e155, -2e300, 1.7e308])
+def test_far_queries_give_the_nearest_sample_the_weight(predictor50, basic50, x):
+    # Every squared scaled distance overflows here; in that limit the sample
+    # nearest to x carries the whole weight.
+    nearest = basic50.x.argmax() if x > 0 else basic50.x.argmin()
+    w = predictor50.weights(x)
+    assert w.sum() == 1.0 and w[nearest] == 1.0
+    pred = predictor50.predict_many([x, 0.5])[0]
+    assert basic50.y.min() <= pred <= basic50.y.max()
+    assert pred == basic50.y[nearest]
+    assert np.isfinite(predictor50.conditional_pdf(0.0, x))
+
+
 def test_translation_equivariance(sf02, basic50):
     p = CaPredictor(basic50, sf02)
     shift = 3.25
@@ -107,12 +119,12 @@ def test_translation_equivariance(sf02, basic50):
         assert shifted_x.predict(x + shift) == pytest.approx(base, abs=1e-9)
 
 
-def test_prediction_smooths_training_targets(span):
+def test_prediction_smooths_training_targets():
     # Smoother output cannot be more variable than the raw targets.
     for seed in (1, 2, 3):
         for sigma in (0.1, 0.2, 0.4):
             data = generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=50))
-            p = CaPredictor(data, ScatteringFunction(sigma, span))
+            p = CaPredictor(data, ScatteringFunction(sigma))
             fitted = p.predict_many(data.x)
             assert fitted.var() <= data.y.var()
 
@@ -127,7 +139,7 @@ def test_predict_many_matches_scalar_path(predictor50):
 def test_predict_many_matches_oracle_across_block_boundary(basic50, span):
     # A wide kernel keeps the oracle's plain Gaussians above underflow out to
     # |x| = 10 L, so far-field queries can sit on both sides of the boundary.
-    sf = ScatteringFunction(1.0, span)
+    sf = ScatteringFunction(1.0)
     p = CaPredictor(basic50, sf)
     block = QUERY_BLOCK_ELEMS // len(basic50)
     far = 10 * span.half_width

@@ -87,30 +87,27 @@ def test_span_requires_positive_half_width():
         SpanConfig(-2.0)
 
 
-def test_sf_rejects_kernel_wider_than_span(span):
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_sf_rejects_bad_sigma(bad):
     with pytest.raises(InvalidParameter):
-        ScatteringFunction(2.0, span)
-    with pytest.raises(InvalidParameter):
-        ScatteringFunction(2.5, span)
-    with pytest.raises(InvalidParameter):
-        ScatteringFunction(0.0, span)
+        ScatteringFunction(bad)
 
 
-def test_calibration_entropy_closed_form(sf02):
+def test_calibration_entropy_closed_form(sf02, grid257):
     # 2 log(sigma/L) + log(pi/2) + 1 with sigma=0.2, L=2
-    assert sf02.calibration_entropy() == pytest.approx(-3.1535874806986364, rel=1e-12)
+    assert grid257.calibration_entropy(sf02) == pytest.approx(-3.1535874806986364, rel=1e-12)
 
 
-def test_calibration_entropy_grows_with_sigma(span):
-    values = [ScatteringFunction(s, span).calibration_entropy()
+def test_calibration_entropy_grows_with_sigma(grid257):
+    values = [grid257.calibration_entropy(ScatteringFunction(s))
               for s in (0.05, 0.1, 0.2, 0.4, 0.8)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_calibration_entropy_matches_quadrature(sf02, span):
+def test_calibration_entropy_matches_quadrature(sf02, span, grid257):
     # Independent route: tabulate the kernel at the span center, integrate
     # -psi log psi over the span, subtract the uniform-reference term.
     axis = np.linspace(-span.half_width, span.half_width, 801)
     values = np.outer(gauss(axis, 0.0, sf02.sigma), gauss(axis, 0.0, sf02.sigma))
     h_u = entropy_grid(values, axis) - 2.0 * math.log(span.width)
-    assert abs(h_u - sf02.calibration_entropy()) <= 1e-3
+    assert abs(h_u - grid257.calibration_entropy(sf02)) <= 1e-3
