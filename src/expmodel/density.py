@@ -14,10 +14,12 @@ combination and the conditional stays well defined.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
-from .scattering import ScatteringFunction, log_gaussian, _require_finite
+from .scattering import ScatteringFunction, gaussian_exponent, log_gaussian, _require_finite
 
 # Samples per block of the kernel-product sum: at most this many kernel rows
 # per channel are held at once, whatever the sample count.
@@ -29,12 +31,23 @@ class Dataset:
 
     Insertion order is significant: statistics over growing experiments are
     defined on nested prefixes, so ``prefix(n)`` must always return the same
-    first n samples.
+    first n samples. The columns are read-only float arrays; the constructor
+    copies what it is given, so no caller keeps a writeable alias to them.
     """
 
     def __init__(self, x, y, x_clean=None, y_clean=None, meta=None):
-        x = np.asarray(x, dtype=float).copy()
-        y = np.asarray(y, dtype=float).copy()
+        self._adopt(*(None if c is None else np.array(c, dtype=float)
+                      for c in (x, y, x_clean, y_clean)), meta)
+
+    @classmethod
+    def _owning(cls, x, y, x_clean=None, y_clean=None, meta=None) -> "Dataset":
+        """Dataset over float arrays handed over without a copy; the caller
+        keeps no writeable alias to them."""
+        dataset = cls.__new__(cls)
+        dataset._adopt(x, y, x_clean, y_clean, meta)
+        return dataset
+
+    def _adopt(self, x, y, x_clean, y_clean, meta) -> None:
         if x.ndim != 1 or y.ndim != 1:
             raise InvalidParameter("sample columns must be one-dimensional")
         if x.shape != y.shape:
@@ -44,8 +57,6 @@ class Dataset:
         if (x_clean is None) != (y_clean is None):
             raise InvalidParameter("clean columns must be given for both channels or neither")
         if x_clean is not None:
-            x_clean = np.asarray(x_clean, dtype=float).copy()
-            y_clean = np.asarray(y_clean, dtype=float).copy()
             if x_clean.shape != x.shape or y_clean.shape != y.shape:
                 raise ShapeMismatch("clean columns must match the sample count")
             _require_finite("x_clean", x_clean)
@@ -73,9 +84,10 @@ class Dataset:
             raise InvalidParameter(f"prefix size {n} outside [1, {len(self)}]")
         if n == len(self):
             return self
+        # Views of read-only columns: read-only themselves, nothing is copied.
         xc = self.x_clean[:n] if self.has_clean else None
         yc = self.y_clean[:n] if self.has_clean else None
-        return Dataset(self.x[:n], self.y[:n], xc, yc, meta=self.meta)
+        return Dataset._owning(self.x[:n], self.y[:n], xc, yc, meta=self.meta)
 
 
 class DensityModel:
@@ -87,30 +99,39 @@ class DensityModel:
         self.data = data
         self.sf = sf
 
+    @cached_property
+    def _scaled_x(self) -> np.ndarray:
+        return self.data.x / self.sf.sigma
+
     def _block_kernels(self, xs: np.ndarray) -> np.ndarray:
-        # Column j is C_i(xs[j]) up to a factor, with largest entry exactly 1.
-        # Subtracting each column's largest log kernel before exponentiating
-        # keeps far queries a convex combination.
-        with np.errstate(over="ignore"):  # far columns are handled below
-            e = log_gaussian(xs[None, :], self.data.x[:, None], self.sf.sigma)
-        top = e.max(axis=0)
-        far = np.isneginf(top)
-        if far.any():
-            # Every squared scaled distance overflowed; in that limit the
-            # nearest sample takes all the weight. It is found from the sample
-            # values, as x - x_i rounds alike for all of them there.
-            x, q = self.data.x[:, None], xs[far]
-            below = np.where(x <= q, x, -np.inf).max(axis=0)
-            above = np.where(x >= q, x, np.inf).min(axis=0)
-            e[:, far] = np.where(x == np.where(q - below <= above - q, below, above), 0.0, -np.inf)
-            top[far] = 0.0
+        # Row j is C_i(xs[j]) up to a factor, with largest entry exactly 1,
+        # built in place in one q x n buffer contiguous along the samples.
+        # Each row is shifted by its largest exponent before exponentiating,
+        # which keeps far queries a convex combination; the kernels' common
+        # log normalisation cancels under the shift and is never added.
+        # Far rows overflow, and give inf - inf where a query and a sample
+        # both overflow when scaled; they are replaced below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.subtract.outer(xs / self.sf.sigma, self._scaled_x)
+            gaussian_exponent(e, out=e)
+            top = e.max(axis=1, keepdims=True)
+            far = ~np.isfinite(top[:, 0])
+            if far.any():
+                # Every squared scaled distance overflowed; in that limit the
+                # nearest sample takes all the weight. It is found from the
+                # sample values, as x - x_i rounds alike for all of them there.
+                x, q = self.data.x, xs[far, None]
+                below = np.where(x <= q, x, -np.inf).max(axis=1, keepdims=True)
+                above = np.where(x >= q, x, np.inf).min(axis=1, keepdims=True)
+                e[far] = np.where(x == np.where(q - below <= above - q, below, above), 0.0, -np.inf)
+                top[far] = 0.0
         e -= top
         np.exp(e, out=e)
         return e
 
     def weights(self, x: float) -> np.ndarray:
         """Similarity coefficients C_i(x): nonnegative, summing to one."""
-        e = self._block_kernels(np.array([_finite_scalar("x", x)]))[:, 0]
+        e = self._block_kernels(np.array([_finite_scalar("x", x)]))[0]
         return e / e.sum()
 
     def joint_pdf(self, x: float, y: float) -> float:

@@ -29,7 +29,8 @@ from .memory import memory_limit
 TRANSIENT_STEPS = 100
 
 # Float64 values held per sample at the peak of generate: the clean and noisy
-# columns, their copies in the Dataset, and the Box-Muller temporaries.
+# columns and the Box-Muller temporaries (the Dataset takes the columns over
+# without a copy).
 FLOATS_PER_SAMPLE = 9
 
 
@@ -110,8 +111,7 @@ def generate(meta: GenerationMeta) -> Dataset:
         x_noisy = x_clean + meta.sigma_noise * _box_muller(s_x, meta.n)
         y_noisy = y_clean + meta.sigma_noise * _box_muller(s_y, meta.n)
     else:
-        x_noisy = x_clean.copy()
-        y_noisy = y_clean.copy()
+        x_noisy, y_noisy = x_clean, y_clean
 
     resolved = replace(meta, initial_x=initial_x)
-    return Dataset(x_noisy, y_noisy, x_clean, y_clean, meta=resolved)
+    return Dataset._owning(x_noisy, y_noisy, x_clean, y_clean, meta=resolved)

@@ -8,11 +8,12 @@ computed in log domain (maximum-exponent subtraction, see
 combination for queries arbitrarily far from the data.
 
 Queries are taken in blocks of at most QUERY_BLOCK_ELEMS kernel values
-(max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). A prediction
-is the ratio of the kernel-weighted target sum to the kernel sum of its
-block's shifted kernels, so no normalised n x q weight matrix is ever
-formed. Memory is O(QUERY_BLOCK_ELEMS + n + q) for any sample and query
-count.
+(max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). A block is
+queries x samples, each row one query's shifted kernels over contiguous
+samples, built in place in one buffer. One matmul of the block with the
+n x 2 stack [y, 1] gives each query's kernel-weighted target sum and kernel
+sum, and a prediction is their ratio, so no normalised weight matrix is ever
+formed. Memory is one block plus O(n + q) for any sample and query count.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ class CaPredictor(DensityModel):
         if xs.ndim != 1:
             raise InvalidParameter(f"queries must be one-dimensional, got shape {xs.shape}")
         _require_finite("xs", xs)
+        # Column 0 of each block @ targets is the kernel-weighted target sum,
+        # column 1 the kernel sum.
+        targets = np.stack([self.data.y, np.ones(len(self.data))], axis=1)
         block = max(1, QUERY_BLOCK_ELEMS // len(self.data))
         out = np.empty(xs.shape)
         for lo in range(0, xs.size, block):
-            e = self._block_kernels(xs[lo:lo + block])
-            np.divide(self.data.y @ e, e.sum(axis=0), out=out[lo:lo + block])
+            num, den = (self._block_kernels(xs[lo:lo + block]) @ targets).T
+            np.divide(num, den, out=out[lo:lo + block])
         return out
 
 

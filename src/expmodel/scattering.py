@@ -74,9 +74,23 @@ def gaussian_eval(x, u, sigma):
 
 
 def log_gaussian(x, u, sigma):
-    """Log of gaussian_eval, the one place the kernel formula is written.
+    """Log of gaussian_eval: the exponent at (x - u) / sigma plus the log of
+    the normalisation.
 
-    No validation: the fast path of every kernel sum.
+    No validation: the fast path of every kernel sum. A distance too large
+    to square gives -inf, the log of the kernel's correctly rounded value 0.
     """
-    t = (np.asarray(x, dtype=float) - u) / sigma
-    return -0.5 * t * t - np.log(SQRT_2PI * sigma)
+    with np.errstate(over="ignore"):
+        t = (np.asarray(x, dtype=float) - u) / sigma
+        return gaussian_exponent(t) - np.log(SQRT_2PI * sigma)
+
+
+def gaussian_exponent(t, out=None):
+    """-t^2 / 2 at scaled distances t: the one place the exponent is written.
+
+    With out=t it is evaluated in place. A |t| above about 1.3e154 gives
+    -inf, and numpy warns of the overflow unless the caller silences it.
+    """
+    out = np.multiply(t, t, out=out)
+    out *= -0.5
+    return out

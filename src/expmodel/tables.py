@@ -105,5 +105,6 @@ def _parse_dataset_csv(path) -> Dataset:
                 values.extend([float(row[c]) for c in columns])
             except ValueError as exc:
                 raise InvalidParameter(f"row {k} of {path}: {exc}") from None
+    # Nothing else holds the table, so the dataset takes its columns as views.
     table = np.frombuffer(values, dtype=float).reshape(-1, len(columns))
-    return Dataset(*table.T, meta=meta)
+    return Dataset._owning(*table.T, meta=meta)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def test_dataset_prefix_preserves_order(logistic200):
 def test_dataset_columns_are_read_only(logistic200):
     with pytest.raises(ValueError):
         logistic200.x[0] = 0.0
+
+
+def test_dataset_copies_what_it_is_given():
+    x, y = np.array([0.1, 0.2]), np.array([1.0, -1.0])
+    ds = Dataset(x, y)
+    x[0] = 5.0
+    assert ds.x.tolist() == [0.1, 0.2]
+    assert not ds.y.flags.writeable
 
 
 def test_model_requires_samples(sf02):
@@ -189,6 +198,20 @@ def test_densities_finite_and_nonnegative_everywhere(model200, span):
     assert model200.joint_pdf(0.0, 0.1) > 0
 
 
+@pytest.mark.parametrize("far", [1e200, -1.7e308])
+def test_far_queries_give_zero_density_without_warnings(model200, far):
+    # The squared scaled distance overflows to inf here, and the kernel's
+    # correctly rounded value is 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model200.marginal_pdf(far) == 0.0
+        assert model200.joint_pdf(far, 0.0) == 0.0
+        assert model200.joint_pdf(0.0, far) == 0.0
+        assert model200.conditional_pdf(far, 0.0) == 0.0
+        grid = model200.joint_on_grid([far, 0.0], [0.0, far])
+        assert not grid[0].any() and not grid[:, 1].any()
+
+
 def test_query_validation(model200):
     with pytest.raises(InvalidParameter):
         model200.joint_pdf(float("nan"), 0.0)
@@ -280,12 +303,27 @@ def test_csv_writer_fits_the_generate_budget(tmp_path, dataset20k):
 
 
 def test_csv_reader_holds_no_python_float_per_cell(tmp_path, dataset20k):
-    # The reader holds the parsed float64 table (4 columns here), the
-    # Dataset's copy of it and the table's growth slack: under 3 x 32 B per
-    # row. A Python float per cell alone would take more.
+    # The reader holds one parsed float64 table (4 columns here) and its
+    # growth slack; the dataset's columns are views of it, not a second copy.
+    # A Python float per cell alone would take more.
     path = tmp_path / "s.csv"
     write_dataset_csv(dataset20k, path)
-    assert _peak_bytes(read_dataset_csv, path) < 3 * 8 * 4 * len(dataset20k)
+    assert _peak_bytes(read_dataset_csv, path) < 1.5 * 8 * 4 * len(dataset20k)
+    back = read_dataset_csv(path)
+    assert np.may_share_memory(back.x, back.y_clean)
+    for column in (back.x, back.y, back.x_clean, back.y_clean):
+        assert not column.flags.writeable
+
+
+def test_prefix_copies_no_column(dataset20k):
+    n = len(dataset20k) - 1
+    # Revalidating the prefix takes one bool per sample; a copy of one column
+    # would take eight bytes.
+    assert _peak_bytes(dataset20k.prefix, n) < 2 * n
+    p = dataset20k.prefix(n)
+    assert np.shares_memory(p.x, dataset20k.x)
+    assert np.shares_memory(p.y_clean, dataset20k.y_clean)
+    assert not p.y.flags.writeable
 
 
 def test_generated_csv_prefix_comment(tmp_path):

@@ -136,6 +136,14 @@ def test_predict_many_matches_scalar_path(predictor50):
         assert predictor50.predict(x) == pytest.approx(v, rel=1e-12)
 
 
+def _oracle_predictions(data, sigma, xs):
+    out = []
+    for x in xs:
+        g = gauss(x, data.x, sigma)
+        out.append(data.y @ (g / g.sum()))
+    return np.array(out)
+
+
 def test_predict_many_matches_oracle_across_block_boundary(basic50, span):
     # A wide kernel keeps the oracle's plain Gaussians above underflow out to
     # |x| = 10 L, so far-field queries can sit on both sides of the boundary.
@@ -146,12 +154,42 @@ def test_predict_many_matches_oracle_across_block_boundary(basic50, span):
     xs = np.linspace(-1.5, 1.5, block + 1)
     xs[[0, block - 2, block]] = [far, far, far]
     xs[[1, block - 1]] = [-far, -far]
-    expected = []
-    for x in xs:
-        g = gauss(x, basic50.x, sf.sigma)
-        expected.append(basic50.y @ (g / g.sum()))
+    expected = _oracle_predictions(basic50, sf.sigma, xs)
     np.testing.assert_allclose(p.predict_many(xs), expected, rtol=1e-12,
                                atol=1e-12 * np.abs(basic50.y).max())
+
+
+def test_predict_many_matches_oracle_with_one_query_per_block(sf02):
+    # More samples than a block holds: every block is a single query row.
+    basic = generate(GenerationMeta(seed=3, sigma_noise=0.2, n=QUERY_BLOCK_ELEMS + 1))
+    p = CaPredictor(basic, sf02)
+    xs = np.array([-1.5, -0.3, 0.0, 0.7, 1.5])
+    got = p.predict_many(xs)
+    np.testing.assert_allclose(got, _oracle_predictions(basic, sf02.sigma, xs), rtol=1e-12,
+                               atol=1e-12 * np.abs(basic.y).max())
+    assert got.tobytes() == p.predict_many(xs).tobytes()
+
+
+def test_far_rows_leave_the_rest_of_their_block_alone(predictor50, basic50, sf02):
+    # One block mixes queries whose every scaled distance overflows with
+    # ordinary ones; only the far rows take the nearest-sample limit.
+    xs = np.linspace(-1.5, 1.5, 12)
+    far = [2, 7]
+    xs[far] = [1e155, -2e300]
+    got = predictor50.predict_many(xs)
+    assert got[far].tolist() == [basic50.y[basic50.x.argmax()], basic50.y[basic50.x.argmin()]]
+    near = np.delete(np.arange(xs.size), far)
+    np.testing.assert_allclose(got[near], _oracle_predictions(basic50, sf02.sigma, xs[near]),
+                               rtol=1e-12, atol=1e-12 * np.abs(basic50.y).max())
+    assert got.tobytes() == predictor50.predict_many(xs).tobytes()
+
+
+def test_queries_and_samples_that_overflow_when_scaled(sf02):
+    # 1e308 / 0.2 is inf, so a query and a sample both there give inf - inf;
+    # the exact match still takes the whole weight.
+    p = CaPredictor(Dataset([0.0, 1e308], [1.0, 2.0]), sf02)
+    assert p.predict_many([1e308, 1.7e308, 0.5, -1e308]).tolist() == [2.0, 2.0, 1.0, 1.0]
+    assert p.weights(1e308).tolist() == [0.0, 1.0]
 
 
 def test_predict_many_shapes(predictor50):
@@ -177,8 +215,9 @@ def test_predict_many_memory_does_not_grow_with_queries(sf02):
     xs = np.linspace(-2.0, 2.0, 3000)
     peak_small = _predict_many_peak(p, xs[:300])
     peak = _predict_many_peak(p, xs)
-    # A whole n x q weight matrix would be 72 MB here.
-    assert peak <= 4 * QUERY_BLOCK_ELEMS * 8
+    # A whole n x q weight matrix would be 72 MB here; the block is built in
+    # place in one buffer, with only q- and n-vectors beside it.
+    assert peak <= 2 * QUERY_BLOCK_ELEMS * 8
     # Only the q-vector of predictions grows with the query count.
     assert peak <= peak_small + 8 * xs.size + (64 << 10)
 
