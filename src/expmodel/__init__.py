@@ -13,12 +13,11 @@ from .errors import (DegenerateVariance, EmptyDataset, ExperimentModelError,
                      OutOfDomain, ShapeMismatch)
 from .generator import GenerationMeta, generate, logistic_step
 from .information import (InfoCurve, InfoRecord, QuadratureGrid,
-                          default_schedule, entropy_quadrature,
-                          experimental_information, indeterminacy, info_curve)
-from .predictor import (CaPredictor, QualityReport, ca_quality_theoretical,
-                        predictor_quality, quality_sweep,
-                        write_predictions_csv, write_quality_csv)
-from .scattering import ScatteringFunction, SpanConfig, gaussian_eval
+                          default_schedule, info_curve)
+from .predictor import (CaPredictor, QualityReport, predictor_quality,
+                        quality_sweep, write_predictions_csv,
+                        write_quality_csv)
+from .scattering import ScatteringFunction, SpanConfig
 from .tables import read_dataset_csv, write_dataset_csv
 
 __version__ = "0.1.0"
@@ -42,13 +41,8 @@ __all__ = [
     "ScatteringFunction",
     "ShapeMismatch",
     "SpanConfig",
-    "ca_quality_theoretical",
     "default_schedule",
-    "entropy_quadrature",
-    "experimental_information",
-    "gaussian_eval",
     "generate",
-    "indeterminacy",
     "info_curve",
     "logistic_step",
     "predictor_quality",

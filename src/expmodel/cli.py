@@ -11,9 +11,7 @@ reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt, the
 
 Each subcommand accepts only the flags it reads (COMMANDS below); any other
 flag is a usage error (exit 2). All outputs are deterministic functions of
-the flags. Entropic quantities are in nats. The EXPMODEL_THREADS environment
-variable of earlier versions is accepted and ignored; every command runs
-serially.
+the flags. Entropic quantities are in nats.
 """
 
 from __future__ import annotations

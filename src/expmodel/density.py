@@ -118,12 +118,15 @@ class DensityModel:
             far = ~np.isfinite(top[:, 0])
             if far.any():
                 # Every squared scaled distance overflowed; in that limit the
-                # nearest sample takes all the weight. It is found from the
+                # nearest samples share all the weight evenly, those below
+                # and above alike on an exact tie. They are found from the
                 # sample values, as x - x_i rounds alike for all of them there.
                 x, q = self.data.x, xs[far, None]
                 below = np.where(x <= q, x, -np.inf).max(axis=1, keepdims=True)
                 above = np.where(x >= q, x, np.inf).min(axis=1, keepdims=True)
-                e[far] = np.where(x == np.where(q - below <= above - q, below, above), 0.0, -np.inf)
+                nearest = (((x == below) & (q - below <= above - q))
+                           | ((x == above) & (above - q <= q - below)))
+                e[far] = np.where(nearest, 0.0, -np.inf)
                 top[far] = 0.0
         e -= top
         np.exp(e, out=e)

@@ -33,6 +33,11 @@ TRANSIENT_STEPS = 100
 # without a copy).
 FLOATS_PER_SAMPLE = 9
 
+# The largest |normal| of _box_muller: its uniforms are multiples of 2^-53,
+# so 1 - u is at least 2^-53. Noise up to sigma_noise times this must stay
+# finite.
+NOISE_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -53))
+
 
 @dataclass(frozen=True)
 class GenerationMeta:
@@ -50,8 +55,9 @@ class GenerationMeta:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidParameter(f"n must be >= 1, got {self.n}")
-        if not math.isfinite(self.sigma_noise) or self.sigma_noise < 0:
-            raise InvalidParameter(f"sigma_noise must be >= 0, got {self.sigma_noise}")
+        if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):
+            raise InvalidParameter(f"sigma_noise must be >= 0 and keep the noise finite, "
+                                   f"got {self.sigma_noise}")
         if self.initial_x is not None and not -1.0 <= self.initial_x <= 1.0:
             raise InvalidParameter(f"initial_x must lie in [-1, 1], got {self.initial_x}")
 

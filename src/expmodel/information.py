@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Dataset, DensityModel, accumulate_kernel_products
+from .density import Dataset, accumulate_kernel_products
 from .errors import InvalidGrid, InvalidSchedule
 from .memory import memory_limit
 from .scattering import ScatteringFunction, SpanConfig
@@ -113,50 +113,14 @@ class QuadratureGrid:
         return 2.0 * math.log(sf.sigma / self.span.half_width) + math.log(math.pi / 2.0) + 1.0
 
 
-def _entropy_of_values(values: np.ndarray, grid: QuadratureGrid) -> float:
-    f = np.asarray(values, dtype=float)
+def _indeterminacy(f: np.ndarray, grid: QuadratureGrid) -> float:
+    """H_z of a joint density tabulated on the grid: the trapezoid estimate of
+    -integral_span f log f minus the uniform reference's 2 log(2L)."""
     integrand = np.log(f, out=np.zeros_like(f), where=f > DENSITY_FLOOR)
     integrand *= f
     np.negative(integrand, out=integrand)
     w = grid.weights()
-    return float(w @ integrand @ w)
-
-
-def entropy_quadrature(pdf: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       grid: QuadratureGrid) -> float:
-    """Trapezoid estimate of -integral_span f log f, in nats.
-
-    Parameters
-    ----------
-    pdf:
-        Vectorized density, called once as ``pdf(X, Y)`` on the full meshgrid
-        (indexing "ij"); must return finite nonnegative values.
-    grid:
-        Integration grid over the span square.
-    """
-    ax = grid.axis
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    values = np.asarray(pdf(X, Y), dtype=float)
-    if values.shape != X.shape:
-        raise InvalidGrid(f"pdf returned shape {values.shape}, expected {X.shape}")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise InvalidGrid("pdf must be finite and nonnegative on the grid")
-    return _entropy_of_values(values, grid)
-
-
-def indeterminacy(model: DensityModel, grid: QuadratureGrid) -> float:
-    """H_z of the model's joint density relative to the uniform reference."""
-    grid.require_resolves(model.sf)
-    return _indeterminacy_of_values(model.joint_on_grid(grid.axis, grid.axis), grid)
-
-
-def _indeterminacy_of_values(values: np.ndarray, grid: QuadratureGrid) -> float:
-    return _entropy_of_values(values, grid) - 2.0 * math.log(grid.span.width)
-
-
-def experimental_information(model: DensityModel, grid: QuadratureGrid) -> float:
-    """I(N) = H_z - H_u; the span terms cancel, leaving pure information."""
-    return indeterminacy(model, grid) - grid.calibration_entropy(model.sf)
+    return float(w @ integrand @ w) - 2.0 * math.log(grid.span.width)
 
 
 @dataclass(frozen=True)
@@ -256,8 +220,9 @@ def info_curve(data: Dataset,
     and the entropy of the sum over n is taken at each point. Every sample's
     kernel rows are built exactly once, and memory is
     O(G^2 + KERNEL_BLOCK*G) for any dataset size, with G the grid points per
-    axis. Each I(n) equals ``experimental_information`` of a model on the
-    first n samples up to the order of the sums.
+    axis. Each I(n) is H_z - H_u of the kernel estimate on the first n
+    samples: the trapezoid entropy of its joint density on the grid, less
+    2 log(2L) and the closed-form H_u of ``grid.calibration_entropy(sf)``.
 
     n_opt is the schedule point with the smallest cost (ties resolved toward
     the smallest n). The limit of I is estimated as the mean of the top tenth
@@ -276,7 +241,7 @@ def info_curve(data: Dataset,
         accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
                                    axis, axis, sf.sigma)
         done = n
-        h_z = _indeterminacy_of_values(joint_sum / n, grid)
+        h_z = _indeterminacy(joint_sum / n, grid)
         records.append(InfoRecord.from_info(n, h_z - h_u))
 
     n_opt = min(records, key=lambda rec: rec.cost).n

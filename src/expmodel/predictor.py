@@ -110,23 +110,6 @@ def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> Quali
     )
 
 
-def ca_quality_theoretical(var_true: float, var_pred: float) -> float:
-    """Quality of an exact conditional average: 2 Var(y_p) / (Var(y) + Var(y_p)).
-
-    Follows from the identities m(y) = m(y_p) and Cov(y, y_p) = Var(y_p),
-    which hold when the conditional average is taken under the model
-    distribution itself.
-    """
-    if not (np.isfinite(var_true) and np.isfinite(var_pred)):
-        raise InvalidParameter("variances must be finite")
-    if var_true < 0 or var_pred < 0:
-        raise InvalidParameter("variances must be nonnegative")
-    denom = var_true + var_pred
-    if denom == 0.0:
-        raise DegenerateVariance("both variances vanish; quality undefined")
-    return 2.0 * var_pred / denom
-
-
 def quality_sweep(basic: Dataset,
                   test: Dataset,
                   sf: ScatteringFunction,

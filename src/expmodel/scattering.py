@@ -52,30 +52,11 @@ class ScatteringFunction:
         if self.sigma <= 0:
             raise InvalidParameter(f"sigma must be > 0, got {self.sigma}")
 
-    def evaluate(self, z, u):
-        """Kernel density at point z for calibration unit u, both (x, y) pairs."""
-        zx, zy = z
-        ux, uy = u
-        return gaussian_eval(zx, ux, self.sigma) * gaussian_eval(zy, uy, self.sigma)
-
-
-def gaussian_eval(x, u, sigma):
-    """Normalized Gaussian density (1/(sqrt(2 pi) sigma)) exp(-(x-u)^2 / (2 sigma^2)).
-
-    Accepts scalars or numpy arrays; inputs must be finite and sigma > 0.
-    """
-    _require_finite("x", x)
-    _require_finite("u", u)
-    _require_finite("sigma", sigma)
-    if np.any(np.asarray(sigma) <= 0):
-        raise InvalidParameter(f"sigma must be > 0, got {sigma!r}")
-    out = np.exp(log_gaussian(x, u, sigma))
-    return float(out) if np.isscalar(x) and np.isscalar(u) else out
-
 
 def log_gaussian(x, u, sigma):
-    """Log of gaussian_eval: the exponent at (x - u) / sigma plus the log of
-    the normalisation.
+    """Log of the normalised Gaussian density
+    (1/(sqrt(2 pi) sigma)) exp(-(x-u)^2 / (2 sigma^2)): the exponent at
+    (x - u) / sigma plus the log of the normalisation.
 
     No validation: the fast path of every kernel sum. A distance too large
     to square gives -inf, the log of the kernel's correctly rounded value 0.

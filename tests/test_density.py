@@ -65,8 +65,9 @@ def test_joint_single_sample_peak(one_sample_model):
 def test_joint_two_samples_is_mean_of_kernels(sf02):
     m = DensityModel(Dataset([-0.5, 0.5], [0.0, 0.0]), sf02)
     z = (0.0, 0.1)  # equidistant in x from both samples
-    k = sf02.evaluate(z, (-0.5, 0.0))
-    assert m.joint_pdf(*z) == pytest.approx(0.5 * (k + sf02.evaluate(z, (0.5, 0.0))), rel=1e-12)
+    k = gauss(z[0], -0.5, sf02.sigma) * gauss(z[1], 0.0, sf02.sigma)
+    k2 = gauss(z[0], 0.5, sf02.sigma) * gauss(z[1], 0.0, sf02.sigma)
+    assert m.joint_pdf(*z) == pytest.approx(0.5 * (k + k2), rel=1e-12)
     assert m.joint_pdf(*z) == pytest.approx(k, rel=1e-12)  # the two kernel values agree
 
 

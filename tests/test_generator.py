@@ -32,6 +32,9 @@ def test_meta_validation():
         GenerationMeta(seed=1, sigma_noise=0.2, n=0)
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=-0.1, n=10)
+    # Noise of this width overflows float64 in some samples.
+    with pytest.raises(InvalidParameter):
+        GenerationMeta(seed=1, sigma_noise=5.448323523428893e307, n=10)
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=0.2, n=10, initial_x=1.5)
 

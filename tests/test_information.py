@@ -5,20 +5,23 @@ import pytest
 
 from expmodel import (Dataset, DensityModel, InfoRecord, InvalidGrid,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
-                      default_schedule, entropy_quadrature,
-                      experimental_information, indeterminacy, info_curve)
+                      default_schedule, info_curve)
 from expmodel.density import KERNEL_BLOCK
+from oracles import entropy_grid, kde_joint_grid
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
 
-def uniform_pdf(span):
-    value = 1.0 / span.width ** 2
-    return lambda X, Y: np.full(X.shape, value)
+def one_point_info(data, sf, grid):
+    """I(N) of the whole dataset: the one record of a one-point curve."""
+    return info_curve(data, sf, grid, schedule=[len(data)]).records[0].info
 
 
-def centered_kernel_pdf(sf, cx=0.0, cy=0.0):
-    return lambda X, Y: sf.evaluate((X, Y), (cx, cy))
+def kernel_entropy(sf, grid, cx, cy):
+    """-integral_span f log f of one kernel centred at (cx, cy), recovered
+    from its one-sample record as I(1) + H_u + 2 log(2L)."""
+    info = one_point_info(Dataset([cx], [cy]), sf, grid)
+    return info + grid.calibration_entropy(sf) + 2.0 * math.log(grid.span.width)
 
 
 # --- grid -------------------------------------------------------------------
@@ -49,20 +52,19 @@ def test_grid_rejects_kernel_wider_than_span(logistic200, grid257):
         sf = ScatteringFunction(sigma)
         with pytest.raises(InvalidGrid):
             info_curve(logistic200, sf, grid257)
-        with pytest.raises(InvalidGrid):
-            experimental_information(DensityModel(logistic200, sf), grid257)
 
 
 # --- entropy quadrature -----------------------------------------------------
 
 def test_entropy_of_uniform_reference(span, grid257):
-    expected = 2.0 * math.log(span.width)  # 2.772588722239781 for L = 2
-    assert entropy_quadrature(uniform_pdf(span), grid257) == pytest.approx(expected, rel=1e-12)
+    # The uniform density 1/(2L)^2 has quadrature entropy 2 log(2L) exactly
+    # when the trapezoid weights of each axis sum to the span width 2L.
+    assert grid257.weights().sum() == pytest.approx(span.width, rel=1e-12)
 
 
 def test_entropy_of_centered_kernel_matches_gaussian_closed_form(sf02, grid257):
     expected = 2.0 * math.log(sf02.sigma) + LOG_2PIE  # -0.3809987584588552
-    assert abs(entropy_quadrature(centered_kernel_pdf(sf02), grid257) - expected) <= 1e-6
+    assert abs(kernel_entropy(sf02, grid257, 0.0, 0.0) - expected) <= 1e-6
 
 
 def test_entropy_of_corner_kernel_is_quarter_of_full(sf02, span, grid257):
@@ -72,51 +74,42 @@ def test_entropy_of_corner_kernel_is_quarter_of_full(sf02, span, grid257):
     # here, not smaller: the peak exceeds 1, so the omitted quadrants carry
     # negative integrand.)
     full = 2.0 * math.log(sf02.sigma) + LOG_2PIE
-    corner = entropy_quadrature(centered_kernel_pdf(sf02, span.half_width, span.half_width),
-                                grid257)
+    corner = kernel_entropy(sf02, grid257, span.half_width, span.half_width)
     assert abs(corner - full / 4.0) <= 1e-6
     assert corner > full
-
-
-def test_entropy_rejects_invalid_density(grid257):
-    with pytest.raises(InvalidGrid):
-        entropy_quadrature(lambda X, Y: np.full(X.shape, -1.0), grid257)
-    with pytest.raises(InvalidGrid):
-        entropy_quadrature(lambda X, Y: np.full(X.shape, float("nan")), grid257)
 
 
 # --- indeterminacy and information ------------------------------------------
 
 def test_indeterminacy_of_single_sample_equals_calibration_entropy(sf02, grid257):
-    m = DensityModel(Dataset([0.1], [-0.2]), sf02)
-    assert abs(indeterminacy(m, grid257) - grid257.calibration_entropy(sf02)) <= 1e-3
+    # H_z - H_u is the record's I(1).
+    assert abs(one_point_info(Dataset([0.1], [-0.2]), sf02, grid257)) <= 1e-3
 
 
 def test_indeterminacy_never_positive(logistic200, sf02, grid257):
-    for n in (1, 5, 20, 80, 200):
-        m = DensityModel(logistic200.prefix(n), sf02)
-        assert indeterminacy(m, grid257) <= 1e-9
+    h_u = grid257.calibration_entropy(sf02)
+    for rec in info_curve(logistic200, sf02, grid257, schedule=[1, 5, 20, 80, 200]).records:
+        assert rec.info + h_u <= 1e-9
 
 
 def test_indeterminacy_agrees_with_generic_quadrature(logistic200, sf02, span, grid257):
+    # The record's H_z against np.trapezoid over the model's own joint grid.
     m = DensityModel(logistic200.prefix(50), sf02)
-    via_callable = entropy_quadrature(
-        lambda X, Y: m.joint_on_grid(grid257.axis, grid257.axis), grid257
-    ) - 2.0 * math.log(span.width)
-    assert indeterminacy(m, grid257) == pytest.approx(via_callable, rel=1e-12)
+    via_trapezoid = (entropy_grid(m.joint_on_grid(grid257.axis, grid257.axis), grid257.axis)
+                     - 2.0 * math.log(span.width))
+    h_z = one_point_info(m.data, sf02, grid257) + grid257.calibration_entropy(sf02)
+    assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
 
 
 def test_information_of_one_sample_is_zero(logistic200, sf02, grid257):
-    m = DensityModel(logistic200.prefix(1), sf02)
-    assert abs(experimental_information(m, grid257)) <= 1e-2
+    assert abs(one_point_info(logistic200.prefix(1), sf02, grid257)) <= 1e-2
 
 
 def test_information_of_four_isolated_kernels_is_log4(span):
     sf = ScatteringFunction(0.05)
     grid = QuadratureGrid(span, 321)  # step = sigma/4
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
-    info = experimental_information(DensityModel(data, sf), grid)
-    assert info == pytest.approx(math.log(4.0), abs=0.02)
+    assert one_point_info(data, sf, grid) == pytest.approx(math.log(4.0), abs=0.02)
 
 
 def test_information_of_identical_samples_is_zero(sf02, grid257):
@@ -135,9 +128,8 @@ def test_information_bounds_on_benchmark(logistic200, sf02, grid257):
 
 
 def test_information_is_grid_converged(logistic200, sf02, span):
-    m = DensityModel(logistic200, sf02)
-    coarse = experimental_information(m, QuadratureGrid(span, 257))
-    fine = experimental_information(m, QuadratureGrid(span, 514))
+    coarse = one_point_info(logistic200, sf02, QuadratureGrid(span, 257))
+    fine = one_point_info(logistic200, sf02, QuadratureGrid(span, 514))
     assert abs(coarse - fine) <= 1e-3
 
 
@@ -153,10 +145,17 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid25
     schedule = [1, KERNEL_BLOCK - 1, KERNEL_BLOCK, KERNEL_BLOCK + 1, 2 * KERNEL_BLOCK - 1, 600]
     curve = info_curve(logistic600, sf02, grid257, schedule=schedule)
     assert [r.n for r in curve.records] == schedule
+    axis = grid257.axis
+    offset = 2.0 * math.log(grid257.span.width) + grid257.calibration_entropy(sf02)
     for rec in curve.records:
-        model = DensityModel(logistic600.prefix(rec.n), sf02)
-        expected = experimental_information(model, grid257)
-        assert rec.info == pytest.approx(expected, rel=1e-12, abs=0)
+        prefix = logistic600.prefix(rec.n)
+        # A streaming record is the curve of its prefix alone...
+        alone = one_point_info(prefix, sf02, grid257)
+        assert rec.info == pytest.approx(alone, rel=1e-12, abs=0)
+        # ...and the entropy of the brute-force joint grid, which agrees
+        # with the library's to rtol 1e-10 (test_joint_grid_matches_brute_force).
+        joint = kde_joint_grid(prefix.x, prefix.y, sf02.sigma, axis)
+        assert abs(rec.info - (entropy_grid(joint, axis) - offset)) <= 1e-9
 
 
 # --- records and curve ------------------------------------------------------
@@ -227,10 +226,5 @@ def test_curve_csv_outputs(tmp_path, logistic200, sf02, grid257):
     assert float(k_inf) == curve.complexity_limit
 
 
-def test_parallel_setting_does_not_change_values(logistic200, sf02, grid257, monkeypatch):
-    m = DensityModel(logistic200, sf02)
-    monkeypatch.setenv("EXPMODEL_THREADS", "1")
-    serial = experimental_information(m, grid257)
-    monkeypatch.setenv("EXPMODEL_THREADS", "4")
-    threaded = experimental_information(m, grid257)
-    assert serial == threaded
+def test_info_curve_is_deterministic(logistic200, sf02, grid257):
+    assert info_curve(logistic200, sf02, grid257) == info_curve(logistic200, sf02, grid257)

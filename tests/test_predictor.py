@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, ScatteringFunction, ShapeMismatch,
-                      ca_quality_theoretical, generate,
-                      predictor_quality, quality_sweep)
+                      generate, predictor_quality, quality_sweep)
 from expmodel.predictor import (QUERY_BLOCK_ELEMS, write_predictions_csv,
                                 write_quality_csv)
 from oracles import extended_axis, gauss, trap1
@@ -190,6 +189,16 @@ def test_queries_and_samples_that_overflow_when_scaled(sf02):
     p = CaPredictor(Dataset([0.0, 1e308], [1.0, 2.0]), sf02)
     assert p.predict_many([1e308, 1.7e308, 0.5, -1e308]).tolist() == [2.0, 2.0, 1.0, 1.0]
     assert p.weights(1e308).tolist() == [0.0, 1.0]
+    # A far query midway between samples splits the weight evenly, also
+    # across duplicates, as the same sets scaled to +-1 do.
+    sf = ScatteringFunction(1.0)
+    for x in ([-1.0, 1.0], [-1.0, 1.0, 1.0]):
+        y = [0.0] + [1.0] * (len(x) - 1)
+        far = CaPredictor(Dataset(np.multiply(x, 1e300), y), sf)
+        near = CaPredictor(Dataset(x, y), sf)
+        assert far.weights(0.0).tolist() == near.weights(0.0).tolist() == [1 / len(x)] * len(x)
+        assert far.predict(0.0) == near.predict(0.0)
+    assert CaPredictor(Dataset([-1e300, 1e300], [0.0, 1.0]), sf).predict(0.0) == 0.5
 
 
 def test_predict_many_shapes(predictor50):
@@ -279,16 +288,6 @@ def test_quality_moment_decomposition(pairs):
     assert rep.q == pytest.approx(alt, rel=1e-9, abs=1e-9)
 
 
-def test_theoretical_quality_endpoints():
-    assert ca_quality_theoretical(1.3, 1.3) == 1.0
-    assert ca_quality_theoretical(0.7, 0.0) == 0.0
-    with pytest.raises(DegenerateVariance):
-        ca_quality_theoretical(0.0, 0.0)
-    from expmodel import InvalidParameter
-    with pytest.raises(InvalidParameter):
-        ca_quality_theoretical(-1.0, 0.5)
-
-
 def test_model_quadrature_identities_on_reduced_set(basic50, sf02, span):
     # Under the estimated joint density itself, the conditional average has
     # the same mean as y and its covariance with y equals its own variance.
@@ -320,8 +319,6 @@ def test_model_quadrature_identities_on_reduced_set(basic50, sf02, span):
 
     assert abs(m_y - m_yp) <= 1e-3
     assert abs(cov - var_yp) <= 1e-3 * var_y
-    theo = ca_quality_theoretical(var_y, var_yp)
-    assert theo == pytest.approx(2 * var_yp / (var_y + var_yp), rel=1e-12)
 
 
 def test_quality_sweep_shape_and_single_sample_limit(basic50, sf02):

@@ -1,0 +1,39 @@
+import expmodel
+
+# Removing a public name takes an edit here, argued in CHANGES.md.
+PUBLIC_NAMES = [
+    "CaPredictor",
+    "Dataset",
+    "DegenerateVariance",
+    "DensityModel",
+    "EmptyDataset",
+    "ExperimentModelError",
+    "GenerationMeta",
+    "InfoCurve",
+    "InfoRecord",
+    "InvalidGrid",
+    "InvalidParameter",
+    "InvalidSchedule",
+    "OutOfDomain",
+    "QuadratureGrid",
+    "QualityReport",
+    "ScatteringFunction",
+    "ShapeMismatch",
+    "SpanConfig",
+    "default_schedule",
+    "generate",
+    "info_curve",
+    "logistic_step",
+    "predictor_quality",
+    "quality_sweep",
+    "read_dataset_csv",
+    "write_dataset_csv",
+    "write_predictions_csv",
+    "write_quality_csv",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(expmodel.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(expmodel, name) is not None
