@@ -21,8 +21,8 @@ import numpy as np
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
 from .scattering import ScatteringFunction, gaussian_exponent, log_gaussian, _require_finite
 
-# Samples per block of the kernel-product sum: at most this many kernel rows
-# per channel are held at once, whatever the sample count.
+# Most samples per block of the kernel-product sum: at most this many kernel
+# rows per channel are held at once, whatever the sample count.
 KERNEL_BLOCK = 256
 
 
@@ -52,15 +52,15 @@ class Dataset:
             raise InvalidParameter("sample columns must be one-dimensional")
         if x.shape != y.shape:
             raise ShapeMismatch(f"x has {x.size} entries, y has {y.size}")
-        _require_finite("x", x)
-        _require_finite("y", y)
+        _require_finite("x", x, rows=True)
+        _require_finite("y", y, rows=True)
         if (x_clean is None) != (y_clean is None):
             raise InvalidParameter("clean columns must be given for both channels or neither")
         if x_clean is not None:
             if x_clean.shape != x.shape or y_clean.shape != y.shape:
                 raise ShapeMismatch("clean columns must match the sample count")
-            _require_finite("x_clean", x_clean)
-            _require_finite("y_clean", y_clean)
+            _require_finite("x_clean", x_clean, rows=True)
+            _require_finite("y_clean", y_clean, rows=True)
             x_clean.flags.writeable = False
             y_clean.flags.writeable = False
         x.flags.writeable = False
@@ -156,7 +156,9 @@ class DensityModel:
 
         Uses the separable form of the kernel: the grid is the running sum
         of g_x(x_i) g_y(y_i)^T over blocks of samples (see
-        :func:`accumulate_kernel_products`), divided by n. Memory is
+        :func:`accumulate_kernel_products`), divided by n. Each call
+        allocates its own buffers: the grid, one scratch grid and
+        min(KERNEL_BLOCK, n) kernel rows per channel, so memory is
         O(Gx*Gy + KERNEL_BLOCK*(Gx + Gy)) for any sample count.
         """
         xs = np.asarray(xs, dtype=float)
@@ -164,25 +166,35 @@ class DensityModel:
         _require_finite("xs", xs)
         _require_finite("ys", ys)
         out = np.zeros((xs.size, ys.size))
-        accumulate_kernel_products(out, self.data.x, self.data.y, xs, ys, self.sf.sigma)
+        rows = min(KERNEL_BLOCK, len(self.data))
+        accumulate_kernel_products(out, self.data.x, self.data.y, xs, ys, self.sf.sigma,
+                                   scratch=np.empty_like(out),
+                                   gx=np.empty((rows, xs.size)), gy=np.empty((rows, ys.size)))
         out /= len(self.data)
         return out
 
 
-def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float) -> None:
+def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float, *,
+                               scratch: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> None:
     """Add sum_i g(xs - x[i]) g(ys - y[i])^T to out, in place.
 
-    out has shape (xs.size, ys.size). Samples are taken in blocks of
-    KERNEL_BLOCK, so each sample's two kernel rows are built exactly once and
-    no more than one block of rows is held at a time. Adding the samples of
-    a dataset in consecutive slices gives the unnormalized joint grid of
-    every prefix on the way.
+    out and scratch have shape (xs.size, ys.size); gx and gy have one row of
+    xs.size and ys.size entries per sample of a block. Samples are taken in
+    blocks of len(gx), so each sample's two kernel rows are built exactly
+    once, in place in gx and gy. A block's product is written to scratch and
+    added to out, so nothing is allocated here. Adding the samples of a
+    dataset in consecutive slices gives the unnormalized joint grid of every
+    prefix on the way.
     """
-    for lo in range(0, len(x), KERNEL_BLOCK):
-        hi = lo + KERNEL_BLOCK
-        gx = np.exp(log_gaussian(xs[None, :], x[lo:hi, None], sigma))
-        gy = np.exp(log_gaussian(ys[None, :], y[lo:hi, None], sigma))
-        out += gx.T @ gy
+    block = len(gx)
+    for lo in range(0, len(x), block):
+        k = min(block, len(x) - lo)
+        kx = log_gaussian(xs, x[lo:lo + k, None], sigma, out=gx[:k])
+        ky = log_gaussian(ys, y[lo:lo + k, None], sigma, out=gy[:k])
+        np.exp(kx, out=kx)
+        np.exp(ky, out=ky)
+        np.matmul(kx.T, ky, out=scratch)
+        out += scratch
 
 
 def _finite_scalar(name: str, value) -> float:

@@ -25,24 +25,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Dataset, accumulate_kernel_products
+from .density import KERNEL_BLOCK, Dataset, accumulate_kernel_products
 from .errors import InvalidGrid, InvalidSchedule
 from .memory import memory_limit
 from .scattering import ScatteringFunction, SpanConfig
 from .tables import write_table
 
-# Densities at or below this value contribute 0 to entropy integrands
-# (removes -inf * 0 at working precision).
+# Densities are raised to this value inside the log of entropy integrands,
+# so f = 0 contributes exactly 0 (not -inf * 0) and a density at or below it
+# at most f * log(1e-300), about 7e-298.
 DENSITY_FLOOR = 1e-300
 
 # Near-geometric ladder used when no explicit schedule is given.
 _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 
-# Bytes held per grid node at the peak of info_curve: the running sum, the
-# normalised grid and the entropy integrand (float64 each) plus the boolean
-# mask of nodes above DENSITY_FLOOR. The kernel product of
-# accumulate_kernel_products is never live together with the last three.
-GRID_BYTES_PER_NODE = 3 * 8 + 1
+# Bytes held per grid node by info_curve, float64 each: the running sum, the
+# scratch grid that holds each block's kernel product and then the entropy
+# integrand, and the two kernel-row buffers, which together hold at most one
+# grid. They are allocated once per curve.
+GRID_BYTES_PER_NODE = 3 * 8
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,26 @@ class QuadratureGrid:
         return 2.0 * math.log(sf.sigma / self.span.half_width) + math.log(math.pi / 2.0) + 1.0
 
 
-def _indeterminacy(f: np.ndarray, grid: QuadratureGrid) -> float:
-    """H_z of a joint density tabulated on the grid: the trapezoid estimate of
-    -integral_span f log f minus the uniform reference's 2 log(2L)."""
-    integrand = np.log(f, out=np.zeros_like(f), where=f > DENSITY_FLOOR)
-    integrand *= f
-    np.negative(integrand, out=integrand)
+def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
+    """Samples per kernel-product block of a curve: at most KERNEL_BLOCK, at
+    most half the grid points, so the two kernel-row buffers together hold no
+    more than one grid, and at most the largest segment of the schedule."""
+    segment = max(b - a for a, b in zip([0, *sched], sched))
+    return min(KERNEL_BLOCK, points_per_axis // 2, segment)
+
+
+def _indeterminacy(joint_sum: np.ndarray, n: int, grid: QuadratureGrid,
+                   scratch: np.ndarray) -> float:
+    """H_z of the joint density f = joint_sum / n tabulated on the grid: the
+    trapezoid estimate of -integral_span f log f minus the uniform
+    reference's 2 log(2L). The integrand f log f is built in scratch."""
+    f_log_f = np.divide(joint_sum, n, out=scratch)
+    np.maximum(f_log_f, DENSITY_FLOOR, out=f_log_f)
+    np.log(f_log_f, out=f_log_f)
+    f_log_f *= joint_sum
+    f_log_f /= n
     w = grid.weights()
-    return float(w @ integrand @ w) - 2.0 * math.log(grid.span.width)
+    return -float(w @ f_log_f @ w) - 2.0 * math.log(grid.span.width)
 
 
 @dataclass(frozen=True)
@@ -218,9 +231,13 @@ def info_curve(data: Dataset,
     products divided by n. The samples between two schedule points are added
     to the sum once (see :func:`expmodel.density.accumulate_kernel_products`)
     and the entropy of the sum over n is taken at each point. Every sample's
-    kernel rows are built exactly once, and memory is
-    O(G^2 + KERNEL_BLOCK*G) for any dataset size, with G the grid points per
-    axis. Each I(n) is H_z - H_u of the kernel estimate on the first n
+    kernel rows are built exactly once. With G the grid points per axis, the
+    curve allocates three G x G float64 arrays' worth once
+    (GRID_BYTES_PER_NODE): the running sum, one scratch grid for the kernel
+    products and the entropy integrand, and kernel rows holding at most one
+    grid between them. Nothing of grid size is allocated per schedule point,
+    and memory does not grow with the dataset or the schedule. Each I(n) is
+    H_z - H_u of the kernel estimate on the first n
     samples: the trapezoid entropy of its joint density on the grid, less
     2 log(2L) and the closed-form H_u of ``grid.calibration_entropy(sf)``.
 
@@ -234,14 +251,16 @@ def info_curve(data: Dataset,
 
     axis = grid.axis
     joint_sum = np.zeros((axis.size, axis.size))
+    scratch = np.empty_like(joint_sum)
+    gx, gy = np.empty((2, _kernel_rows(sched, axis.size), axis.size))
     h_u = grid.calibration_entropy(sf)
     records = []
     done = 0
     for n in sched:
         accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
-                                   axis, axis, sf.sigma)
+                                   axis, axis, sf.sigma, scratch=scratch, gx=gx, gy=gy)
         done = n
-        h_z = _indeterminacy(joint_sum / n, grid)
+        h_z = _indeterminacy(joint_sum, n, grid, scratch)
         records.append(InfoRecord.from_info(n, h_z - h_u))
 
     n_opt = min(records, key=lambda rec: rec.cost).n

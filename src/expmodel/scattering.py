@@ -17,9 +17,22 @@ from .errors import InvalidParameter
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise InvalidParameter(f"{name} must be finite, got {value!r}")
+def _require_finite(name: str, value, rows: bool = False) -> None:
+    """Reject a value with a non-finite entry. For an array the message
+    counts the bad entries and gives the first one: its index, or with
+    rows=True its 1-based row (the data row of a dataset column)."""
+    finite = np.isfinite(value)
+    if finite.all():
+        return
+    if finite.ndim == 0:
+        raise InvalidParameter(f"{name} must be finite, got {float(value)!r}")
+    bad = ~finite
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    where = f"row {first[0] + 1}" if rows else f"index {', '.join(map(str, first))}"
+    raise InvalidParameter(
+        f"{name} must be finite, got {float(np.asarray(value)[first])!r} at {where} "
+        f"({np.count_nonzero(bad)} non-finite of {bad.size} entries)"
+    )
 
 
 @dataclass(frozen=True)
@@ -53,17 +66,21 @@ class ScatteringFunction:
             raise InvalidParameter(f"sigma must be > 0, got {self.sigma}")
 
 
-def log_gaussian(x, u, sigma):
+def log_gaussian(x, u, sigma, out=None):
     """Log of the normalised Gaussian density
     (1/(sqrt(2 pi) sigma)) exp(-(x-u)^2 / (2 sigma^2)): the exponent at
     (x - u) / sigma plus the log of the normalisation.
 
     No validation: the fast path of every kernel sum. A distance too large
     to square gives -inf, the log of the kernel's correctly rounded value 0.
+    With out, an array of the broadcast shape of x and u, every step is
+    evaluated in it and nothing is allocated; the result is the same.
     """
     with np.errstate(over="ignore"):
-        t = (np.asarray(x, dtype=float) - u) / sigma
-        return gaussian_exponent(t) - np.log(SQRT_2PI * sigma)
+        t = np.subtract(np.asarray(x, dtype=float), u, out=out)
+        t = np.divide(t, sigma, out=out)
+        t = gaussian_exponent(t, out=out)
+        return np.subtract(t, np.log(SQRT_2PI * sigma), out=out)
 
 
 def gaussian_exponent(t, out=None):

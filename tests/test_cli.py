@@ -96,10 +96,10 @@ def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
 
 
 def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
-    # The running sum, normalised grid and entropy integrand take 25 B per
-    # node. With 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB:
-    # a 2001^2 grid (100 MB) and a 1700^2 grid (72 MB, below the limit
-    # itself) are refused before allocation; 257^2 still fits.
+    # The running sum, scratch grid and kernel rows take 24 B per node. With
+    # 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB: a 2001^2
+    # grid (96.1 MB) and a 1700^2 grid (69.4 MB, below the limit itself) are
+    # refused before allocation; 257^2 still fits.
     limit, mapped = 96 << 20, 32 << 20
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
@@ -137,6 +137,17 @@ def test_info_rejects_malformed_row(tmp_path, capsys, row, message):
     assert run("info", "--basic", str(bad), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "InvalidParameter" in err and message in err
+
+
+def test_info_names_the_row_of_a_non_finite_value(tmp_path, capsys):
+    rows = [f"{k},{0.01 * k!r},{-0.01 * k!r}" for k in range(1, 51)]
+    rows[16] = "17,inf,0.5"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("i,x,y\n" + "\n".join(rows) + "\n")
+    assert run("info", "--basic", str(bad), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "InvalidParameter" in err and "row 17" in err and "inf" in err
+    assert len(err) < 200
 
 
 def test_predict_writes_four_columns(tmp_path, samples_csv):

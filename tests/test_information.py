@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from expmodel import (Dataset, DensityModel, InfoRecord, InvalidGrid,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
                       default_schedule, info_curve)
-from expmodel.density import KERNEL_BLOCK
+from expmodel.information import _kernel_rows
 from oracles import entropy_grid, kde_joint_grid
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
@@ -141,8 +142,13 @@ def test_information_limit_decreases_with_sigma(logistic200, span):
 
 
 def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid257):
-    # Schedule points on both sides of the 256-sample block boundaries.
-    schedule = [1, KERNEL_BLOCK - 1, KERNEL_BLOCK, KERNEL_BLOCK + 1, 2 * KERNEL_BLOCK - 1, 600]
+    # Schedule points on both sides of the boundaries of the kernel-row
+    # blocks the curve uses at this grid (128 samples at G = 257); the last
+    # segment takes three blocks.
+    block = _kernel_rows([len(logistic600)], grid257.points_per_axis)
+    schedule = [1, block - 1, block, block + 1, 2 * block - 1, 600]
+    assert _kernel_rows(schedule, grid257.points_per_axis) == block
+    assert schedule[-1] - schedule[-2] > 2 * block
     curve = info_curve(logistic600, sf02, grid257, schedule=schedule)
     assert [r.n for r in curve.records] == schedule
     axis = grid257.axis
@@ -156,6 +162,22 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid25
         # with the library's to rtol 1e-10 (test_joint_grid_matches_brute_force).
         joint = kde_joint_grid(prefix.x, prefix.y, sf02.sigma, axis)
         assert abs(rec.info - (entropy_grid(joint, axis) - offset)) <= 1e-9
+
+
+@pytest.mark.parametrize("fixture,schedule", [
+    ("logistic200", None), ("logistic200", [200]), ("logistic600", None)])
+def test_curve_holds_three_grids_at_most(request, fixture, schedule, sf02, grid257):
+    # The running sum, the scratch grid and the kernel rows (at most one grid
+    # between them) are allocated once per curve; 256 KB covers numpy's
+    # ufunc buffers and the axis-sized vectors.
+    data = request.getfixturevalue(fixture)
+    tracemalloc.start()
+    try:
+        info_curve(data, sf02, grid257, schedule=schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * grid257.points_per_axis ** 2 + 256 * 1024
 
 
 # --- records and curve ------------------------------------------------------

@@ -47,6 +47,17 @@ def test_gaussian_unit_mass(u, sigma):
     assert abs(mass - 1.0) <= 1e-6
 
 
+def test_log_gaussian_in_place_equals_allocating_call():
+    # Distances of ordinary size and one too large to square (-inf).
+    x = np.array([-2.0, -0.3, 0.0, 0.7, 1.9, 1e300])
+    u = np.array([[0.1], [-1.4], [-1e300]])
+    expected = log_gaussian(x, u, 0.2)
+    assert np.isneginf(expected).any()
+    buf = np.full((3, 6), np.nan)
+    assert log_gaussian(x, u, 0.2, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+
+
 def sf_oracle(sf, z, u):
     """Two-channel scattering kernel at z for unit u, from the oracle."""
     return gauss(z[0], u[0], sf.sigma) * gauss(z[1], u[1], sf.sigma)
