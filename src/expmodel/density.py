@@ -6,10 +6,12 @@ centered at the samples; the marginal over x is the analytic average of the
 x-channel Gaussians (integrating a channel Gaussian over the real line gives
 exactly 1, so no quadrature is involved). The conditional density of y given
 x averages the y-channel Gaussians with the normalised similarities C_i(x),
-the weights of the conditional-average predictor. These are computed in log
-domain with each query's largest log kernel subtracted, so far from all
-samples, where the joint and marginal underflow to zero, they stay a convex
-combination and the conditional stays well defined.
+the weights of the conditional-average predictor. These are computed from
+the kernels' exponents. A query whose largest exponent is at least
+MIN_UNSHIFTED_EXPONENT is exponentiated as it is; any other query has its
+largest exponent subtracted first. So far from all samples, where the joint
+and marginal underflow to zero, the weights stay a convex combination and
+the conditional stays well defined.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from .scattering import ScatteringFunction, gaussian_exponent, log_gaussian, _re
 # Most samples per block of the kernel-product sum: at most this many kernel
 # rows per channel are held at once, whatever the sample count.
 KERNEL_BLOCK = 256
+
+# Queries whose largest kernel exponent is at least this are exponentiated
+# without a shift. Their largest kernel is then at least e^-300 (about
+# 5e-131): every kernel within 408 nats of it is a normal float, the
+# smaller ones weigh under e^-408 relative to it and cannot change a rounded
+# ratio, and its product with a target above about 4e-178 in magnitude is
+# normal too.
+MIN_UNSHIFTED_EXPONENT = -300.0
 
 
 class Dataset:
@@ -104,18 +114,19 @@ class DensityModel:
         return self.data.x / self.sf.sigma
 
     def _block_kernels(self, xs: np.ndarray) -> np.ndarray:
-        # Row j is C_i(xs[j]) up to a factor, with largest entry exactly 1,
-        # built in place in one q x n buffer contiguous along the samples.
-        # Each row is shifted by its largest exponent before exponentiating,
-        # which keeps far queries a convex combination; the kernels' common
-        # log normalisation cancels under the shift and is never added.
-        # Far rows overflow, and give inf - inf where a query and a sample
-        # both overflow when scaled; they are replaced below.
+        # Row j is C_i(xs[j]) up to a factor, built in place in one q x n
+        # buffer contiguous along the samples. A row is exponentiated as it
+        # is when its largest exponent is at least MIN_UNSHIFTED_EXPONENT;
+        # the other rows, which could underflow, are first shifted by their
+        # largest exponent, so their largest entry is exactly 1. Either way
+        # the kernels' common log normalisation cancels in C_i and is never
+        # added. Far rows overflow, and give inf - inf where a query and a
+        # sample both overflow when scaled; they are replaced below.
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.subtract.outer(xs / self.sf.sigma, self._scaled_x)
             gaussian_exponent(e, out=e)
-            top = e.max(axis=1, keepdims=True)
-            far = ~np.isfinite(top[:, 0])
+            top = e.max(axis=1)
+            far = ~np.isfinite(top)
             if far.any():
                 # Every squared scaled distance overflowed; in that limit the
                 # nearest samples share all the weight evenly, those below
@@ -128,7 +139,9 @@ class DensityModel:
                            | ((x == above) & (above - q <= q - below)))
                 e[far] = np.where(nearest, 0.0, -np.inf)
                 top[far] = 0.0
-        e -= top
+        low = top < MIN_UNSHIFTED_EXPONENT
+        if low.any():
+            e[low] -= top[low, None]
         np.exp(e, out=e)
         return e
 

@@ -17,6 +17,7 @@ zero-mean Gaussian noise. Determinism contract:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
@@ -28,9 +29,9 @@ from .memory import memory_limit
 
 TRANSIENT_STEPS = 100
 
-# Float64 values held per sample at the peak of generate: the clean and noisy
-# columns and the Box-Muller temporaries (the Dataset takes the columns over
-# without a copy).
+# Float64 values held per sample at the peak of generate: the clean orbit,
+# the noisy columns and the Box-Muller temporaries (the Dataset takes the
+# columns over without a copy).
 FLOATS_PER_SAMPLE = 9
 
 # The largest |normal| of _box_muller: its uniforms are multiples of 2^-53,
@@ -103,15 +104,20 @@ def generate(meta: GenerationMeta) -> Dataset:
         x = -0.99 + 1.98 * rng.random()
     initial_x = x
 
-    for _ in range(TRANSIENT_STEPS):
-        x = logistic_step(x)
-
-    x_clean = np.empty(meta.n)
-    y_clean = np.empty(meta.n)
-    for i in range(meta.n):
-        x_clean[i] = x
-        y_clean[i] = logistic_step(x)
-        x = y_clean[i]
+    # The first step checks the initial condition; the map keeps [-1, 1]
+    # exactly, so the later steps need no check and run in plain floats,
+    # with the same arithmetic as logistic_step.
+    x = logistic_step(x)
+    for _ in range(TRANSIENT_STEPS - 1):
+        x = 1.0 - 2.0 * x * x
+    orbit = array("d", [x])
+    for _ in range(meta.n):
+        x = 1.0 - 2.0 * x * x
+        orbit.append(x)
+    # Pair i is (orbit[i], orbit[i + 1]); both columns view the one orbit.
+    clean = np.frombuffer(orbit)
+    clean.flags.writeable = False
+    x_clean, y_clean = clean[:-1], clean[1:]
 
     if meta.sigma_noise > 0:
         x_noisy = x_clean + meta.sigma_noise * _box_muller(s_x, meta.n)

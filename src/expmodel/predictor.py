@@ -3,17 +3,20 @@
 The predictor is the conditional mean extracted from the kernel estimator: a
 CaPredictor is a DensityModel, and y_p(x) = sum_i y_i C_i(x) with the same
 normalised similarities C_i(x) that weight its conditional density. They are
-computed in log domain (maximum-exponent subtraction, see
+computed from the kernel exponents, and a query whose largest exponent is
+below density.MIN_UNSHIFTED_EXPONENT, where its kernels could all
+underflow, has that exponent subtracted first (see
 :class:`expmodel.density.DensityModel`), so they stay a valid convex
 combination for queries arbitrarily far from the data.
 
 Queries are taken in blocks of at most QUERY_BLOCK_ELEMS kernel values
 (max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). A block is
-queries x samples, each row one query's shifted kernels over contiguous
-samples, built in place in one buffer. One matmul of the block with the
-n x 2 stack [y, 1] gives each query's kernel-weighted target sum and kernel
-sum, and a prediction is their ratio, so no normalised weight matrix is ever
-formed. Memory is one block plus O(n + q) for any sample and query count.
+queries x samples, each row one query's kernels over contiguous samples up
+to a factor per row, built in place in one buffer. One matmul of the block
+with the n x 2 stack [y, 1] gives each query's kernel-weighted target sum
+and kernel sum, and a prediction is their ratio, so no normalised weight
+matrix is ever formed. Memory is one block plus O(n + q) for any sample and
+query count.
 """
 
 from __future__ import annotations
@@ -88,16 +91,20 @@ def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> Quali
     _require_finite("y_true", yt)
     _require_finite("y_pred", yp)
 
-    mean_true = float(yt.mean())
-    mean_pred = float(yp.mean())
-    var_true = float(np.mean((yt - mean_true) ** 2))
-    var_pred = float(np.mean((yp - mean_pred) ** 2))
-    denom = var_true + var_pred
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_true = float(yt.mean())
+        mean_pred = float(yp.mean())
+        var_true = float(np.mean((yt - mean_true) ** 2))
+        var_pred = float(np.mean((yp - mean_pred) ** 2))
+        cov = float(np.mean((yt - mean_true) * (yp - mean_pred)))
+        mse = float(np.mean((yt - yp) ** 2))
+        denom = var_true + var_pred
+    if not np.isfinite([mean_true, mean_pred, denom, cov, mse]).all():
+        # Finite values near the float64 limit overflow their sums or squares.
+        raise InvalidParameter("moments of y_true and y_pred overflow float64; quality undefined")
     if denom < np.finfo(float).tiny:
         # Subnormal variances keep too few significant bits to give q.
         raise DegenerateVariance(f"variance sum {denom!r} vanishes; quality undefined")
-    cov = float(np.mean((yt - mean_true) * (yp - mean_pred)))
-    mse = float(np.mean((yt - yp) ** 2))
     return QualityReport(
         q=1.0 - mse / denom,
         mean_true=mean_true,

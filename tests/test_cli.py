@@ -412,6 +412,7 @@ _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_F
     lambda command: st.tuples(st.just(command), st.fixed_dictionaries(
         {}, optional={k: v for k, v in _FLAGS.items() if k in _READS[command]}))))
 @example(command_flags=("generate", {"--sigma": "5.448323523428893e+307"}))
+@example(command_flags=("quality", {"--sigma": "6.98567925784762e+152"}))
 def test_flag_values_exit_with_documented_codes(small_csv, command_flags):
     command, flags = command_flags
     # Any flag value gives success or a reported input error, never exit 1.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from expmodel import (GenerationMeta, InvalidParameter, OutOfDomain, generate,
                       logistic_step, write_dataset_csv)
+from expmodel.generator import FLOATS_PER_SAMPLE, TRANSIENT_STEPS
 
 
 def test_map_values():
@@ -47,6 +49,31 @@ def test_noise_free_pairs_satisfy_the_map():
     assert np.array_equal(ds.y, expected)
     # consecutive pairs chain: x_{i+1} is the previous output
     assert np.array_equal(ds.x[1:], ds.y[:-1])
+
+
+def test_clean_columns_iterate_the_map_from_the_recorded_start():
+    n = 200
+    ds = generate(GenerationMeta(seed=1, sigma_noise=0.2, n=n))
+    orbit = [ds.meta.initial_x]
+    for _ in range(TRANSIENT_STEPS + n):
+        orbit.append(logistic_step(orbit[-1]))
+    orbit = np.array(orbit[TRANSIENT_STEPS:])
+    assert ds.x_clean.tobytes() == orbit[:-1].tobytes()
+    assert ds.y_clean.tobytes() == orbit[1:].tobytes()
+    assert not ds.x_clean.flags.writeable and not ds.y_clean.flags.writeable
+
+
+def test_generate_peak_stays_within_its_checked_budget():
+    # The up-front memory check counts FLOATS_PER_SAMPLE float64 values per
+    # sample; generate must not allocate more than that.
+    n = 20_000
+    tracemalloc.start()
+    try:
+        generate(GenerationMeta(seed=1, sigma_noise=0.2, n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * FLOATS_PER_SAMPLE * n
 
 
 def test_clean_trajectory_stays_in_interval():

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
-                      GenerationMeta, ScatteringFunction, ShapeMismatch,
+                      GenerationMeta, InvalidParameter, ScatteringFunction, ShapeMismatch,
                       generate, predictor_quality, quality_sweep)
+from expmodel.density import MIN_UNSHIFTED_EXPONENT
 from expmodel.predictor import (QUERY_BLOCK_ELEMS, write_predictions_csv,
                                 write_quality_csv)
 from oracles import extended_axis, gauss, trap1
@@ -65,7 +68,6 @@ def test_weights_reject_empty_and_bad_input(sf02):
     with pytest.raises(EmptyDataset):
         CaPredictor(Dataset([], []), sf02)
     p = CaPredictor(Dataset([0.0], [0.0]), sf02)
-    from expmodel import InvalidParameter
     with pytest.raises(InvalidParameter):
         p.weights(float("nan"))
 
@@ -183,6 +185,35 @@ def test_far_rows_leave_the_rest_of_their_block_alone(predictor50, basic50, sf02
     assert got.tobytes() == predictor50.predict_many(xs).tobytes()
 
 
+def _shifted_oracle_prediction(data, sigma, x):
+    # Weights exp(-(x - x_i)^2 / 2 sigma^2 + min_i (x - x_i)^2 / 2 sigma^2),
+    # each exponent taken in exact rational arithmetic, so the shift stays
+    # finite where a squared distance overflows a float.
+    q = Fraction(x)
+    d2 = [(q - Fraction(xi)) ** 2 for xi in data.x]
+    two_s2 = 2 * Fraction(sigma) ** 2
+    w = [math.exp(-float((d - min(d2)) / two_s2)) for d in d2]
+    return math.fsum(wi * yi for wi, yi in zip(w, data.y)) / math.fsum(w)
+
+
+def test_rows_are_shifted_only_where_they_would_underflow(predictor50, basic50, sf02):
+    # One block mixes ordinary queries, two whose largest exponent sits one
+    # nat either side of MIN_UNSHIFTED_EXPONENT, two where every unshifted
+    # kernel underflows to 0 and one where every squared scaled distance
+    # overflows.
+    sigma, top = sf02.sigma, basic50.x.max()
+    edge = top + sigma * np.sqrt(-2.0 * (MIN_UNSHIFTED_EXPONENT + np.array([1.0, -1.0])))
+    largest = -0.5 * (edge / sigma - top / sigma) ** 2
+    assert largest[0] > MIN_UNSHIFTED_EXPONENT > largest[1]
+    low = np.array([10.0, -10.0])
+    assert not np.exp(-0.5 * ((low[:, None] - basic50.x) / sigma) ** 2).any()
+    xs = np.concatenate([np.linspace(-1.5, 1.5, 7), edge, low, [1e155]])
+    got = predictor50.predict_many(xs)
+    expected = [_shifted_oracle_prediction(basic50, sigma, x) for x in xs]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(basic50.y).max())
+    assert got.tobytes() == predictor50.predict_many(xs).tobytes()
+
+
 def test_queries_and_samples_that_overflow_when_scaled(sf02):
     # 1e308 / 0.2 is inf, so a query and a sample both there give inf - inf;
     # the exact match still takes the whole weight.
@@ -256,6 +287,14 @@ def test_offset_prediction_scores_documented_negative_value():
 def test_degenerate_variance_is_rejected():
     with pytest.raises(DegenerateVariance):
         predictor_quality([0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("y_true, y_pred", [([1e200, -1e200], [0.0, 0.0]),
+                                            ([1e308, 1e308], [1e308, 1e308]),
+                                            ([1e308, 0.0], [-1e308, 0.0])])
+def test_moments_that_overflow_are_rejected(y_true, y_pred):
+    with pytest.raises(InvalidParameter, match="overflow"):
+        predictor_quality(y_true, y_pred)
 
 
 def test_shape_mismatch_is_rejected():
