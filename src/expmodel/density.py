@@ -2,16 +2,18 @@
 
 A DensityModel is a dataset of measured pairs plus the instrument's
 scattering function. The joint density is the plain average of kernels
-centered at the samples; the marginal over x is the analytic average of the
-x-channel Gaussians (integrating a channel Gaussian over the real line gives
-exactly 1, so no quadrature is involved). The conditional density of y given
-x averages the y-channel Gaussians with the normalised similarities C_i(x),
-the weights of the conditional-average predictor. These are computed from
-the kernels' exponents. A query whose largest exponent is at least
-MIN_UNSHIFTED_EXPONENT is exponentiated as it is; any other query has its
-largest exponent subtracted first. So far from all samples, where the joint
-and marginal underflow to zero, the weights stay a convex combination and
-the conditional stays well defined.
+centered at the samples. Only accumulate_kernel_products tabulates it on a
+grid, in blocks of samples whose size its caller sets (info_curve: at most
+half the grid points and the largest schedule segment). The marginal over x
+is the analytic average of the x-channel Gaussians (integrating a channel
+Gaussian over the real line gives exactly 1, so no quadrature is involved).
+The conditional density of y given x averages the y-channel Gaussians with
+the normalised similarities C_i(x), the weights of the conditional-average
+predictor. These are computed from the kernels' exponents. A query whose
+largest exponent is at least MIN_UNSHIFTED_EXPONENT is exponentiated as it
+is; any other query has its largest exponent subtracted first. So far from
+all samples, where the joint and marginal underflow to zero, the weights
+stay a convex combination and the conditional stays well defined.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
 from .scattering import ScatteringFunction, gaussian_exponent, log_gaussian, _require_finite
-
-# Most samples per block of the kernel-product sum: at most this many kernel
-# rows per channel are held at once, whatever the sample count.
-KERNEL_BLOCK = 256
 
 # Queries whose largest kernel exponent is at least this are exponentiated
 # without a shift. Their largest kernel is then at least e^-300 (about
@@ -150,41 +148,22 @@ class DensityModel:
         e = self._block_kernels(np.array([_finite_scalar("x", x)]))[0]
         return e / e.sum()
 
+    def _kernels(self, name: str, value, column: np.ndarray) -> np.ndarray:
+        """Channel Gaussians g(value - column_i) of the samples at a scalar query."""
+        return np.exp(log_gaussian(_finite_scalar(name, value), column, self.sf.sigma))
+
     def joint_pdf(self, x: float, y: float) -> float:
-        """Average of sample-centered kernels at (x, y): one node of joint_on_grid."""
-        return float(self.joint_on_grid([_finite_scalar("x", x)], [_finite_scalar("y", y)])[0, 0])
+        """Average of sample-centered kernels at (x, y): the mean of g(x - x_i) g(y - y_i)."""
+        gx = self._kernels("x", x, self.data.x)
+        return float((gx * self._kernels("y", y, self.data.y)).mean())
 
     def marginal_pdf(self, x: float) -> float:
         """Analytic x-marginal: average of the x-channel Gaussians."""
-        x = _finite_scalar("x", x)
-        return float(np.exp(log_gaussian(x, self.data.x, self.sf.sigma)).mean())
+        return float(self._kernels("x", x, self.data.x).mean())
 
     def conditional_pdf(self, y: float, given_x: float) -> float:
         """Density of y given x: the y-channel Gaussians weighted by C_i(given_x)."""
-        gy = np.exp(log_gaussian(_finite_scalar("y", y), self.data.y, self.sf.sigma))
-        return float(self.weights(given_x) @ gy)
-
-    def joint_on_grid(self, xs, ys) -> np.ndarray:
-        """Joint PDF on the tensor grid xs x ys; out[a, b] = f(xs[a], ys[b]).
-
-        Uses the separable form of the kernel: the grid is the running sum
-        of g_x(x_i) g_y(y_i)^T over blocks of samples (see
-        :func:`accumulate_kernel_products`), divided by n. Each call
-        allocates its own buffers: the grid, one scratch grid and
-        min(KERNEL_BLOCK, n) kernel rows per channel, so memory is
-        O(Gx*Gy + KERNEL_BLOCK*(Gx + Gy)) for any sample count.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        _require_finite("xs", xs)
-        _require_finite("ys", ys)
-        out = np.zeros((xs.size, ys.size))
-        rows = min(KERNEL_BLOCK, len(self.data))
-        accumulate_kernel_products(out, self.data.x, self.data.y, xs, ys, self.sf.sigma,
-                                   scratch=np.empty_like(out),
-                                   gx=np.empty((rows, xs.size)), gy=np.empty((rows, ys.size)))
-        out /= len(self.data)
-        return out
+        return float(self.weights(given_x) @ self._kernels("y", y, self.data.y))
 
 
 def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float, *,

@@ -54,6 +54,8 @@ class GenerationMeta:
     prng_name: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if self.n < 1:
             raise InvalidParameter(f"n must be >= 1, got {self.n}")
         if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):

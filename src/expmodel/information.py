@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import KERNEL_BLOCK, Dataset, accumulate_kernel_products
+from .density import Dataset, accumulate_kernel_products
 from .errors import InvalidGrid, InvalidSchedule
 from .memory import memory_limit
 from .scattering import ScatteringFunction, SpanConfig
@@ -115,11 +115,11 @@ class QuadratureGrid:
 
 
 def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
-    """Samples per kernel-product block of a curve: at most KERNEL_BLOCK, at
-    most half the grid points, so the two kernel-row buffers together hold no
-    more than one grid, and at most the largest segment of the schedule."""
+    """Samples per kernel-product block of a curve: at most half the grid
+    points, so the two kernel-row buffers hold no more than one grid (as
+    GRID_BYTES_PER_NODE counts), and at most the largest schedule segment."""
     segment = max(b - a for a, b in zip([0, *sched], sched))
-    return min(KERNEL_BLOCK, points_per_axis // 2, segment)
+    return min(points_per_axis // 2, segment)
 
 
 def _indeterminacy(joint_sum: np.ndarray, n: int, grid: QuadratureGrid,

@@ -51,14 +51,18 @@ class CaPredictor(DensityModel):
             raise InvalidParameter(f"queries must be one-dimensional, got shape {xs.shape}")
         _require_finite("xs", xs)
         # Column 0 of each block @ targets is the kernel-weighted target sum,
-        # column 1 the kernel sum.
-        targets = np.stack([self.data.y, np.ones(len(self.data))], axis=1)
+        # column 1 the kernel sum. Kernels are at most 1, so only where
+        # 2 n max|y| overflows are the targets scaled by an exact power of two.
+        y = self.data.y
+        top = max(y.max(), -y.min())
+        shift = np.frexp(top)[1] if top > np.finfo(float).max / (2 * len(y)) else 0
+        targets = np.stack([np.ldexp(y, -shift), np.ones(len(y))], axis=1)
         block = max(1, QUERY_BLOCK_ELEMS // len(self.data))
         out = np.empty(xs.shape)
         for lo in range(0, xs.size, block):
             num, den = (self._block_kernels(xs[lo:lo + block]) @ targets).T
             np.divide(num, den, out=out[lo:lo + block])
-        return out
+        return np.ldexp(out, shift, out=out)
 
 
 @dataclass(frozen=True)

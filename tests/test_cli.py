@@ -392,6 +392,7 @@ _FLAGS = {
     "--grid-points": st.one_of(st.integers(129, 300), st.integers(-3, 128),
                                st.integers(10 ** 7, 10 ** 40)).map(str) | st.just("nan"),
     "--schedule": st.one_of(st.lists(_COUNT, max_size=4).map(",".join), st.just("1,nan")),
+    "--seed": _COUNT,
 }
 
 
@@ -413,6 +414,7 @@ _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_F
         {}, optional={k: v for k, v in _FLAGS.items() if k in _READS[command]}))))
 @example(command_flags=("generate", {"--sigma": "5.448323523428893e+307"}))
 @example(command_flags=("quality", {"--sigma": "6.98567925784762e+152"}))
+@example(command_flags=("generate", {"--sigma": "0.2", "--seed": "-1"}))
 def test_flag_values_exit_with_documented_codes(small_csv, command_flags):
     command, flags = command_flags
     # Any flag value gives success or a reported input error, never exit 1.

@@ -8,8 +8,9 @@ import pytest
 from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       InvalidParameter, ScatteringFunction, ShapeMismatch,
                       read_dataset_csv, write_dataset_csv)
-from expmodel.density import KERNEL_BLOCK
+from expmodel.density import accumulate_kernel_products
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
+from expmodel.information import _kernel_rows
 from oracles import (extended_axis, gauss, kde_joint_grid, kde_marginal_grid,
                      trap1, trap2)
 
@@ -17,6 +18,21 @@ from oracles import (extended_axis, gauss, kde_joint_grid, kde_marginal_grid,
 @pytest.fixture()
 def one_sample_model(sf02):
     return DensityModel(Dataset([0.4], [-0.9]), sf02)
+
+
+# The kernel-row block info_curve uses at G = 257: half the grid points.
+CURVE_ROWS = _kernel_rows([600], 257)
+
+
+def kernel_product_sum(data, sigma, xs, ys):
+    """The unnormalised joint grid sum_i g(xs - x_i) g(ys - y_i)^T, from the
+    accumulator info_curve runs, with kernel-row buffers of CURVE_ROWS samples."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    out = np.zeros((xs.size, ys.size))
+    accumulate_kernel_products(out, data.x, data.y, xs, ys, sigma, scratch=np.empty_like(out),
+                               gx=np.empty((CURVE_ROWS, xs.size)),
+                               gy=np.empty((CURVE_ROWS, ys.size)))
+    return out
 
 
 def test_dataset_validation():
@@ -71,29 +87,31 @@ def test_joint_two_samples_is_mean_of_kernels(sf02):
     assert m.joint_pdf(*z) == pytest.approx(k, rel=1e-12)  # the two kernel values agree
 
 
-def test_joint_mass_is_one(model200, sf02, span):
+def test_joint_mass_is_one(logistic200, sf02, span):
     axis = extended_axis(span.half_width, sf02.sigma)
-    values = model200.joint_on_grid(axis, axis)
+    values = kernel_product_sum(logistic200, sf02.sigma, axis, axis) / len(logistic200)
     assert abs(trap2(values, axis) - 1.0) <= 1e-4
 
 
 def test_joint_grid_matches_pointwise(model200):
     xs = np.linspace(-1.5, 1.5, 7)
     ys = np.linspace(-1.2, 1.2, 5)
-    grid = model200.joint_on_grid(xs, ys)
+    # The accumulator's grid against the pointwise mean of kernel products.
+    grid = kernel_product_sum(model200.data, model200.sf.sigma, xs, ys) / len(model200.data)
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
             assert grid[a, b] == pytest.approx(model200.joint_pdf(x, y), rel=1e-9)
 
 
 def test_joint_grid_matches_brute_force(logistic200, logistic600, sf02):
-    # 25 samples fit in one kernel-product block; 600 fill two and part of a third.
-    assert 2 * KERNEL_BLOCK < len(logistic600) < 3 * KERNEL_BLOCK
+    # In blocks of CURVE_ROWS samples, 25 fit in one; 600 fill four and part
+    # of a fifth.
+    assert 4 * CURVE_ROWS < len(logistic600) < 5 * CURVE_ROWS
     axis = np.linspace(-2.0, 2.0, 41)
     for data in (logistic200.prefix(25), logistic600):
-        m = DensityModel(data, sf02)
         expected = kde_joint_grid(data.x, data.y, sf02.sigma, axis)
-        assert np.allclose(m.joint_on_grid(axis, axis), expected, rtol=1e-10, atol=1e-300)
+        got = kernel_product_sum(data, sf02.sigma, axis, axis) / len(data)
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-300)
 
 
 def test_marginal_single_sample_peak(one_sample_model):
@@ -110,7 +128,7 @@ def test_marginal_equals_joint_integrated_over_y(model200, sf02, span):
     rng = np.random.default_rng(11)
     axis_y = extended_axis(span.half_width, sf02.sigma)
     for x in rng.uniform(-1.5, 1.5, size=10):
-        joint_row = model200.joint_on_grid([x], axis_y)[0]
+        joint_row = [model200.joint_pdf(x, y) for y in axis_y]
         assert abs(model200.marginal_pdf(x) - trap1(joint_row, axis_y)) <= 1e-6
 
 
@@ -209,7 +227,7 @@ def test_far_queries_give_zero_density_without_warnings(model200, far):
         assert model200.joint_pdf(far, 0.0) == 0.0
         assert model200.joint_pdf(0.0, far) == 0.0
         assert model200.conditional_pdf(far, 0.0) == 0.0
-        grid = model200.joint_on_grid([far, 0.0], [0.0, far])
+        grid = kernel_product_sum(model200.data, model200.sf.sigma, [far, 0.0], [0.0, far])
         assert not grid[0].any() and not grid[:, 1].any()
 
 
@@ -262,6 +280,13 @@ def test_csv_from_another_generator_loads_without_meta(tmp_path, comment):
     back = read_dataset_csv(path)
     assert back.meta is None
     assert back.x.tolist() == [0.1, 0.3] and back.y.tolist() == [0.2, 0.4]
+
+
+def test_csv_with_a_negative_seed_loads_without_meta(tmp_path):
+    path = tmp_path / "negative.csv"
+    path.write_text("# seed=-1 sigma=0.2 map=ulam prng=pcg64 n=1\ni,x,y\n1,0.1,0.2\n")
+    back = read_dataset_csv(path)
+    assert back.meta is None and back.x.tolist() == [0.1]
 
 
 def test_csv_without_clean_columns(tmp_path):

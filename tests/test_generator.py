@@ -31,6 +31,8 @@ def test_map_rejects_outside_domain(x):
 
 def test_meta_validation():
     with pytest.raises(InvalidParameter):
+        GenerationMeta(seed=-1, sigma_noise=0.2, n=10)
+    with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=0.2, n=0)
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=-0.1, n=10)

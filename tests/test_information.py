@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expmodel import (Dataset, DensityModel, InfoRecord, InvalidGrid,
+from expmodel import (Dataset, InfoRecord, InvalidGrid,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
                       default_schedule, info_curve)
 from expmodel.information import _kernel_rows
@@ -94,11 +94,11 @@ def test_indeterminacy_never_positive(logistic200, sf02, grid257):
 
 
 def test_indeterminacy_agrees_with_generic_quadrature(logistic200, sf02, span, grid257):
-    # The record's H_z against np.trapezoid over the model's own joint grid.
-    m = DensityModel(logistic200.prefix(50), sf02)
-    via_trapezoid = (entropy_grid(m.joint_on_grid(grid257.axis, grid257.axis), grid257.axis)
-                     - 2.0 * math.log(span.width))
-    h_z = one_point_info(m.data, sf02, grid257) + grid257.calibration_entropy(sf02)
+    # The record's H_z against np.trapezoid over the brute-force joint grid.
+    data = logistic200.prefix(50)
+    joint = kde_joint_grid(data.x, data.y, sf02.sigma, grid257.axis)
+    via_trapezoid = entropy_grid(joint, grid257.axis) - 2.0 * math.log(span.width)
+    h_z = one_point_info(data, sf02, grid257) + grid257.calibration_entropy(sf02)
     assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
 
 

@@ -232,6 +232,16 @@ def test_queries_and_samples_that_overflow_when_scaled(sf02):
     assert CaPredictor(Dataset([-1e300, 1e300], [0.0, 1.0]), sf).predict(0.0) == 0.5
 
 
+def test_targets_near_the_float_limit_give_finite_predictions():
+    # Their kernel-weighted sum overflows unless the targets are scaled down;
+    # each prediction is a convex combination of them.
+    p = CaPredictor(Dataset([0.0, 0.1], [1e308, 1.7e308]), ScatteringFunction(0.2))
+    got = p.predict_many([0.0, 0.05, 1e300])
+    assert np.isfinite(got).all() and ((1e308 <= got) & (got <= 1.7e308)).all()
+    assert got[1] == pytest.approx(1.35e308, rel=1e-15)
+    assert got[2] == 1.7e308
+
+
 def test_predict_many_shapes(predictor50):
     empty = predictor50.predict_many([])
     assert empty.shape == (0,) and empty.dtype == float

@@ -1,3 +1,5 @@
+import pytest
+
 import expmodel
 
 # Removing a public name takes an edit here, argued in CHANGES.md.
@@ -37,3 +39,18 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(expmodel.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(expmodel, name) is not None
+
+
+# The estimators' public methods; removing one takes an edit here as well.
+PUBLIC_METHODS = {
+    "DensityModel": ["conditional_pdf", "joint_pdf", "marginal_pdf", "weights"],
+    "CaPredictor": ["conditional_pdf", "joint_pdf", "marginal_pdf", "predict", "predict_many",
+                    "weights"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_METHODS))
+def test_estimator_methods_are_pinned(name):
+    cls = getattr(expmodel, name)
+    public = sorted(m for m in dir(cls) if not m.startswith("_") and callable(getattr(cls, m)))
+    assert public == PUBLIC_METHODS[name]
