@@ -10,8 +10,9 @@ reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt, the
             records of expmodel.criteria next to the published targets
 
 Each subcommand accepts only the flags it reads (COMMANDS below); any other
-flag is a usage error (exit 2). All outputs are deterministic functions of
-the flags. Entropic quantities are in nats.
+flag is a usage error (exit 2). reproduce runs the one configuration its
+criteria are stated for, so it reads only --seed and --out-dir. All outputs
+are deterministic functions of the flags. Entropic quantities are in nats.
 """
 
 from __future__ import annotations
@@ -39,18 +40,20 @@ TEST_SEED_OFFSET = 7919
 SIGMA_MAIN = 0.2
 SIGMA_SWEEP = (0.1, 0.2, 0.4)
 
+# Samples per dataset, span half width L and grid points per axis of the
+# benchmark sweep; the other commands default to them.
+N_SAMPLES = 200
+SPAN_L = 2.0
+GRID_POINTS = 257
+
 
 def _seeds(args) -> list[int]:
     return [args.seed, args.seed + 1, args.seed + 2]
 
 
-def _generate(args, seed: int, sigma: float) -> Dataset:
-    n = 200 if args.n is None else args.n
+def _generate(seed: int, sigma: float, n: Optional[int] = None) -> Dataset:
+    n = N_SAMPLES if n is None else n
     return generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=n))
-
-
-def _grid(args) -> QuadratureGrid:
-    return QuadratureGrid(SpanConfig(args.span_l), args.grid_points)
 
 
 def _resolve_sigma(args, dataset: Dataset) -> float:
@@ -70,7 +73,7 @@ def _out(args, name: str) -> str:
 def cmd_generate(args) -> None:
     if args.sigma is None:
         raise InvalidParameter("generate requires --sigma (noise standard deviation)")
-    dataset = _generate(args, args.seed, args.sigma)
+    dataset = _generate(args.seed, args.sigma, args.n)
     path = _out(args, "samples.csv")
     write_dataset_csv(dataset, path)
     print(path)
@@ -81,7 +84,8 @@ def cmd_info(args) -> None:
         raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
     sigma = _resolve_sigma(args, dataset)
-    curve = info_curve(dataset, ScatteringFunction(sigma), _grid(args), args.schedule)
+    grid = QuadratureGrid(SpanConfig(args.span_l), args.grid_points)
+    curve = info_curve(dataset, ScatteringFunction(sigma), grid, args.schedule)
     curve.write_records_csv(_out(args, "info_curve.csv"))
     curve.write_summary_csv(_out(args, "summary.csv"))
     print(f"N_opt={curve.n_opt} I_inf={curve.info_limit:.6f} K_inf={curve.complexity_limit:.6f}")
@@ -106,7 +110,7 @@ def cmd_predict(args) -> None:
 
 
 def _quality_rows(basics: Iterable[tuple[int, Dataset]], test: Dataset,
-                  sf: ScatteringFunction, schedule: Optional[Sequence[int]]):
+                  sf: ScatteringFunction, schedule: Optional[Sequence[int]] = None):
     rows = []
     per_seed = {}
     for seed, basic in basics:
@@ -119,9 +123,9 @@ def _quality_rows(basics: Iterable[tuple[int, Dataset]], test: Dataset,
 def cmd_quality(args) -> None:
     if args.sigma is None:
         raise InvalidParameter("quality requires --sigma")
-    test = _generate(args, args.seed + TEST_SEED_OFFSET, args.sigma)
+    test = _generate(args.seed + TEST_SEED_OFFSET, args.sigma, args.n)
     # One basic set at a time: memory stays that of one set whatever the seeds.
-    basics = ((seed, _generate(args, seed, args.sigma)) for seed in _seeds(args))
+    basics = ((seed, _generate(seed, args.sigma, args.n)) for seed in _seeds(args))
     rows, _ = _quality_rows(basics, test, ScatteringFunction(args.sigma), args.schedule)
     write_quality_csv(_out(args, "quality.csv"), rows)
     print(_out(args, "quality.csv"))
@@ -131,10 +135,10 @@ def cmd_reproduce(args) -> None:
     seeds = _seeds(args)
     # Only the main-width sets are used again (fig4, fig5); the others are
     # made when their curve is, so one of them is held at a time.
-    basics = {seed: _generate(args, seed, SIGMA_MAIN) for seed in seeds}
-    grid = _grid(args)
-    curves = {s: {seed: info_curve(basics[seed] if s == SIGMA_MAIN else _generate(args, seed, s),
-                                   ScatteringFunction(s), grid, args.schedule)
+    basics = {seed: _generate(seed, SIGMA_MAIN) for seed in seeds}
+    grid = QuadratureGrid(SpanConfig(SPAN_L), GRID_POINTS)
+    curves = {s: {seed: info_curve(basics[seed] if s == SIGMA_MAIN else _generate(seed, s),
+                                   ScatteringFunction(s), grid)
                   for seed in seeds}
               for s in SIGMA_SWEEP}
 
@@ -147,13 +151,11 @@ def cmd_reproduce(args) -> None:
 
     # Prediction trace: reduced 50-sample basic set against the test set.
     sf = ScatteringFunction(SIGMA_MAIN)
-    test = _generate(args, args.seed + TEST_SEED_OFFSET, SIGMA_MAIN)
-    basic = basics[args.seed]
-    reduced = basic.prefix(min(50, len(basic)))
-    y_p = CaPredictor(reduced, sf).predict_many(test.x)
+    test = _generate(args.seed + TEST_SEED_OFFSET, SIGMA_MAIN)
+    y_p = CaPredictor(basics[args.seed].prefix(50), sf).predict_many(test.x)
     write_predictions_csv(_out(args, "fig4.csv"), test.x, test.y, y_p)
 
-    rows, per_seed = _quality_rows(basics.items(), test, sf, args.schedule)
+    rows, per_seed = _quality_rows(basics.items(), test, sf)
     write_quality_csv(_out(args, "fig5.csv"), rows)
 
     _write_report(_out(args, "report.txt"), criteria.evaluate(curves, per_seed, sf, grid))
@@ -178,12 +180,12 @@ FLAGS = {
     "--test": dict(default=None, help="test dataset CSV path"),
     "--sigma": dict(type=float, default=None, help="kernel / noise standard deviation"),
     "--n": dict(type=int, default=None,
-                help="number of samples (default 200); for predict, the "
+                help=f"number of samples (default {N_SAMPLES}); for predict, the "
                      "basic-set prefix to use (default: all rows)"),
     "--seed": dict(type=int, default=1, help="base PRNG seed"),
-    "--span-l": dict(type=float, default=2.0,
+    "--span-l": dict(type=float, default=SPAN_L,
                      help="span half width L; channels cover (-L, L)"),
-    "--grid-points": dict(type=int, default=257,
+    "--grid-points": dict(type=int, default=GRID_POINTS,
                           help="quadrature nodes per axis (>= 129, step <= sigma/4)"),
     "--schedule": dict(type=_parse_schedule, default=None,
                        help="comma-separated strictly increasing sample counts"),
@@ -201,7 +203,7 @@ COMMANDS = [
     ("quality", cmd_quality, "predictor quality over sample counts, three seeds",
      ("--sigma", "--n", "--seed", "--schedule", "--out-dir")),
     ("reproduce", cmd_reproduce, "full benchmark sweep: fig2..fig5 CSVs and report.txt",
-     ("--n", "--seed", "--span-l", "--grid-points", "--schedule", "--out-dir")),
+     ("--seed", "--out-dir")),
 ]
 
 

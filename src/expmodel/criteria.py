@@ -3,7 +3,8 @@ that ``expmodel reproduce`` writes to report.txt and the acceptance suite
 asserts on. The published I(200) and K_inf bands lie above the ceiling
 I <= min(log N, -H_u) that the definitions impose at sigma = 0.2, L = 2, so
 criteria 1 and 2 are restated on that ceiling and quote the targets they
-replace. A check the run did not compute reads N/A, never PASS.
+replace. The checks read schedule points that the default ladder to N = 200
+holds: one at most N // 2, N = 32 and points N >= 50.
 """
 
 from __future__ import annotations
@@ -32,24 +33,22 @@ class Record:
 
     name: str
     detail: str
-    verdict: str  # PASS, FAIL or N/A
+    verdict: str  # PASS or FAIL
     values: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
         return f"{self.name}: {self.detail}  {self.verdict}"
 
 
-def _verdict(*checks) -> str:
-    """FAIL if a computed check fails, else N/A if one (None) was not computed."""
-    return "FAIL" if False in checks else "N/A" if None in checks else "PASS"
+def _verdict(*checks: bool) -> str:
+    return "PASS" if all(checks) else "FAIL"
 
 
 def _criterion(name: str, records: list[Record], need: int) -> list[Record]:
     """A criterion line that needs ``need`` passing records, followed by them."""
-    verdicts = [r.verdict for r in records]
-    passed, open_ = verdicts.count("PASS"), verdicts.count("N/A")
-    verdict = "PASS" if passed >= need else "N/A" if passed + open_ >= need else "FAIL"
-    return [Record(name, f"{passed} of {len(records)} pass, need {need}", verdict)] + records
+    passed = [r.verdict for r in records].count("PASS")
+    return [Record(name, f"{passed} of {len(records)} pass, need {need}",
+                   _verdict(passed >= need))] + records
 
 
 def _published(name: str, ref) -> str:
@@ -66,18 +65,15 @@ def plateau(curves: Mapping[int, InfoCurve], sf: ScatteringFunction,
     for seed, curve in curves.items():
         last, k = curve.records[-1], curve.complexity_limit
         bound, k_cap = min(last.log_n, neg_h_u), min(last.n, math.exp(neg_h_u))
-        mid = next((r for r in reversed(curve.records) if r.n <= last.n // 2), None)
-        growth, shown = None, f"dI not computed, no schedule point <= {last.n // 2}"
-        if mid is not None:
-            d_i, d_r = last.info - mid.info, last.redundancy - mid.redundancy
-            growth, shown = d_i < d_r, f"dI({mid.n}->{last.n}) = {d_i:.4f} < dR = {d_r:.4f}"
+        mid = next(r for r in reversed(curve.records) if r.n <= last.n // 2)
+        d_i, d_r = last.info - mid.info, last.redundancy - mid.redundancy
         detail = (f"0 < I({last.n}) = {last.info:.4f} <= min(log N, -H_u) + {QUAD_TOL:g} = "
-                  f"{bound + QUAD_TOL:.4f}, {shown}, "
+                  f"{bound + QUAD_TOL:.4f}, dI({mid.n}->{last.n}) = {d_i:.4f} < dR = {d_r:.4f}, "
                   f"K_inf = {k:.4f} <= min(N, exp(-H_u)) = {k_cap:.4f}  "
                   f"(replaces {_published('I(200)', I_200)}; {_published('K_inf', K_INF)})")
-        verdict = _verdict(0.0 < last.info <= bound + QUAD_TOL, growth, k <= k_cap)
+        verdict = _verdict(0.0 < last.info <= bound + QUAD_TOL, d_i < d_r, k <= k_cap)
         records.append(Record(f"seed={seed}", detail, verdict,
-                              {"bound": bound, "k_cap": k_cap, "half": mid.n if mid else None}))
+                              {"bound": bound, "k_cap": k_cap, "half": mid.n}))
     return _criterion("criterion 1 information plateau", records, 2)
 
 
@@ -114,16 +110,13 @@ def quality(reports: Mapping[int, Mapping[int, QualityReport]]) -> list[Record]:
     point N >= 50 the Q of the seeds spread by at most SPREAD_AT_50."""
     records = []
     for seed, by_n in reports.items():
-        q = by_n[32].q if 32 in by_n else None
-        shown = (f"Q(32) = {q:.4f}  (target >0.99, accept >= {Q_AT_32})" if q is not None
-                 else "Q(32) not computed, N = 32 is not in the schedule")
-        records.append(Record(f"seed={seed}", shown, _verdict(None if q is None else q >= Q_AT_32)))
+        q = by_n[32].q
+        detail = f"Q(32) = {q:.4f}  (target >0.99, accept >= {Q_AT_32})"
+        records.append(Record(f"seed={seed}", detail, _verdict(q >= Q_AT_32)))
     qs_by_n = [[r[n].q for r in reports.values()] for n in next(iter(reports.values())) if n >= 50]
-    spread = max((max(qs) - min(qs) for qs in qs_by_n), default=None)
-    shown = (f"max pairwise Q spread at N >= 50 = {spread:.4f}  (accept <= {SPREAD_AT_50})"
-             if spread is not None else
-             "max pairwise Q spread at N >= 50 not computed, no schedule point has N >= 50")
-    records.append(Record("all seeds", shown, _verdict(None if spread is None else spread <= SPREAD_AT_50)))
+    spread = max(max(qs) - min(qs) for qs in qs_by_n)
+    detail = f"max pairwise Q spread at N >= 50 = {spread:.4f}  (accept <= {SPREAD_AT_50})"
+    records.append(Record("all seeds", detail, _verdict(spread <= SPREAD_AT_50)))
     return _criterion("criterion 4 predictor quality", records, len(records))
 
 

@@ -30,9 +30,9 @@ from .memory import memory_limit
 TRANSIENT_STEPS = 100
 
 # Float64 values held per sample at the peak of generate: the clean orbit,
-# the noisy columns and the Box-Muller temporaries (the Dataset takes the
-# columns over without a copy).
-FLOATS_PER_SAMPLE = 9
+# the noisy columns and the Box-Muller uniforms and result (the Dataset takes
+# the columns over without a copy).
+FLOATS_PER_SAMPLE = 6
 
 # The largest |normal| of _box_muller: its uniforms are multiples of 2^-53,
 # so 1 - u is at least 2^-53. Noise up to sigma_noise times this must stay
@@ -56,8 +56,8 @@ class GenerationMeta:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-        if self.n < 1:
-            raise InvalidParameter(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise InvalidParameter(f"n must be an integer >= 1, got {self.n}")
         if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):
             raise InvalidParameter(f"sigma_noise must be >= 0 and keep the noise finite, "
                                    f"got {self.sigma_noise}")
@@ -80,9 +80,16 @@ def _box_muller(stream: np.random.SeedSequence, n: int) -> np.ndarray:
     """
     rng = np.random.Generator(np.random.PCG64(stream))
     u = rng.random(2 * n)
-    u1 = 1.0 - u[0::2]  # shift (0, 1] to keep the log finite
-    u2 = u[1::2]
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    # sqrt(-2 log(1 - u1)) * cos(2 pi u2), each factor built in place in its
+    # half of the uniforms, so only the product is a new array.
+    radius, angle = u[0::2], u[1::2]
+    np.subtract(1.0, radius, out=radius)  # shift (0, 1] to keep the log finite
+    np.log(radius, out=radius)
+    np.multiply(-2.0, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(2.0 * np.pi, angle, out=angle)
+    np.cos(angle, out=angle)
+    return radius * angle
 
 
 def generate(meta: GenerationMeta) -> Dataset:
@@ -92,7 +99,7 @@ def generate(meta: GenerationMeta) -> Dataset:
     whose clean columns hold the underlying map iterates. The attached meta
     records the initial condition actually used.
     """
-    needed = 8 * FLOATS_PER_SAMPLE * meta.n
+    needed = 8 * FLOATS_PER_SAMPLE * int(meta.n)
     available = memory_limit()
     if needed > available:
         raise InvalidParameter(f"n={meta.n} samples need {needed} bytes, more than "

@@ -72,7 +72,7 @@ class QuadratureGrid:
             raise InvalidGrid(
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
             )
-        needed = GRID_BYTES_PER_NODE * self.points_per_axis ** 2
+        needed = GRID_BYTES_PER_NODE * int(self.points_per_axis) ** 2
         available = memory_limit()
         if needed > available:
             raise InvalidGrid(
@@ -173,12 +173,6 @@ class InfoCurve:
     n_opt: int
     info_limit: float
     complexity_limit: float
-
-    def record_for(self, n: int) -> InfoRecord:
-        for rec in self.records:
-            if rec.n == n:
-                return rec
-        raise KeyError(f"no record for n={n}")
 
     # Columns of the information-curve table, one row per record.
     COLUMNS = ("N", "logN", "I", "R", "C", "K")

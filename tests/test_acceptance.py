@@ -208,8 +208,7 @@ def test_criterion_5g_grid_convergence(span):
 
 
 def test_criterion_6_reproduce_determinism(tmp_path):
-    args = ["reproduce", "--seed", str(SEEDS[0]), "--n", str(N_SAMPLES),
-            "--grid-points", str(GRID_POINTS)]
+    args = ["reproduce", "--seed", str(SEEDS[0])]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out-dir", str(out_a)]) == 0
     assert cli_main(args + ["--out-dir", str(out_b)]) == 0

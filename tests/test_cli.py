@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expmodel import cli, generate, memory, read_dataset_csv
+from expmodel import cli, default_schedule, generate, memory, read_dataset_csv
 from expmodel.cli import main
 
 
@@ -220,36 +220,42 @@ def test_quality_requires_sigma(tmp_path):
     assert run("quality", "--out-dir", str(tmp_path)) == 2
 
 
-def test_reproduce_artifacts_and_determinism(tmp_path):
-    args = ["--seed", "1", "--n", "64", "--schedule", "1,2,4,8,16,32,64",
-            "--grid-points", "257"]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run("reproduce", *args, "--out-dir", str(out_a)) == 0
-    assert run("reproduce", *args, "--out-dir", str(out_b)) == 0
-
-    names = ["fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "report.txt"]
-    for name in names:
-        assert (out_a / name).is_file()
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    fig3_rows = (out_a / "fig3.csv").read_text().splitlines()
-    assert fig3_rows[0] == "sigma,seed,N,logN,I,R,C,K"
-    assert {row.split(",")[0] for row in fig3_rows[1:]} == {"0.1", "0.4"}
-
-    report = (out_a / "report.txt").read_text()
-    for token in ("I_inf", "K_inf", "N_opt", "Q(32)"):
-        assert token in report
-
-    fig4_header = (out_a / "fig4.csv").read_text().splitlines()[0]
-    assert fig4_header == "x_t,y_t,y_p,err"
-
-
 @pytest.fixture(scope="module")
 def reproduced(tmp_path_factory):
     """Output directory of the default ``reproduce --seed 1``."""
     out = tmp_path_factory.mktemp("reproduce")
     assert run("reproduce", "--seed", "1", "--out-dir", str(out)) == 0
     return out
+
+
+def test_reproduce_artifacts_and_determinism(tmp_path, reproduced):
+    # A second run of the default reproduce --seed 1 writes the same bytes.
+    assert run("reproduce", "--seed", "1", "--out-dir", str(tmp_path)) == 0
+
+    names = ["fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "report.txt"]
+    for name in names:
+        assert (reproduced / name).is_file()
+        assert (reproduced / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    fig3_rows = (reproduced / "fig3.csv").read_text().splitlines()
+    assert fig3_rows[0] == "sigma,seed,N,logN,I,R,C,K"
+    assert {row.split(",")[0] for row in fig3_rows[1:]} == {"0.1", "0.4"}
+
+    report = (reproduced / "report.txt").read_text()
+    for token in ("I_inf", "K_inf", "N_opt", "Q(32)"):
+        assert token in report
+
+    fig4_header = (reproduced / "fig4.csv").read_text().splitlines()[0]
+    assert fig4_header == "x_t,y_t,y_p,err"
+
+
+def test_reproduce_schedule_holds_the_points_its_criteria_read():
+    # Criterion 1 starts its last doubling at a point <= N // 2, criterion 4
+    # reads N = 32 and the points N >= 50 of the default ladder.
+    schedule = default_schedule(cli.N_SAMPLES)
+    assert 32 in schedule
+    assert any(n >= 50 for n in schedule)
+    assert any(n <= cli.N_SAMPLES // 2 for n in schedule)
 
 
 def test_fig2_rows_equal_info_curve(tmp_path, samples_csv, reproduced):
@@ -276,7 +282,7 @@ def test_report_matches_acceptance_and_figures(reproduced):
     # seeds, and its N_opt values, read with the benchmark's patterns, are
     # the argmin of the cost column in fig2.csv and fig3.csv.
     report = (reproduced / "report.txt").read_text()
-    verdicts = re.findall(r"^criterion (\d) .*  (PASS|FAIL|N/A)$", report, re.M)
+    verdicts = re.findall(r"^criterion (\d) .*  (PASS|FAIL)$", report, re.M)
     assert verdicts == [("1", "PASS"), ("2", "PASS"), ("3", "PASS"), ("4", "FAIL")]
     before_4 = report.split("criterion 4 ")[0].splitlines()
     assert all(line.endswith("  PASS") for line in before_4)
@@ -287,30 +293,6 @@ def test_report_matches_acceptance_and_figures(reproduced):
     mono = re.findall(r"N_opt non-increasing in sigma \((\d+), (\d+), (\d+)\)", report)
     assert [tuple(map(int, m)) for m in mono] == [
         tuple(n_opt[(sigma, s)] for sigma in (0.1, 0.2, 0.4)) for s in (1, 2, 3)]
-
-
-def test_reproduce_without_half_point_reports_uncomputed_criteria(tmp_path):
-    # Schedule 30, 40 has no point <= 40 // 2 to start the last doubling of
-    # criterion 1 from, no N = 32 and no N >= 50 for criterion 4.
-    assert run("reproduce", "--seed", "1", "--n", "40", "--schedule", "30,40",
-               "--out-dir", str(tmp_path)) == 0
-    lines = (tmp_path / "report.txt").read_text().splitlines()
-    plateau, quality = lines[:4], lines[-5:]
-    assert plateau[0].startswith("criterion 1 ") and quality[0].startswith("criterion 4 ")
-    for line in plateau + quality:
-        assert line.endswith("  N/A") and "PASS" not in line and "FAIL" not in line
-
-
-def test_reproduce_small_n_reports_uncomputed_criteria(tmp_path):
-    # With --n 20 the schedule has no N = 32 and no N >= 50.
-    assert run("reproduce", "--seed", "1", "--n", "20", "--out-dir", str(tmp_path)) == 0
-    lines = (tmp_path / "report.txt").read_text().splitlines()
-    q32 = [line for line in lines if "Q(32)" in line]
-    spread = [line for line in lines if "spread at N >= 50" in line]
-    assert len(q32) == 3 and len(spread) == 1
-    for line in q32 + spread:
-        assert line.endswith("N/A")
-        assert "PASS" not in line and "FAIL" not in line
 
 
 def test_module_entry_point(tmp_path):
@@ -402,7 +384,7 @@ _READS = {
     "info": {"--basic", "--sigma", "--span-l", "--grid-points", "--schedule"},
     "predict": {"--basic", "--test", "--sigma", "--n", "--span-l"},
     "quality": {"--sigma", "--n", "--seed", "--schedule"},
-    "reproduce": {"--n", "--seed", "--span-l", "--grid-points", "--schedule"},
+    "reproduce": {"--seed"},
 }
 _ALL_FLAGS = set().union(*_READS.values())
 _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_FLAGS - reads)
@@ -433,21 +415,23 @@ def test_help_lists_only_the_flags_a_command_reads(capsys, command):
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
-def test_unread_flag_exits_2(tmp_path, small_csv, capsys, command, flag):
-    # Without the unread flag each argv succeeds.
+def test_unread_flag_exits_2(tmp_path, small_csv, reproduced, capsys, command, flag):
+    # Without the unread flag each argv succeeds; for reproduce, the module's
+    # default run shows that, so the full sweep is not run once per flag.
     base = {
         "generate": ["--sigma", "0.2", "--n", "5"],
         "info": ["--basic", small_csv],
         "predict": ["--basic", small_csv, "--test", small_csv],
         "quality": ["--sigma", "0.2", "--n", "10", "--schedule", "1,10"],
-        "reproduce": ["--n", "20", "--schedule", "5,10,20"],
+        "reproduce": ["--seed", "1"],
     }[command]
     value = {"--sigma": "0.1", "--n": "10", "--seed": "2", "--span-l": "2.0",
              "--grid-points": "257", "--schedule": "1,2", "--basic": small_csv,
              "--test": small_csv}[flag]
     assert _exit_code([command, *base, flag, value, "--out-dir", str(tmp_path)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-    assert _exit_code([command, *base, "--out-dir", str(tmp_path)]) == 0
+    if command != "reproduce":
+        assert _exit_code([command, *base, "--out-dir", str(tmp_path)]) == 0
 
 
 def test_reproduce_generates_each_dataset_once(tmp_path, monkeypatch):
@@ -458,6 +442,6 @@ def test_reproduce_generates_each_dataset_once(tmp_path, monkeypatch):
         return generate(meta)
 
     monkeypatch.setattr(cli, "generate", counted)
-    assert run("reproduce", "--seed", "1", "--n", "20", "--out-dir", str(tmp_path)) == 0
+    assert run("reproduce", "--seed", "1", "--out-dir", str(tmp_path)) == 0
     assert len(metas) == 10
     assert set(metas) == {(seed, sigma) for seed in (1, 2, 3) for sigma in (0.1, 0.2, 0.4)} | {(1 + 7919, 0.2)}

@@ -41,6 +41,20 @@ def test_meta_validation():
         GenerationMeta(seed=1, sigma_noise=5.448323523428893e307, n=10)
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=0.2, n=10, initial_x=1.5)
+    with pytest.raises(InvalidParameter):
+        GenerationMeta(seed=1, sigma_noise=0.2, n=1.5)  # not a sample count
+    assert GenerationMeta(seed=1, sigma_noise=0.2, n=np.int64(10)).n == 10
+
+
+def test_generate_budget_does_not_wrap_in_fixed_width(monkeypatch):
+    # 72 * 2^60 bytes wraps to a negative int64; counted in Python ints it
+    # exceeds any memory and is refused before the first random draw.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the byte budget let 2^60 samples through")
+
+    monkeypatch.setattr(np.random, "SeedSequence", unreachable)
+    with pytest.raises(InvalidParameter):
+        generate(GenerationMeta(seed=1, sigma_noise=0.2, n=np.int64(2 ** 60)))
 
 
 def test_noise_free_pairs_satisfy_the_map():

@@ -34,6 +34,14 @@ def test_grid_rejects_too_few_points(span):
         QuadratureGrid(span, 257.0)  # equal to an integer, but not one
 
 
+def test_grid_budget_does_not_wrap_in_fixed_width(span):
+    # 24 * (2^31 - 1)^2 bytes wraps in int32 arithmetic; in Python ints it
+    # exceeds any memory.
+    with pytest.raises(InvalidGrid):
+        QuadratureGrid(span, np.int32(2 ** 31 - 1))
+    assert QuadratureGrid(span, np.int32(257)).points_per_axis == 257
+
+
 def test_grid_step_and_axis(span, grid257):
     assert grid257.step == pytest.approx(4.0 / 256)
     axis = grid257.axis
@@ -196,7 +204,7 @@ def test_curve_structure(logistic200, sf02, grid257):
     assert ns == default_schedule(200)
     assert all(a < b for a, b in zip(ns, ns[1:]))
     costs = [r.cost for r in curve.records]
-    assert curve.record_for(curve.n_opt).cost == min(costs)
+    assert next(r for r in curve.records if r.n == curve.n_opt).cost == min(costs)
     first_min = ns[costs.index(min(costs))]
     assert curve.n_opt == first_min
     assert curve.complexity_limit == math.exp(curve.info_limit)
