@@ -3,8 +3,10 @@
 A DensityModel is a dataset of measured pairs plus the instrument's
 scattering function. The joint density is the plain average of kernels
 centered at the samples. Only accumulate_kernel_products tabulates it on a
-grid, in blocks of samples whose size its caller sets (info_curve: at most
-half the grid points and the largest schedule segment). The marginal over x
+grid, as a sum of unnormalised kernel products on sigma-scaled axes whose
+normalisation the caller applies as one scalar, in blocks of samples whose
+size its caller sets (info_curve: at most half the grid points and the
+largest schedule segment). The marginal over x
 is the analytic average of the x-channel Gaussians (integrating a channel
 Gaussian over the real line gives exactly 1, so no quadrature is involved).
 The conditional density of y given x averages the y-channel Gaussians with
@@ -168,25 +170,34 @@ class DensityModel:
 
 def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float, *,
                                scratch: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> None:
-    """Add sum_i g(xs - x[i]) g(ys - y[i])^T to out, in place.
+    """Add sum_i g(xs - x[i]/sigma) g(ys - y[i]/sigma)^T to out, in place,
+    with g(t) = exp(-t^2 / 2) the unnormalised kernel.
+
+    xs and ys are grid axes already divided by sigma; x and y are samples,
+    which each block divides by sigma. So out gains 2 pi sigma^2 times the
+    sum of the samples' normalised kernel products, and the normalisation
+    is left to the caller as one scalar. A sample too far from the axes to
+    square its scaled distance gives a zero row, without a warning.
 
     out and scratch have shape (xs.size, ys.size); gx and gy have one row of
     xs.size and ys.size entries per sample of a block. Samples are taken in
     blocks of len(gx), so each sample's two kernel rows are built exactly
     once, in place in gx and gy. A block's product is written to scratch and
-    added to out, so nothing is allocated here. Adding the samples of a
-    dataset in consecutive slices gives the unnormalized joint grid of every
+    added to out, so nothing of grid size is allocated here. Adding the
+    samples of a dataset in consecutive slices gives the joint grid of every
     prefix on the way.
     """
     block = len(gx)
-    for lo in range(0, len(x), block):
-        k = min(block, len(x) - lo)
-        kx = log_gaussian(xs, x[lo:lo + k, None], sigma, out=gx[:k])
-        ky = log_gaussian(ys, y[lo:lo + k, None], sigma, out=gy[:k])
-        np.exp(kx, out=kx)
-        np.exp(ky, out=ky)
-        np.matmul(kx.T, ky, out=scratch)
-        out += scratch
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(x), block):
+            k = min(block, len(x) - lo)
+            kx = np.subtract(xs, x[lo:lo + k, None] / sigma, out=gx[:k])
+            ky = np.subtract(ys, y[lo:lo + k, None] / sigma, out=gy[:k])
+            np.exp(gaussian_exponent(kx, out=kx), out=kx)
+            np.exp(gaussian_exponent(ky, out=ky), out=ky)
+            # np.dot, as np.matmul takes a slow loop for a one-sample block.
+            np.dot(kx.T, ky, out=scratch)
+            out += scratch
 
 
 def _finite_scalar(name: str, value) -> float:

@@ -54,8 +54,8 @@ class GenerationMeta:
     prng_name: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParameter(f"seed must be an integer >= 0, got {self.seed}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InvalidParameter(f"n must be an integer >= 1, got {self.n}")
         if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):

@@ -15,6 +15,9 @@ count of non-overlapping kernels.
 Entropy integrals are evaluated with the trapezoid rule on a uniform tensor
 grid restricted to the span. Kernel mass that leaks outside the span is not
 renormalized; the leak is a property of the instrument, not of the estimator.
+The joint density is tabulated as a running sum S of unnormalised kernel
+products seeded with DENSITY_FLOOR, and its normalisation 1/(2 pi sigma^2 n)
+enters the entropy as one scalar.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from .memory import memory_limit
 from .scattering import ScatteringFunction, SpanConfig
 from .tables import write_table
 
-# Densities are raised to this value inside the log of entropy integrands,
-# so f = 0 contributes exactly 0 (not -inf * 0) and a density at or below it
-# at most f * log(1e-300), about 7e-298.
+# The running kernel sum of an information curve starts at this value, so
+# its log is finite at every node and a node no kernel reaches contributes
+# about c * 1e-300 * log(c * 1e-300) to the integral of f log f, with c the
+# normalisation. A sum above about 1e-284 absorbs it exactly.
 DENSITY_FLOOR = 1e-300
 
 # Near-geometric ladder used when no explicit schedule is given.
@@ -122,18 +126,18 @@ def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
     return min(points_per_axis // 2, segment)
 
 
-def _indeterminacy(joint_sum: np.ndarray, n: int, grid: QuadratureGrid,
+def _indeterminacy(joint_sum: np.ndarray, c: float, grid: QuadratureGrid,
                    scratch: np.ndarray) -> float:
-    """H_z of the joint density f = joint_sum / n tabulated on the grid: the
+    """H_z of the joint density f = c * joint_sum tabulated on the grid: the
     trapezoid estimate of -integral_span f log f minus the uniform
-    reference's 2 log(2L). The integrand f log f is built in scratch."""
-    f_log_f = np.divide(joint_sum, n, out=scratch)
-    np.maximum(f_log_f, DENSITY_FLOOR, out=f_log_f)
-    np.log(f_log_f, out=f_log_f)
-    f_log_f *= joint_sum
-    f_log_f /= n
+    reference's 2 log(2L). joint_sum S is positive (it is seeded with
+    DENSITY_FLOOR), and f log f = c S (log S + log c) is integrated as
+    c (w S log S w + log c w S w), with S log S built in scratch."""
+    s_log_s = np.log(joint_sum, out=scratch)
+    s_log_s *= joint_sum
     w = grid.weights()
-    return -float(w @ f_log_f @ w) - 2.0 * math.log(grid.span.width)
+    f_log_f = c * (float(w @ s_log_s @ w) + math.log(c) * float(w @ joint_sum @ w))
+    return -f_log_f - 2.0 * math.log(grid.span.width)
 
 
 @dataclass(frozen=True)
@@ -221,10 +225,12 @@ def info_curve(data: Dataset,
                schedule: Optional[Sequence[int]] = None) -> InfoCurve:
     """Evaluate I, R, C, K over nested prefixes and select the proper count.
 
-    The joint grid of prefix n is the running sum of the sample kernel
-    products divided by n. The samples between two schedule points are added
-    to the sum once (see :func:`expmodel.density.accumulate_kernel_products`)
-    and the entropy of the sum over n is taken at each point. Every sample's
+    The joint grid of prefix n is c = 1/(2 pi sigma^2 n) times the running
+    sum of the samples' unnormalised kernel products on the sigma-scaled
+    axis, a sum seeded with DENSITY_FLOOR. The samples between two schedule
+    points are added to the sum once (see
+    :func:`expmodel.density.accumulate_kernel_products`), and at each point
+    the entropy is taken of the sum with the one scalar c. Every sample's
     kernel rows are built exactly once. With G the grid points per axis, the
     curve allocates three G x G float64 arrays' worth once
     (GRID_BYTES_PER_NODE): the running sum, one scratch grid for the kernel
@@ -243,18 +249,21 @@ def info_curve(data: Dataset,
     grid.require_resolves(sf)
     sched = resolve_schedule(schedule, len(data))
 
-    axis = grid.axis
-    joint_sum = np.zeros((axis.size, axis.size))
+    scaled_axis = grid.axis / sf.sigma
+    g = scaled_axis.size
+    joint_sum = np.full((g, g), DENSITY_FLOOR)
     scratch = np.empty_like(joint_sum)
-    gx, gy = np.empty((2, _kernel_rows(sched, axis.size), axis.size))
+    gx, gy = np.empty((2, _kernel_rows(sched, g), g))
+    kernel_norm = 1.0 / (2.0 * math.pi * sf.sigma ** 2)
     h_u = grid.calibration_entropy(sf)
     records = []
     done = 0
     for n in sched:
         accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
-                                   axis, axis, sf.sigma, scratch=scratch, gx=gx, gy=gy)
+                                   scaled_axis, scaled_axis, sf.sigma,
+                                   scratch=scratch, gx=gx, gy=gy)
         done = n
-        h_z = _indeterminacy(joint_sum, n, grid, scratch)
+        h_z = _indeterminacy(joint_sum, kernel_norm / n, grid, scratch)
         records.append(InfoRecord.from_info(n, h_z - h_u))
 
     n_opt = min(records, key=lambda rec: rec.cost).n

@@ -66,21 +66,17 @@ class ScatteringFunction:
             raise InvalidParameter(f"sigma must be > 0, got {self.sigma}")
 
 
-def log_gaussian(x, u, sigma, out=None):
+def log_gaussian(x, u, sigma):
     """Log of the normalised Gaussian density
     (1/(sqrt(2 pi) sigma)) exp(-(x-u)^2 / (2 sigma^2)): the exponent at
     (x - u) / sigma plus the log of the normalisation.
 
-    No validation: the fast path of every kernel sum. A distance too large
-    to square gives -inf, the log of the kernel's correctly rounded value 0.
-    With out, an array of the broadcast shape of x and u, every step is
-    evaluated in it and nothing is allocated; the result is the same.
+    No validation. A distance too large to square gives -inf, the log of
+    the kernel's correctly rounded value 0.
     """
     with np.errstate(over="ignore"):
-        t = np.subtract(np.asarray(x, dtype=float), u, out=out)
-        t = np.divide(t, sigma, out=out)
-        t = gaussian_exponent(t, out=out)
-        return np.subtract(t, np.log(SQRT_2PI * sigma), out=out)
+        t = gaussian_exponent((np.asarray(x, dtype=float) - u) / sigma)
+        return t - np.log(SQRT_2PI * sigma)
 
 
 def gaussian_exponent(t, out=None):

@@ -25,14 +25,18 @@ CURVE_ROWS = _kernel_rows([600], 257)
 
 
 def kernel_product_sum(data, sigma, xs, ys):
-    """The unnormalised joint grid sum_i g(xs - x_i) g(ys - y_i)^T, from the
-    accumulator info_curve runs, with kernel-row buffers of CURVE_ROWS samples."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    """The joint grid sum_i g(xs - x_i) g(ys - y_i)^T, not divided by the
+    sample count, from the accumulator info_curve runs, with kernel-row
+    buffers of CURVE_ROWS samples: the axes are passed divided by sigma, as
+    info_curve passes them, and the sum is normalised here."""
+    with np.errstate(over="ignore"):  # a far query scales to an infinite one
+        xs = np.asarray(xs, dtype=float) / sigma
+        ys = np.asarray(ys, dtype=float) / sigma
     out = np.zeros((xs.size, ys.size))
     accumulate_kernel_products(out, data.x, data.y, xs, ys, sigma, scratch=np.empty_like(out),
                                gx=np.empty((CURVE_ROWS, xs.size)),
                                gy=np.empty((CURVE_ROWS, ys.size)))
-    return out
+    return out / (2.0 * math.pi * sigma ** 2)
 
 
 def test_dataset_validation():

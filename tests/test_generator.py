@@ -43,6 +43,9 @@ def test_meta_validation():
         GenerationMeta(seed=1, sigma_noise=0.2, n=10, initial_x=1.5)
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=0.2, n=1.5)  # not a sample count
+    with pytest.raises(InvalidParameter):
+        GenerationMeta(seed=1.5, sigma_noise=0.2, n=5)  # not a seed
+    assert GenerationMeta(seed=np.int64(7), sigma_noise=0.2, n=5).seed == 7
     assert GenerationMeta(seed=1, sigma_noise=0.2, n=np.int64(10)).n == 10
 
 

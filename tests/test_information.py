@@ -110,6 +110,19 @@ def test_indeterminacy_agrees_with_generic_quadrature(logistic200, sf02, span, g
     assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
 
 
+def test_indeterminacy_with_most_nodes_unreached(span):
+    # Four clustered narrow kernels leave most of the span at a density of
+    # exactly 0, where the curve's running sum holds only DENSITY_FLOOR.
+    sf = ScatteringFunction(0.05)
+    grid = QuadratureGrid(span, 321)
+    data = Dataset([1.5, 1.4, 1.6, 1.45], [1.5, 1.6, 1.3, 1.55])
+    joint = kde_joint_grid(data.x, data.y, sf.sigma, grid.axis)
+    assert np.count_nonzero(joint == 0.0) == 67274
+    via_trapezoid = entropy_grid(joint, grid.axis) - 2.0 * math.log(span.width)
+    h_z = one_point_info(data, sf, grid) + grid.calibration_entropy(sf)
+    assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
+
+
 def test_information_of_one_sample_is_zero(logistic200, sf02, grid257):
     assert abs(one_point_info(logistic200.prefix(1), sf02, grid257)) <= 1e-2
 
@@ -151,10 +164,10 @@ def test_information_limit_decreases_with_sigma(logistic200, span):
 
 def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid257):
     # Schedule points on both sides of the boundaries of the kernel-row
-    # blocks the curve uses at this grid (128 samples at G = 257); the last
-    # segment takes three blocks.
+    # blocks the curve uses at this grid (128 samples at G = 257), after
+    # three one-sample segments; the last segment takes three blocks.
     block = _kernel_rows([len(logistic600)], grid257.points_per_axis)
-    schedule = [1, block - 1, block, block + 1, 2 * block - 1, 600]
+    schedule = [1, 2, 3, block - 1, block, block + 1, 2 * block - 1, 600]
     assert _kernel_rows(schedule, grid257.points_per_axis) == block
     assert schedule[-1] - schedule[-2] > 2 * block
     curve = info_curve(logistic600, sf02, grid257, schedule=schedule)
