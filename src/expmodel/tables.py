@@ -7,6 +7,9 @@ strings are written as they are.
 The dataset table has an optional leading comment
 "# seed=<s> sigma=<v> map=<name> prng=<name> n=<n>", then the header
 "i,x,y" or "i,x,y,x_o,y_o" and one row per sample in insertion order.
+Its fields are split on commas and are never quoted: a cell is any literal
+that Python's float() accepts, so a quoted cell is rejected like any other
+text that is not a number. Blank lines are skipped and are not counted as rows.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .generator import GenerationMeta
 
 # Rows converted to Python values at a time: about 32 B per cell live at once.
 ROW_BLOCK = 1024
+
+# Data rows the reader converts per numpy call. Their cell strings, about
+# 110 B per cell, are all it holds beyond its table of 8 B per value.
+READ_BLOCK = 128
 
 
 def _cell(v):
@@ -94,17 +101,42 @@ def _parse_dataset_csv(path) -> Dataset:
         if header[:3] != ["i", "x", "y"]:
             raise InvalidParameter(f"unrecognized dataset header {header!r} in {path}")
         with_clean = header == ["i", "x", "y", "x_o", "y_o"]
-        columns = [1, 2, 3, 4] if with_clean else [1, 2]
+        needed = 4 if with_clean else 2  # the cells after "i"
         values = array("d")  # 8 B per cell, read by numpy without a copy
-        for k, row in enumerate(filter(None, csv.reader(fh)), start=1):
+        cells: list[str] = []
+        k = 0
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue  # a blank line is no row
+            k += 1
+            row = line.split(",")
             if len(row) < len(header):
+                # Earlier rows of the block first, so the first bad row is named.
+                _append_cells(values, cells, needed, path)
                 raise InvalidParameter(
                     f"row {k} of {path} has {len(row)} fields, the header has {len(header)}"
                 )
-            try:
-                values.extend([float(row[c]) for c in columns])
-            except ValueError as exc:
-                raise InvalidParameter(f"row {k} of {path}: {exc}") from None
+            cells += row[1:1 + needed]
+            if len(cells) == READ_BLOCK * needed:
+                _append_cells(values, cells, needed, path)
+                cells = []
+        _append_cells(values, cells, needed, path)
     # Nothing else holds the table, so the dataset takes its columns as views.
-    table = np.frombuffer(values, dtype=float).reshape(-1, len(columns))
+    table = np.frombuffer(values, dtype=float).reshape(-1, needed)
     return Dataset._owning(*table.T, meta=meta)
+
+
+def _append_cells(values: array, cells: list, needed: int, path) -> None:
+    """Append the float values of cells, `needed` per row, to the table values."""
+    try:
+        values.frombytes(np.array(cells, dtype=float).data.cast("B"))
+    except ValueError:
+        # numpy parses a str with float()'s own parser; converting the block
+        # again with float() keeps float()'s values and finds the bad cell,
+        # whose row follows the complete rows already in the table.
+        for text in cells:
+            try:
+                values.append(float(text))
+            except ValueError as exc:
+                raise InvalidParameter(f"row {len(values) // needed + 1} of {path}: {exc}") from None

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from expmodel import cli, default_schedule, generate, memory, read_dataset_csv
 from expmodel.cli import main
+from expmodel.tables import READ_BLOCK
 
 
 def run(*argv):
@@ -127,16 +128,29 @@ def test_info_requires_sigma_for_plain_csv(tmp_path, capsys):
     assert "InvalidParameter" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row, message", [
-    ("1,0.1", "row 1 of"),
-    ("1,abc,0.2", "could not convert string to float: 'abc'"),
-], ids=["short_row", "non_float_field"])
-def test_info_rejects_malformed_row(tmp_path, capsys, row, message):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(f"i,x,y\n{row}\n")
-    assert run("info", "--basic", str(bad), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
+_PAST_A_BLOCK = READ_BLOCK + 3
+
+
+@pytest.mark.parametrize("bad, messages", [
+    ({1: "0.1"}, ("row 1 of",)),
+    ({1: "abc,0.2"}, ("row 1 of", "could not convert string to float: 'abc'")),
+    ({1: '"0.1",0.2'}, ("row 1 of", "could not convert string to float: '\"0.1\"'")),
+    ({_PAST_A_BLOCK: "0.1"}, (f"row {_PAST_A_BLOCK} of", "has 2 fields")),
+    ({_PAST_A_BLOCK: "0.1,abc"}, (f"row {_PAST_A_BLOCK} of", "'abc'")),
+    ({_PAST_A_BLOCK: "abc,0.2", _PAST_A_BLOCK + 2: "0.1"}, (f"row {_PAST_A_BLOCK} of", "'abc'")),
+], ids=["short_row", "non_float_field", "quoted_field", "short_row_past_a_block",
+        "non_float_field_past_a_block", "first_of_two_bad_rows"])
+def test_info_rejects_malformed_row(tmp_path, capsys, bad, messages):
+    # Good rows around the bad ones, over three blocks of the reader for the
+    # rows past the first block, so each block must keep its row numbers.
+    last = 2 * max(bad)
+    rows = [f"{k},{bad[k]}" if k in bad else f"{k},{0.01 * k!r},{-0.01 * k!r}"
+            for k in range(1, last + 1)]
+    path = tmp_path / "bad.csv"
+    path.write_text("i,x,y\n" + "\n".join(rows) + "\n")
+    assert run("info", "--basic", str(path), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "InvalidParameter" in err and message in err
+    assert "InvalidParameter" in err and all(m in err for m in messages)
 
 
 def test_info_names_the_row_of_a_non_finite_value(tmp_path, capsys):

@@ -304,6 +304,36 @@ def test_csv_without_clean_columns(tmp_path):
     assert np.array_equal(back.x, ds.x)
 
 
+# Literals float() reads that a stricter parser might not: an underscore,
+# padding, a bare fraction, an underflow to 0 and Arabic-Indic digits.
+_FLOAT_LITERALS = ["1_0", " 0.5 ", "+.5", "1e-400", "\u0661\u0662"]
+
+
+@pytest.mark.parametrize("header, sep, end, extra", [
+    ("i,x,y", "\n", "\n", ""),
+    ("i,x,y", "\r\n", "\r\n", ""),
+    ("i,x,y", "\n\n", "\n", ""),
+    ("i,x,y", "\n", "\n\n", ""),
+    ("i,x,y,note", "\n", "\n", ",text"),
+], ids=["lf", "crlf", "blank_lines", "trailing_blank_line", "extra_field"])
+def test_csv_reader_reads_what_float_reads(tmp_path, header, sep, end, extra):
+    rows = [f"{k},{x},{y}{extra}" for k, (x, y) in
+            enumerate(zip(_FLOAT_LITERALS, _FLOAT_LITERALS[::-1]), start=1)]
+    path = tmp_path / "literals.csv"
+    path.write_text(header + end + sep.join(rows) + end, newline="")
+    back = read_dataset_csv(path)
+    expected = np.array([float(t) for t in _FLOAT_LITERALS])
+    assert back.x.tobytes() == expected.tobytes()
+    assert back.y.tobytes() == expected[::-1].tobytes()
+
+
+def test_csv_whitespace_line_is_a_short_row(tmp_path):
+    path = tmp_path / "space.csv"
+    path.write_text("i,x,y\n1,0.1,0.2\n \n3,0.5,0.6\n")
+    with pytest.raises(InvalidParameter, match="row 2 of .* has 1 fields"):
+        read_dataset_csv(path)
+
+
 def test_csv_rejects_unknown_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
