@@ -22,6 +22,8 @@ import os
 import sys
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import criteria
 from .density import Dataset
 from .errors import ExperimentModelError, InvalidParameter
@@ -70,6 +72,13 @@ def _out(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+def _warn_outside_span(what: str, half_width: float, *columns) -> None:
+    """Print to stderr how many rows have a value outside (-L, L) in a column."""
+    outside = int(np.logical_or.reduce([abs(c) > half_width for c in columns]).sum())
+    if outside:
+        print(f"warning: {outside} {what} lie outside the span (-L, L)", file=sys.stderr)
+
+
 def cmd_generate(args) -> None:
     if args.sigma is None:
         raise InvalidParameter("generate requires --sigma (noise standard deviation)")
@@ -86,6 +95,8 @@ def cmd_info(args) -> None:
     sigma = _resolve_sigma(args, dataset)
     grid = QuadratureGrid(SpanConfig(args.span_l), args.grid_points)
     curve = info_curve(dataset, ScatteringFunction(sigma), grid, args.schedule)
+    n = curve.records[-1].n  # the curve reads only the samples up to its last point
+    _warn_outside_span("samples", grid.span.half_width, dataset.x[:n], dataset.y[:n])
     curve.write_records_csv(_out(args, "info_curve.csv"))
     curve.write_summary_csv(_out(args, "summary.csv"))
     print(f"N_opt={curve.n_opt} I_inf={curve.info_limit:.6f} K_inf={curve.complexity_limit:.6f}")
@@ -100,10 +111,7 @@ def cmd_predict(args) -> None:
     if args.n is not None:
         basic = basic.prefix(args.n)
     predictor = CaPredictor(basic, ScatteringFunction(sigma))
-    outside = int((abs(test.x) > SpanConfig(args.span_l).half_width).sum())
-    if outside:
-        print(f"warning: {outside} test inputs lie outside the span (-L, L)",
-              file=sys.stderr)
+    _warn_outside_span("test inputs", SpanConfig(args.span_l).half_width, test.x)
     y_p = predictor.predict_many(test.x)
     write_predictions_csv(_out(args, "predictions.csv"), test.x, test.y, y_p)
     print(_out(args, "predictions.csv"))

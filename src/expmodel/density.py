@@ -1,4 +1,4 @@
-"""Kernel density estimates of the joint, marginal and conditional PDFs.
+"""Kernel density estimate of the joint PDF and its similarities C_i(x).
 
 A DensityModel is a dataset of measured pairs plus the instrument's
 scattering function. The joint density is the plain average of kernels
@@ -6,16 +6,11 @@ centered at the samples. Only accumulate_kernel_products tabulates it on a
 grid, as a sum of unnormalised kernel products on sigma-scaled axes whose
 normalisation the caller applies as one scalar, in blocks of samples whose
 size its caller sets (info_curve: at most half the grid points and the
-largest schedule segment). The marginal over x
-is the analytic average of the x-channel Gaussians (integrating a channel
-Gaussian over the real line gives exactly 1, so no quadrature is involved).
-The conditional density of y given x averages the y-channel Gaussians with
-the normalised similarities C_i(x), the weights of the conditional-average
-predictor. These are computed from the kernels' exponents. A query whose
-largest exponent is at least MIN_UNSHIFTED_EXPONENT is exponentiated as it
-is; any other query has its largest exponent subtracted first. So far from
-all samples, where the joint and marginal underflow to zero, the weights
-stay a convex combination and the conditional stays well defined.
+largest schedule segment). The normalised similarities C_i(x)
+(DensityModel.weights) weight the conditional-average predictor. They are
+computed from the kernels' exponents, and a query whose largest exponent is
+below MIN_UNSHIFTED_EXPONENT has it subtracted first, so far from all
+samples, where every kernel underflows to zero, they stay a convex combination.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
-from .scattering import ScatteringFunction, gaussian_exponent, log_gaussian, _require_finite
+from .scattering import ScatteringFunction, gaussian_exponent, _require_finite
 
 # Queries whose largest kernel exponent is at least this are exponentiated
 # without a shift. Their largest kernel is then at least e^-300 (about
@@ -101,7 +96,7 @@ class Dataset:
 
 
 class DensityModel:
-    """Kernel estimate of the joint PDF of a dataset under a scattering function."""
+    """A dataset under a scattering function and its similarities C_i(x)."""
 
     def __init__(self, data: Dataset, sf: ScatteringFunction):
         if len(data) == 0:
@@ -147,25 +142,11 @@ class DensityModel:
 
     def weights(self, x: float) -> np.ndarray:
         """Similarity coefficients C_i(x): nonnegative, summing to one."""
-        e = self._block_kernels(np.array([_finite_scalar("x", x)]))[0]
+        if np.ndim(x) != 0:
+            raise InvalidParameter(f"x must be a scalar, got shape {np.shape(x)}")
+        _require_finite("x", x)
+        e = self._block_kernels(np.array([float(x)]))[0]
         return e / e.sum()
-
-    def _kernels(self, name: str, value, column: np.ndarray) -> np.ndarray:
-        """Channel Gaussians g(value - column_i) of the samples at a scalar query."""
-        return np.exp(log_gaussian(_finite_scalar(name, value), column, self.sf.sigma))
-
-    def joint_pdf(self, x: float, y: float) -> float:
-        """Average of sample-centered kernels at (x, y): the mean of g(x - x_i) g(y - y_i)."""
-        gx = self._kernels("x", x, self.data.x)
-        return float((gx * self._kernels("y", y, self.data.y)).mean())
-
-    def marginal_pdf(self, x: float) -> float:
-        """Analytic x-marginal: average of the x-channel Gaussians."""
-        return float(self._kernels("x", x, self.data.x).mean())
-
-    def conditional_pdf(self, y: float, given_x: float) -> float:
-        """Density of y given x: the y-channel Gaussians weighted by C_i(given_x)."""
-        return float(self.weights(given_x) @ self._kernels("y", y, self.data.y))
 
 
 def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float, *,
@@ -198,10 +179,3 @@ def accumulate_kernel_products(out: np.ndarray, x, y, xs, ys, sigma: float, *,
             # np.dot, as np.matmul takes a slow loop for a one-sample block.
             np.dot(kx.T, ky, out=scratch)
             out += scratch
-
-
-def _finite_scalar(name: str, value) -> float:
-    if np.ndim(value) != 0:
-        raise InvalidParameter(f"{name} must be a scalar, got shape {np.shape(value)}")
-    _require_finite(name, value)
-    return float(value)

@@ -98,8 +98,9 @@ class QuadratureGrid:
         w[-1] *= 0.5
         return w
 
-    def require_resolves(self, sf: ScatteringFunction) -> None:
-        """Reject kernels as wide as the span or narrower than 4 grid steps."""
+    def require_resolves(self, sf: ScatteringFunction) -> float:
+        """Reject kernels as wide as the span, narrower than 4 grid steps, or
+        with a normalisation 1/(2 pi sigma^2) that is not positive and finite; return it."""
         if sf.sigma >= self.span.half_width:
             raise InvalidGrid(
                 f"sigma={sf.sigma} must be smaller than the span half width "
@@ -110,6 +111,13 @@ class QuadratureGrid:
                 f"grid step {self.step:.6g} exceeds sigma/4 = {sf.sigma / 4.0:.6g}; "
                 f"increase points_per_axis"
             )
+        try:  # sigma ** 2 overflows above about 1.3e154 and is 0 below about 1e-162
+            norm = 1.0 / (2.0 * math.pi * sf.sigma ** 2)
+        except (OverflowError, ZeroDivisionError):
+            norm = 0.0
+        if not 0.0 < norm < math.inf:
+            raise InvalidGrid(f"sigma={sf.sigma}: 1/(2 pi sigma^2) is not positive and finite")
+        return norm
 
     def calibration_entropy(self, sf: ScatteringFunction) -> float:
         """Closed-form calibration uncertainty H_u of sf, in nats: the kernel's
@@ -246,7 +254,7 @@ def info_curve(data: Dataset,
     of the schedule (at least the last three records) and the complexity
     limit is its exponential.
     """
-    grid.require_resolves(sf)
+    kernel_norm = grid.require_resolves(sf)
     sched = resolve_schedule(schedule, len(data))
 
     scaled_axis = grid.axis / sf.sigma
@@ -254,7 +262,6 @@ def info_curve(data: Dataset,
     joint_sum = np.full((g, g), DENSITY_FLOOR)
     scratch = np.empty_like(joint_sum)
     gx, gy = np.empty((2, _kernel_rows(sched, g), g))
-    kernel_norm = 1.0 / (2.0 * math.pi * sf.sigma ** 2)
     h_u = grid.calibration_entropy(sf)
     records = []
     done = 0

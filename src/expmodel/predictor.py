@@ -1,13 +1,10 @@
 """Conditional-average predictor and its quality statistic.
 
 The predictor is the conditional mean extracted from the kernel estimator: a
-CaPredictor is a DensityModel, and y_p(x) = sum_i y_i C_i(x) with the same
-normalised similarities C_i(x) that weight its conditional density. They are
-computed from the kernel exponents, and a query whose largest exponent is
-below density.MIN_UNSHIFTED_EXPONENT, where its kernels could all
-underflow, has that exponent subtracted first (see
-:class:`expmodel.density.DensityModel`), so they stay a valid convex
-combination for queries arbitrarily far from the data.
+CaPredictor is a DensityModel, and y_p(x) = sum_i y_i C_i(x) with the
+normalised similarities C_i(x) of DensityModel.weights, which stay a valid
+convex combination for queries arbitrarily far from the data (see
+:mod:`expmodel.density`).
 
 Queries are taken in blocks of at most QUERY_BLOCK_ELEMS kernel values
 (max(1, QUERY_BLOCK_ELEMS // n) queries for n stored samples). A block is
@@ -39,10 +36,6 @@ QUERY_BLOCK_ELEMS = 1 << 17
 
 class CaPredictor(DensityModel):
     """Conditional-average predictor built on a basic dataset."""
-
-    def predict(self, x: float) -> float:
-        """Kernel-weighted average of the stored y values at query x."""
-        return float(self.predict_many([x])[0])
 
     def predict_many(self, xs) -> np.ndarray:
         """Predictions at every query, one query block at a time."""

@@ -3,18 +3,17 @@
 The kernel width sigma is a calibration constant of the instrument, not a
 bandwidth fitted to data. Both channels share one sigma and are independent,
 so the two-dimensional kernel factors into a product of channel Gaussians.
+Their exponent is written once, in gaussian_exponent, which every kernel of
+the package exponentiates unnormalised.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _require_finite(name: str, value, rows: bool = False) -> None:
@@ -64,19 +63,6 @@ class ScatteringFunction:
         _require_finite("sigma", self.sigma)
         if self.sigma <= 0:
             raise InvalidParameter(f"sigma must be > 0, got {self.sigma}")
-
-
-def log_gaussian(x, u, sigma):
-    """Log of the normalised Gaussian density
-    (1/(sqrt(2 pi) sigma)) exp(-(x-u)^2 / (2 sigma^2)): the exponent at
-    (x - u) / sigma plus the log of the normalisation.
-
-    No validation. A distance too large to square gives -inf, the log of
-    the kernel's correctly rounded value 0.
-    """
-    with np.errstate(over="ignore"):
-        t = gaussian_exponent((np.asarray(x, dtype=float) - u) / sigma)
-        return t - np.log(SQRT_2PI * sigma)
 
 
 def gaussian_exponent(t, out=None):

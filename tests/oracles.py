@@ -25,13 +25,6 @@ def kde_joint_grid(x_data, y_data, sigma, axis_x, axis_y=None):
     return out / len(x_data)
 
 
-def kde_marginal_grid(data, sigma, axis):
-    out = np.zeros(len(axis))
-    for c in data:
-        out += gauss(axis, c, sigma)
-    return out / len(data)
-
-
 def trap2(values, axis_x, axis_y=None):
     """2-D trapezoid integral of tabulated values."""
     if axis_y is None:

@@ -96,6 +96,17 @@ def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
         assert "InvalidGrid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("span_l, sigma", [("1e-300", "1e-301"), ("1e-160", "1e-161")],
+                         ids=["zero", "inf"])
+def test_info_rejects_sigma_whose_normalisation_is_not_finite(tmp_path, small_csv, capsys,
+                                                              span_l, sigma):
+    # sigma^2 underflows to 0 at the first width, and 1/(2 pi sigma^2)
+    # overflows to inf at the second, which would write I = nan on every row.
+    assert run("info", "--basic", small_csv, "--span-l", span_l, "--sigma", sigma,
+               "--out-dir", str(tmp_path)) == 2
+    assert "InvalidGrid" in capsys.readouterr().err
+
+
 def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
     # The running sum, scratch grid and kernel rows take 24 B per node. With
     # 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB: a 2001^2
@@ -162,6 +173,31 @@ def test_info_names_the_row_of_a_non_finite_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "InvalidParameter" in err and "row 17" in err and "inf" in err
     assert len(err) < 200
+
+
+def test_info_warns_of_samples_outside_the_span(tmp_path, samples_csv, capsys):
+    # The samples lie within |x|, |y| < 1.7, inside the default L = 2.
+    assert run("info", "--basic", str(samples_csv), "--out-dir", str(tmp_path / "a")) == 0
+    assert "outside the span" not in capsys.readouterr().err
+    assert run("info", "--basic", str(samples_csv), "--span-l", "0.5",
+               "--out-dir", str(tmp_path / "b")) == 0
+    assert "samples lie outside the span" in capsys.readouterr().err
+
+
+def test_info_warns_only_of_samples_the_curve_reads(tmp_path, samples_csv, capsys):
+    # Move the last sample far outside the span: a schedule that stops
+    # before it does not read it, and the warning counts it only once read.
+    lines = samples_csv.read_text().splitlines()
+    i, _, *rest = lines[-1].split(",")
+    lines[-1] = ",".join([i, "5.0", *rest])
+    moved = tmp_path / "moved.csv"
+    moved.write_text("\n".join(lines) + "\n")
+    assert run("info", "--basic", str(moved), "--schedule", "1,32,199",
+               "--out-dir", str(tmp_path / "a")) == 0
+    assert "outside the span" not in capsys.readouterr().err
+    assert run("info", "--basic", str(moved), "--schedule", "1,32,200",
+               "--out-dir", str(tmp_path / "b")) == 0
+    assert "warning: 1 samples lie outside the span" in capsys.readouterr().err
 
 
 def test_predict_writes_four_columns(tmp_path, samples_csv):
@@ -411,6 +447,10 @@ _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_F
 @example(command_flags=("generate", {"--sigma": "5.448323523428893e+307"}))
 @example(command_flags=("quality", {"--sigma": "6.98567925784762e+152"}))
 @example(command_flags=("generate", {"--sigma": "0.2", "--seed": "-1"}))
+@example(command_flags=("info", {"--span-l": "1e-300", "--sigma": "1e-301"}))
+@example(command_flags=("info", {"--sigma": "1e200"}))
+@example(command_flags=("info", {"--span-l": "1e200", "--sigma": "1e199",
+                                 "--grid-points": "257"}))
 def test_flag_values_exit_with_documented_codes(small_csv, command_flags):
     command, flags = command_flags
     # Any flag value gives success or a reported input error, never exit 1.

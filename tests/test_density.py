@@ -11,8 +11,7 @@ from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
 from expmodel.density import accumulate_kernel_products
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
 from expmodel.information import _kernel_rows
-from oracles import (extended_axis, gauss, kde_joint_grid, kde_marginal_grid,
-                     trap1, trap2)
+from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
 
 
 @pytest.fixture()
@@ -37,6 +36,14 @@ def kernel_product_sum(data, sigma, xs, ys):
                                gx=np.empty((CURVE_ROWS, xs.size)),
                                gy=np.empty((CURVE_ROWS, ys.size)))
     return out / (2.0 * math.pi * sigma ** 2)
+
+
+def conditional_density(model, ys, x):
+    """The conditional density of y given x at each of ys: the similarities
+    C_i(x) weighting the y-channel Gaussians of the samples."""
+    ys = np.asarray(ys, dtype=float)
+    g = gauss(ys[..., None], model.data.y, model.sf.sigma)
+    return g @ model.weights(x)
 
 
 def test_dataset_validation():
@@ -78,17 +85,19 @@ def test_model_requires_samples(sf02):
         DensityModel(Dataset([], []), sf02)
 
 
-def test_joint_single_sample_peak(one_sample_model):
-    assert one_sample_model.joint_pdf(0.4, -0.9) == pytest.approx(3.978873577297384, rel=1e-12)
+def test_joint_single_sample_peak(one_sample_model, sf02):
+    grid = kernel_product_sum(one_sample_model.data, sf02.sigma, [0.4], [-0.9])
+    assert grid[0, 0] == pytest.approx(3.978873577297384, rel=1e-12)
 
 
 def test_joint_two_samples_is_mean_of_kernels(sf02):
-    m = DensityModel(Dataset([-0.5, 0.5], [0.0, 0.0]), sf02)
+    data = Dataset([-0.5, 0.5], [0.0, 0.0])
     z = (0.0, 0.1)  # equidistant in x from both samples
     k = gauss(z[0], -0.5, sf02.sigma) * gauss(z[1], 0.0, sf02.sigma)
     k2 = gauss(z[0], 0.5, sf02.sigma) * gauss(z[1], 0.0, sf02.sigma)
-    assert m.joint_pdf(*z) == pytest.approx(0.5 * (k + k2), rel=1e-12)
-    assert m.joint_pdf(*z) == pytest.approx(k, rel=1e-12)  # the two kernel values agree
+    joint = kernel_product_sum(data, sf02.sigma, [z[0]], [z[1]])[0, 0] / len(data)
+    assert joint == pytest.approx(0.5 * (k + k2), rel=1e-12)
+    assert joint == pytest.approx(k, rel=1e-12)  # the two kernel values agree
 
 
 def test_joint_mass_is_one(logistic200, sf02, span):
@@ -100,11 +109,13 @@ def test_joint_mass_is_one(logistic200, sf02, span):
 def test_joint_grid_matches_pointwise(model200):
     xs = np.linspace(-1.5, 1.5, 7)
     ys = np.linspace(-1.2, 1.2, 5)
+    data, sigma = model200.data, model200.sf.sigma
     # The accumulator's grid against the pointwise mean of kernel products.
-    grid = kernel_product_sum(model200.data, model200.sf.sigma, xs, ys) / len(model200.data)
+    grid = kernel_product_sum(data, sigma, xs, ys) / len(data)
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
-            assert grid[a, b] == pytest.approx(model200.joint_pdf(x, y), rel=1e-9)
+            pointwise = np.mean(gauss(x, data.x, sigma) * gauss(y, data.y, sigma))
+            assert grid[a, b] == pytest.approx(pointwise, rel=1e-9)
 
 
 def test_joint_grid_matches_brute_force(logistic200, logistic600, sf02):
@@ -118,44 +129,25 @@ def test_joint_grid_matches_brute_force(logistic200, logistic600, sf02):
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-300)
 
 
-def test_marginal_single_sample_peak(one_sample_model):
-    assert one_sample_model.marginal_pdf(0.4) == pytest.approx(1.9947114020071635, rel=1e-12)
-
-
-def test_marginal_two_samples_at_unit_offsets(sf02):
-    m = DensityModel(Dataset([-1.0, 1.0], [0.3, 0.4]), sf02)
-    expected = 1.9947114020071635 * math.exp(-12.5)
-    assert m.marginal_pdf(0.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_marginal_equals_joint_integrated_over_y(model200, sf02, span):
-    rng = np.random.default_rng(11)
-    axis_y = extended_axis(span.half_width, sf02.sigma)
-    for x in rng.uniform(-1.5, 1.5, size=10):
-        joint_row = [model200.joint_pdf(x, y) for y in axis_y]
-        assert abs(model200.marginal_pdf(x) - trap1(joint_row, axis_y)) <= 1e-6
-
-
 def test_conditional_single_sample_ignores_x(one_sample_model, sf02):
     for x in (-1.7, 0.0, 0.4, 2.5):
         for y in (-1.2, -0.9, 0.3):
             expected = gauss(y, -0.9, sf02.sigma)
-            assert one_sample_model.conditional_pdf(y, x) == pytest.approx(expected, rel=1e-10)
+            assert conditional_density(one_sample_model, y, x) == pytest.approx(expected, rel=1e-10)
 
 
 def test_conditional_normalizes(model200, sf02, span):
     rng = np.random.default_rng(13)
     axis_y = extended_axis(span.half_width, sf02.sigma)
     for x in rng.uniform(-1.5, 1.5, size=10):
-        dens = np.array([model200.conditional_pdf(y, x) for y in axis_y])
-        assert abs(trap1(dens, axis_y) - 1.0) <= 1e-6
+        assert abs(trap1(conditional_density(model200, axis_y, x), axis_y) - 1.0) <= 1e-6
 
 
 def test_conditional_peaks_at_shared_y(sf02):
     m = DensityModel(Dataset([-1.0, 0.0, 1.0], [0.25, 0.25, 0.25]), sf02)
     ys = np.linspace(-1, 1, 401)
     for x in (-1.0, 0.3, 5.0):
-        dens = [m.conditional_pdf(y, x) for y in ys]
+        dens = conditional_density(m, ys, x)
         assert ys[int(np.argmax(dens))] == pytest.approx(0.25, abs=0.01)
 
 
@@ -164,17 +156,21 @@ def test_mixture_linearity(sf02):
     a = Dataset(rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7))
     b = Dataset(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
     both = Dataset(np.concatenate([a.x, b.x]), np.concatenate([a.y, b.y]))
-    ma, mb, mc = (DensityModel(d, sf02) for d in (a, b, both))
     for x, y in rng.uniform(-1.5, 1.5, size=(20, 2)):
-        mixed = (7 * ma.joint_pdf(x, y) + 4 * mb.joint_pdf(x, y)) / 11
-        assert mc.joint_pdf(x, y) == pytest.approx(mixed, rel=1e-12)
+        ja, jb, jc = (kernel_product_sum(d, sf02.sigma, [x], [y])[0, 0] / len(d)
+                      for d in (a, b, both))
+        assert jc == pytest.approx((7 * ja + 4 * jb) / 11, rel=1e-12)
 
 
 def test_conditional_times_marginal_is_joint(model200):
+    # The marginal is the mean of the x-channel Gaussians, from the oracle;
+    # the conditional comes from the weights and the joint from the grid.
+    data, sigma = model200.data, model200.sf.sigma
     rng = np.random.default_rng(17)
     for x, y in rng.uniform(-1.2, 1.2, size=(25, 2)):
-        product = model200.conditional_pdf(y, x) * model200.marginal_pdf(x)
-        assert product == pytest.approx(model200.joint_pdf(x, y), rel=1e-12)
+        marginal = np.mean(gauss(x, data.x, sigma))
+        joint = kernel_product_sum(data, sigma, [x], [y])[0, 0] / len(data)
+        assert conditional_density(model200, y, x) * marginal == pytest.approx(joint, rel=1e-12)
 
 
 # Oracle sums above this stay clear of the subnormal range, where the plain
@@ -184,76 +180,67 @@ ORACLE_FLOOR = 1e-290
 
 @pytest.mark.parametrize("sigma", [0.2, 1.0])
 def test_pointwise_densities_match_brute_force(logistic200, span, sigma):
-    # The wide kernel keeps the oracle above underflow out to |x| = 10 L.
+    # The similarities C_i(x) weight the y-channel Gaussians into the
+    # conditional density of y given x. The wide kernel keeps the oracle
+    # above underflow out to |x| = 10 L.
     m = DensityModel(logistic200, ScatteringFunction(sigma))
     far = np.geomspace(span.half_width, 10 * span.half_width, 8)
     xs = np.concatenate([np.linspace(-span.half_width, span.half_width, 17), far, -far])
     ys = np.linspace(-span.half_width, span.half_width, 5)
 
-    expected = kde_marginal_grid(logistic200.x, sigma, xs)
-    ok = expected > ORACLE_FLOOR
-    got = np.array([m.marginal_pdf(x) for x in xs])
-    np.testing.assert_allclose(got[ok], expected[ok], rtol=1e-12, atol=0)
-
     checked = 0
     for x in xs:
         gx = gauss(x, logistic200.x, sigma)
+        w = m.weights(x)
         for y in ys:
-            num = gx @ gauss(y, logistic200.y, sigma)
+            gy = gauss(y, logistic200.y, sigma)
+            num = gx @ gy
             den = gx.sum()
             if min(num, den) > ORACLE_FLOOR:
-                assert m.conditional_pdf(y, x) == pytest.approx(num / den, rel=1e-12)
+                assert w @ gy == pytest.approx(num / den, rel=1e-12)
                 checked += 1
-    assert ok.sum() >= 17 and checked >= 17 * len(ys)
+    assert checked >= 17 * len(ys)
     if sigma == 1.0:
-        assert ok.all() and checked == xs.size * ys.size
+        assert checked == xs.size * ys.size
 
 
 def test_densities_finite_and_nonnegative_everywhere(model200, span):
-    # Conditional stays positive arbitrarily far out thanks to the log-domain
-    # weights; joint and marginal may underflow to zero but never go negative.
-    for x in (-10 * span.half_width, -2.0, 0.0, 3.7, 10 * span.half_width):
-        c = model200.conditional_pdf(0.2, x)
+    # The conditional stays positive arbitrarily far out thanks to the
+    # log-domain weights; the joint grid may underflow to zero but never goes
+    # negative.
+    xs = (-10 * span.half_width, -2.0, 0.0, 3.7, 10 * span.half_width)
+    for x in xs:
+        c = conditional_density(model200, 0.2, x)
         assert math.isfinite(c) and c > 0
-        for v in (model200.joint_pdf(x, 0.2), model200.marginal_pdf(x)):
-            assert math.isfinite(v) and v >= 0
-    assert model200.marginal_pdf(2.5) > 0
-    assert model200.joint_pdf(0.0, 0.1) > 0
+    grid = kernel_product_sum(model200.data, model200.sf.sigma, xs, [0.2])
+    assert np.isfinite(grid).all() and (grid >= 0).all()
+    assert kernel_product_sum(model200.data, model200.sf.sigma, [0.0], [0.1])[0, 0] > 0
 
 
 @pytest.mark.parametrize("far", [1e200, -1.7e308])
-def test_far_queries_give_zero_density_without_warnings(model200, far):
+def test_far_queries_give_zero_density_without_warnings(logistic200, sf02, far):
     # The squared scaled distance overflows to inf here, and the kernel's
     # correctly rounded value is 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert model200.marginal_pdf(far) == 0.0
-        assert model200.joint_pdf(far, 0.0) == 0.0
-        assert model200.joint_pdf(0.0, far) == 0.0
-        assert model200.conditional_pdf(far, 0.0) == 0.0
-        grid = kernel_product_sum(model200.data, model200.sf.sigma, [far, 0.0], [0.0, far])
+        grid = kernel_product_sum(logistic200, sf02.sigma, [far, 0.0], [0.0, far])
         assert not grid[0].any() and not grid[:, 1].any()
 
 
 def test_query_validation(model200):
     with pytest.raises(InvalidParameter):
-        model200.joint_pdf(float("nan"), 0.0)
+        model200.weights(float("nan"))
     with pytest.raises(InvalidParameter):
-        model200.marginal_pdf(float("inf"))
+        model200.weights(float("inf"))
+    p = CaPredictor(model200.data, model200.sf)
     with pytest.raises(InvalidParameter):
-        model200.conditional_pdf(0.0, float("nan"))
+        p.predict_many([0.0, float("nan")])
+    with pytest.raises(InvalidParameter):
+        p.predict_many([float("-inf")])
 
 
-@pytest.mark.parametrize("query", [
-    lambda m, q: m.joint_pdf(q, 0.0),
-    lambda m, q: m.joint_pdf(0.0, q),
-    lambda m, q: m.marginal_pdf(q),
-    lambda m, q: m.conditional_pdf(q, 0.0),
-    lambda m, q: m.conditional_pdf(0.0, q),
-    lambda m, q: m.weights(q),
-    lambda m, q: m.predict(q),
-], ids=["joint_x", "joint_y", "marginal", "conditional_y", "conditional_x",
-        "weights", "predict"])
+# weights is the one pointwise query left; predict_many takes arrays.
+@pytest.mark.parametrize("query", [lambda m, q: m.weights(q)], ids=["weights"])
 @pytest.mark.parametrize("value", [np.array([0.0, 1.0]), [0.5], np.array([[0.5]])],
                          ids=["pair", "list", "matrix"])
 def test_pointwise_queries_reject_arrays(sf02, query, value):
