@@ -17,7 +17,7 @@ from .information import (InfoCurve, InfoRecord, QuadratureGrid,
 from .predictor import (CaPredictor, QualityReport, predictor_quality,
                         quality_sweep, write_predictions_csv,
                         write_quality_csv)
-from .scattering import ScatteringFunction, SpanConfig
+from .scattering import ScatteringFunction
 from .tables import read_dataset_csv, write_dataset_csv
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "QuadratureGrid",
     "ScatteringFunction",
     "ShapeMismatch",
-    "SpanConfig",
     "default_schedule",
     "generate",
     "info_curve",

@@ -31,7 +31,7 @@ from .generator import GenerationMeta, generate
 from .information import InfoCurve, QuadratureGrid, info_curve
 from .predictor import (CaPredictor, quality_sweep, write_predictions_csv,
                         write_quality_csv)
-from .scattering import ScatteringFunction, SpanConfig
+from .scattering import ScatteringFunction
 from .tables import read_dataset_csv, write_dataset_csv, write_table
 
 # Offset between the basic-set seed and the seed of the held-out test set.
@@ -72,13 +72,6 @@ def _out(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _warn_outside_span(what: str, half_width: float, *columns) -> None:
-    """Print to stderr how many rows have a value outside (-L, L) in a column."""
-    outside = int(np.logical_or.reduce([abs(c) > half_width for c in columns]).sum())
-    if outside:
-        print(f"warning: {outside} {what} lie outside the span (-L, L)", file=sys.stderr)
-
-
 def cmd_generate(args) -> None:
     if args.sigma is None:
         raise InvalidParameter("generate requires --sigma (noise standard deviation)")
@@ -93,10 +86,13 @@ def cmd_info(args) -> None:
         raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
     sigma = _resolve_sigma(args, dataset)
-    grid = QuadratureGrid(SpanConfig(args.span_l), args.grid_points)
+    grid = QuadratureGrid(args.span_l, args.grid_points)
     curve = info_curve(dataset, ScatteringFunction(sigma), grid, args.schedule)
     n = curve.records[-1].n  # the curve reads only the samples up to its last point
-    _warn_outside_span("samples", grid.span.half_width, dataset.x[:n], dataset.y[:n])
+    outside = int(np.count_nonzero((abs(dataset.x[:n]) > grid.half_width)
+                                   | (abs(dataset.y[:n]) > grid.half_width)))
+    if outside:
+        print(f"warning: {outside} samples lie outside the span (-L, L)", file=sys.stderr)
     curve.write_records_csv(_out(args, "info_curve.csv"))
     curve.write_summary_csv(_out(args, "summary.csv"))
     print(f"N_opt={curve.n_opt} I_inf={curve.info_limit:.6f} K_inf={curve.complexity_limit:.6f}")
@@ -110,9 +106,7 @@ def cmd_predict(args) -> None:
     sigma = _resolve_sigma(args, basic)
     if args.n is not None:
         basic = basic.prefix(args.n)
-    predictor = CaPredictor(basic, ScatteringFunction(sigma))
-    _warn_outside_span("test inputs", SpanConfig(args.span_l).half_width, test.x)
-    y_p = predictor.predict_many(test.x)
+    y_p = CaPredictor(basic, ScatteringFunction(sigma)).predict_many(test.x)
     write_predictions_csv(_out(args, "predictions.csv"), test.x, test.y, y_p)
     print(_out(args, "predictions.csv"))
 
@@ -144,7 +138,7 @@ def cmd_reproduce(args) -> None:
     # Only the main-width sets are used again (fig4, fig5); the others are
     # made when their curve is, so one of them is held at a time.
     basics = {seed: _generate(seed, SIGMA_MAIN) for seed in seeds}
-    grid = QuadratureGrid(SpanConfig(SPAN_L), GRID_POINTS)
+    grid = QuadratureGrid(SPAN_L, GRID_POINTS)
     curves = {s: {seed: info_curve(basics[seed] if s == SIGMA_MAIN else _generate(seed, s),
                                    ScatteringFunction(s), grid)
                   for seed in seeds}
@@ -207,7 +201,7 @@ COMMANDS = [
     ("info", cmd_info, "information curve and summary for a dataset",
      ("--basic", "--sigma", "--span-l", "--grid-points", "--schedule", "--out-dir")),
     ("predict", cmd_predict, "conditional-average predictions for a test set",
-     ("--basic", "--test", "--sigma", "--n", "--span-l", "--out-dir")),
+     ("--basic", "--test", "--sigma", "--n", "--out-dir")),
     ("quality", cmd_quality, "predictor quality over sample counts, three seeds",
      ("--sigma", "--n", "--seed", "--schedule", "--out-dir")),
     ("reproduce", cmd_reproduce, "full benchmark sweep: fig2..fig5 CSVs and report.txt",

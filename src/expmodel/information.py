@@ -1,7 +1,8 @@
 """Entropy statistics of an experiment and selection of the sample count.
 
 All quantities are in nats. The reference distribution is uniform over the
-instrument span, so the indeterminacy of the estimated joint density is
+instrument span (-L, L)^2, which the quadrature grid alone holds, so the
+indeterminacy of the estimated joint density is
 
     H_z = -integral_span f log f  -  2 log(2L)
 
@@ -17,7 +18,8 @@ grid restricted to the span. Kernel mass that leaks outside the span is not
 renormalized; the leak is a property of the instrument, not of the estimator.
 The joint density is tabulated as a running sum S of unnormalised kernel
 products seeded with DENSITY_FLOOR, and its normalisation 1/(2 pi sigma^2 n)
-enters the entropy as one scalar.
+enters the entropy as one scalar together with the squared grid step, so the
+quadrature sums stay of the order of the grid size at any span or sigma.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import Dataset, accumulate_kernel_products
-from .errors import InvalidGrid, InvalidSchedule
+from .errors import InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
-from .scattering import ScatteringFunction, SpanConfig
+from .scattering import ScatteringFunction, _require_finite
 from .tables import write_table
 
 # The running kernel sum of an information curve starts at this value, so
@@ -53,12 +55,13 @@ GRID_BYTES_PER_NODE = 3 * 8
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform tensor grid over the span square [-L, L]^2, the one holder of
-    the span: the uniform reference and H_u are taken on it.
+    the instrument span (-L, L) that both channels share: the uniform
+    reference and H_u are taken on it.
 
     Parameters
     ----------
-    span:
-        Instrument span configuration providing the half width L.
+    half_width:
+        Half width L of the span, positive and finite.
     points_per_axis:
         Number of nodes per axis, at least 129. The step is
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
@@ -68,10 +71,13 @@ class QuadratureGrid:
         RLIMIT_AS leaves of the address space.
     """
 
-    span: SpanConfig
+    half_width: float
     points_per_axis: int
 
     def __post_init__(self) -> None:
+        _require_finite("half_width", self.half_width)
+        if self.half_width <= 0:
+            raise InvalidParameter(f"half_width must be > 0, got {self.half_width}")
         if not isinstance(self.points_per_axis, (int, np.integer)) or self.points_per_axis < 129:
             raise InvalidGrid(
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
@@ -86,25 +92,18 @@ class QuadratureGrid:
 
     @property
     def step(self) -> float:
-        return self.span.width / (self.points_per_axis - 1)
+        return 2.0 * self.half_width / (self.points_per_axis - 1)
 
     @property
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.span.half_width, self.span.half_width, self.points_per_axis)
-
-    def weights(self) -> np.ndarray:
-        w = np.full(self.points_per_axis, self.step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
 
     def require_resolves(self, sf: ScatteringFunction) -> float:
         """Reject kernels as wide as the span, narrower than 4 grid steps, or
         with a normalisation 1/(2 pi sigma^2) that is not positive and finite; return it."""
-        if sf.sigma >= self.span.half_width:
+        if sf.sigma >= self.half_width:
             raise InvalidGrid(
-                f"sigma={sf.sigma} must be smaller than the span half width "
-                f"{self.span.half_width}"
+                f"sigma={sf.sigma} must be smaller than the span half width {self.half_width}"
             )
         if self.step > sf.sigma / 4.0 + 1e-15:
             raise InvalidGrid(
@@ -123,7 +122,7 @@ class QuadratureGrid:
         """Closed-form calibration uncertainty H_u of sf, in nats: the kernel's
         entropy relative to the uniform reference on this span,
         2*log(sigma/L) + log(pi/2) + 1, exact while its mass lies inside."""
-        return 2.0 * math.log(sf.sigma / self.span.half_width) + math.log(math.pi / 2.0) + 1.0
+        return 2.0 * math.log(sf.sigma / self.half_width) + math.log(math.pi / 2.0) + 1.0
 
 
 def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
@@ -140,12 +139,16 @@ def _indeterminacy(joint_sum: np.ndarray, c: float, grid: QuadratureGrid,
     trapezoid estimate of -integral_span f log f minus the uniform
     reference's 2 log(2L). joint_sum S is positive (it is seeded with
     DENSITY_FLOOR), and f log f = c S (log S + log c) is integrated as
-    c (w S log S w + log c w S w), with S log S built in scratch."""
+    c h^2 (u S log S u + log c u S u), with S log S built in scratch, h the
+    step and u the unit trapezoid weights (1/2, 1, ..., 1, 1/2). As h <=
+    sigma/4, c h^2 <= 1/(32 pi n): the sums do not grow with the span."""
     s_log_s = np.log(joint_sum, out=scratch)
     s_log_s *= joint_sum
-    w = grid.weights()
-    f_log_f = c * (float(w @ s_log_s @ w) + math.log(c) * float(w @ joint_sum @ w))
-    return -f_log_f - 2.0 * math.log(grid.span.width)
+    u = np.ones(grid.points_per_axis)
+    u[[0, -1]] = 0.5
+    f_log_f = c * grid.step ** 2 * (float(u @ s_log_s @ u)
+                                    + math.log(c) * float(u @ joint_sum @ u))
+    return -f_log_f - 2.0 * math.log(2.0 * grid.half_width)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The kernel width sigma is a calibration constant of the instrument, not a
 bandwidth fitted to data. Both channels share one sigma and are independent,
 so the two-dimensional kernel factors into a product of channel Gaussians.
 Their exponent is written once, in gaussian_exponent, which every kernel of
-the package exponentiates unnormalised.
+the package exponentiates unnormalised. The kernel knows no span: the
+instrument span (-L, L) is held by the quadrature grid alone
+(:class:`expmodel.information.QuadratureGrid`).
 """
 
 from __future__ import annotations
@@ -35,26 +37,10 @@ def _require_finite(name: str, value, rows: bool = False) -> None:
 
 
 @dataclass(frozen=True)
-class SpanConfig:
-    """Symmetric instrument span (-L, L) shared by both channels."""
-
-    half_width: float
-
-    def __post_init__(self) -> None:
-        _require_finite("half_width", self.half_width)
-        if self.half_width <= 0:
-            raise InvalidParameter(f"half_width must be > 0, got {self.half_width}")
-
-    @property
-    def width(self) -> float:
-        return 2.0 * self.half_width
-
-
-@dataclass(frozen=True)
 class ScatteringFunction:
     """Product of two equal channel Gaussians of width sigma, centered at the
-    calibration unit. The span its calibration entropy is measured on belongs
-    to the grid (:meth:`expmodel.information.QuadratureGrid.calibration_entropy`).
+    calibration unit. The span (-L, L) its calibration entropy is measured on
+    is the grid's (:meth:`expmodel.information.QuadratureGrid.calibration_entropy`).
     """
 
     sigma: float

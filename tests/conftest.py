@@ -1,15 +1,10 @@
 import pytest
 
 from expmodel import (DensityModel, GenerationMeta, QuadratureGrid,
-                      ScatteringFunction, SpanConfig, generate)
+                      ScatteringFunction, generate)
 
 SIGMA = 0.2
 HALF_WIDTH = 2.0
-
-
-@pytest.fixture(scope="session")
-def span():
-    return SpanConfig(HALF_WIDTH)
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +13,8 @@ def sf02():
 
 
 @pytest.fixture(scope="session")
-def grid257(span):
-    return QuadratureGrid(span, 257)
+def grid257():
+    return QuadratureGrid(HALF_WIDTH, 257)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from expmodel import (CaPredictor, Dataset, GenerationMeta, QuadratureGrid,
-                      ScatteringFunction, SpanConfig, criteria, default_schedule,
+                      ScatteringFunction, criteria, default_schedule,
                       generate, info_curve, predictor_quality, quality_sweep)
 from expmodel.cli import main as cli_main
 from oracles import extended_axis, gauss, trap1
@@ -40,13 +40,8 @@ def report_records(records) -> str:
 
 
 @pytest.fixture(scope="module")
-def span():
-    return SpanConfig(HALF_WIDTH)
-
-
-@pytest.fixture(scope="module")
-def grid(span):
-    return QuadratureGrid(span, GRID_POINTS)
+def grid():
+    return QuadratureGrid(HALF_WIDTH, GRID_POINTS)
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +115,9 @@ def test_criterion_5a_information_bounds(curves):
     assert report("5a exact-cases information-bounds", ok, detail), detail
 
 
-def test_criterion_5b_isolated_kernels(span):
+def test_criterion_5b_isolated_kernels():
     sf = ScatteringFunction(0.05)
-    grid = QuadratureGrid(span, 321)
+    grid = QuadratureGrid(HALF_WIDTH, 321)
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
     info = info_curve(data, sf, grid, schedule=[len(data)]).records[0].info
     ok = abs(info - math.log(4.0)) <= 0.02
@@ -130,13 +125,13 @@ def test_criterion_5b_isolated_kernels(span):
     assert report("5b exact-cases isolated-kernels", ok, detail), detail
 
 
-def test_criterion_5c_kernel_entropy(span, grid):
+def test_criterion_5c_kernel_entropy(grid):
     sf = ScatteringFunction(0.2)
     # The kernel's quadrature entropy, from the record of one sample at (0, 0).
     info = info_curve(Dataset([0.0], [0.0]), sf, grid, schedule=[1]).records[0].info
-    h = info + grid.calibration_entropy(sf) + 2.0 * math.log(span.width)
+    h = info + grid.calibration_entropy(sf) + 2.0 * math.log(2.0 * HALF_WIDTH)
     ok_h = abs(h - (-0.38083)) <= 1e-3
-    h_u = h - 2.0 * math.log(span.width)
+    h_u = h - 2.0 * math.log(2.0 * HALF_WIDTH)
     gap = abs(h_u - grid.calibration_entropy(sf))
     ok_match = gap <= 1e-3
     detail = f"quadrature entropy {h:.5f} (pinned -0.38083), H_u gap {gap:.2e}"
@@ -171,11 +166,11 @@ def test_criterion_5e_quality_exact_cases():
     assert report("5e exact-cases quality", ok, detail), detail
 
 
-def test_criterion_5f_model_quadrature_identities(span):
+def test_criterion_5f_model_quadrature_identities():
     sigma = 0.2
     sf = ScatteringFunction(sigma)
     basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=sigma, n=50))
-    axis = extended_axis(span.half_width, sigma)
+    axis = extended_axis(HALF_WIDTH, sigma)
     y_p = CaPredictor(basic, sf).predict_many(axis)
     fx = np.zeros_like(axis)
     fy = np.zeros_like(axis)
@@ -197,10 +192,10 @@ def test_criterion_5f_model_quadrature_identities(span):
     assert report("5f exact-cases conditional-average-identities", ok, detail), detail
 
 
-def test_criterion_5g_grid_convergence(span):
+def test_criterion_5g_grid_convergence():
     sf = ScatteringFunction(0.2)
     data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2, n=N_SAMPLES))
-    coarse, fine = (info_curve(data, sf, QuadratureGrid(span, g), schedule=[N_SAMPLES])
+    coarse, fine = (info_curve(data, sf, QuadratureGrid(HALF_WIDTH, g), schedule=[N_SAMPLES])
                     .records[0].info for g in (GRID_POINTS, 2 * GRID_POINTS))
     ok = abs(coarse - fine) <= 1e-3
     detail = f"I(200) change on grid doubling = {abs(coarse - fine):.2e}"

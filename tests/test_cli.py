@@ -107,6 +107,18 @@ def test_info_rejects_sigma_whose_normalisation_is_not_finite(tmp_path, small_cs
     assert "InvalidGrid" in capsys.readouterr().err
 
 
+def test_info_on_a_large_span_stays_finite(tmp_path, small_csv):
+    # The quadrature sums carry no factor of the squared step, which at
+    # L = 1e154 would overflow them. The samples lie within 1e-153 sigma of
+    # each other, so they act as one kernel, whose information is 0.
+    assert run("info", "--basic", small_csv, "--span-l", "1e154", "--sigma", "1e153",
+               "--out-dir", str(tmp_path)) == 0
+    with open(tmp_path / "info_curve.csv", newline="") as fh:
+        info = [float(row["I"]) for row in csv.DictReader(fh)]
+    assert len(info) == len(default_schedule(20))
+    assert all(np.isfinite(i) and abs(i) <= 1e-9 for i in info)
+
+
 def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
     # The running sum, scratch grid and kernel rows take 24 B per node. With
     # 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB: a 2001^2
@@ -234,16 +246,6 @@ def test_predict_empty_basic_fails(tmp_path, capsys):
                "--sigma", "0.2", "--out-dir", str(tmp_path))
     assert code == 2
     assert "EmptyDataset" in capsys.readouterr().err
-
-
-def test_predict_warns_outside_span(tmp_path, capsys):
-    basic = tmp_path / "basic.csv"
-    basic.write_text("i,x,y\n1,0.0,0.5\n2,0.5,0.1\n")
-    test = tmp_path / "test.csv"
-    test.write_text("i,x,y\n1,5.0,0.0\n2,0.5,0.0\n")
-    assert run("predict", "--basic", str(basic), "--test", str(test),
-               "--sigma", "0.2", "--out-dir", str(tmp_path)) == 0
-    assert "outside the span" in capsys.readouterr().err
 
 
 def test_predict_accepts_kernel_wider_than_span(tmp_path):
@@ -432,7 +434,7 @@ _FLAGS = {
 _READS = {
     "generate": {"--sigma", "--n", "--seed"},
     "info": {"--basic", "--sigma", "--span-l", "--grid-points", "--schedule"},
-    "predict": {"--basic", "--test", "--sigma", "--n", "--span-l"},
+    "predict": {"--basic", "--test", "--sigma", "--n"},
     "quality": {"--sigma", "--n", "--seed", "--schedule"},
     "reproduce": {"--seed"},
 }
@@ -441,7 +443,7 @@ _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_F
 
 
 @settings(max_examples=40, deadline=None)
-@given(command_flags=st.sampled_from(["generate", "info", "quality"]).flatmap(
+@given(command_flags=st.sampled_from(["generate", "info", "predict", "quality"]).flatmap(
     lambda command: st.tuples(st.just(command), st.fixed_dictionaries(
         {}, optional={k: v for k, v in _FLAGS.items() if k in _READS[command]}))))
 @example(command_flags=("generate", {"--sigma": "5.448323523428893e+307"}))
@@ -451,13 +453,16 @@ _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_F
 @example(command_flags=("info", {"--sigma": "1e200"}))
 @example(command_flags=("info", {"--span-l": "1e200", "--sigma": "1e199",
                                  "--grid-points": "257"}))
+@example(command_flags=("info", {"--span-l": "1e154", "--sigma": "1e153"}))
 def test_flag_values_exit_with_documented_codes(small_csv, command_flags):
     command, flags = command_flags
     # Any flag value gives success or a reported input error, never exit 1.
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, *(f"{k}={v}" for k, v in flags.items()), "--out-dir", tmp]
-        if command == "info":
+        if command in ("info", "predict"):
             argv += ["--basic", small_csv]
+        if command == "predict":
+            argv += ["--test", small_csv]
         assert _exit_code(argv) in (0, 2)
 
 

@@ -11,6 +11,7 @@ from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
 from expmodel.density import accumulate_kernel_products
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
 from expmodel.information import _kernel_rows
+from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
 
 
@@ -100,8 +101,8 @@ def test_joint_two_samples_is_mean_of_kernels(sf02):
     assert joint == pytest.approx(k, rel=1e-12)  # the two kernel values agree
 
 
-def test_joint_mass_is_one(logistic200, sf02, span):
-    axis = extended_axis(span.half_width, sf02.sigma)
+def test_joint_mass_is_one(logistic200, sf02):
+    axis = extended_axis(HALF_WIDTH, sf02.sigma)
     values = kernel_product_sum(logistic200, sf02.sigma, axis, axis) / len(logistic200)
     assert abs(trap2(values, axis) - 1.0) <= 1e-4
 
@@ -136,9 +137,9 @@ def test_conditional_single_sample_ignores_x(one_sample_model, sf02):
             assert conditional_density(one_sample_model, y, x) == pytest.approx(expected, rel=1e-10)
 
 
-def test_conditional_normalizes(model200, sf02, span):
+def test_conditional_normalizes(model200, sf02):
     rng = np.random.default_rng(13)
-    axis_y = extended_axis(span.half_width, sf02.sigma)
+    axis_y = extended_axis(HALF_WIDTH, sf02.sigma)
     for x in rng.uniform(-1.5, 1.5, size=10):
         assert abs(trap1(conditional_density(model200, axis_y, x), axis_y) - 1.0) <= 1e-6
 
@@ -179,14 +180,14 @@ ORACLE_FLOOR = 1e-290
 
 
 @pytest.mark.parametrize("sigma", [0.2, 1.0])
-def test_pointwise_densities_match_brute_force(logistic200, span, sigma):
+def test_pointwise_densities_match_brute_force(logistic200, sigma):
     # The similarities C_i(x) weight the y-channel Gaussians into the
     # conditional density of y given x. The wide kernel keeps the oracle
     # above underflow out to |x| = 10 L.
     m = DensityModel(logistic200, ScatteringFunction(sigma))
-    far = np.geomspace(span.half_width, 10 * span.half_width, 8)
-    xs = np.concatenate([np.linspace(-span.half_width, span.half_width, 17), far, -far])
-    ys = np.linspace(-span.half_width, span.half_width, 5)
+    far = np.geomspace(HALF_WIDTH, 10 * HALF_WIDTH, 8)
+    xs = np.concatenate([np.linspace(-HALF_WIDTH, HALF_WIDTH, 17), far, -far])
+    ys = np.linspace(-HALF_WIDTH, HALF_WIDTH, 5)
 
     checked = 0
     for x in xs:
@@ -204,11 +205,11 @@ def test_pointwise_densities_match_brute_force(logistic200, span, sigma):
         assert checked == xs.size * ys.size
 
 
-def test_densities_finite_and_nonnegative_everywhere(model200, span):
+def test_densities_finite_and_nonnegative_everywhere(model200):
     # The conditional stays positive arbitrarily far out thanks to the
     # log-domain weights; the joint grid may underflow to zero but never goes
     # negative.
-    xs = (-10 * span.half_width, -2.0, 0.0, 3.7, 10 * span.half_width)
+    xs = (-10 * HALF_WIDTH, -2.0, 0.0, 3.7, 10 * HALF_WIDTH)
     for x in xs:
         c = conditional_density(model200, 0.2, x)
         assert math.isfinite(c) and c > 0

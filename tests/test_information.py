@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expmodel import (Dataset, InfoRecord, InvalidGrid,
+from expmodel import (Dataset, InfoRecord, InvalidGrid, InvalidParameter,
                       InvalidSchedule, QuadratureGrid, ScatteringFunction,
                       default_schedule, info_curve)
 from expmodel.information import _kernel_rows
+from conftest import HALF_WIDTH
 from oracles import entropy_grid, kde_joint_grid
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
@@ -22,35 +23,41 @@ def kernel_entropy(sf, grid, cx, cy):
     """-integral_span f log f of one kernel centred at (cx, cy), recovered
     from its one-sample record as I(1) + H_u + 2 log(2L)."""
     info = one_point_info(Dataset([cx], [cy]), sf, grid)
-    return info + grid.calibration_entropy(sf) + 2.0 * math.log(grid.span.width)
+    return info + grid.calibration_entropy(sf) + 2.0 * math.log(2.0 * grid.half_width)
 
 
 # --- grid -------------------------------------------------------------------
 
-def test_grid_rejects_too_few_points(span):
+def test_grid_rejects_too_few_points():
     with pytest.raises(InvalidGrid):
-        QuadratureGrid(span, 128)
+        QuadratureGrid(HALF_WIDTH, 128)
     with pytest.raises(InvalidGrid):
-        QuadratureGrid(span, 257.0)  # equal to an integer, but not one
+        QuadratureGrid(HALF_WIDTH, 257.0)  # equal to an integer, but not one
 
 
-def test_grid_budget_does_not_wrap_in_fixed_width(span):
+def test_span_requires_positive_half_width():
+    for bad in (0.0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            QuadratureGrid(bad, 257)
+
+
+def test_grid_budget_does_not_wrap_in_fixed_width():
     # 24 * (2^31 - 1)^2 bytes wraps in int32 arithmetic; in Python ints it
     # exceeds any memory.
     with pytest.raises(InvalidGrid):
-        QuadratureGrid(span, np.int32(2 ** 31 - 1))
-    assert QuadratureGrid(span, np.int32(257)).points_per_axis == 257
+        QuadratureGrid(HALF_WIDTH, np.int32(2 ** 31 - 1))
+    assert QuadratureGrid(HALF_WIDTH, np.int32(257)).points_per_axis == 257
 
 
-def test_grid_step_and_axis(span, grid257):
+def test_grid_step_and_axis(grid257):
     assert grid257.step == pytest.approx(4.0 / 256)
     axis = grid257.axis
     assert axis[0] == -2.0 and axis[-1] == 2.0 and axis.size == 257
 
 
-def test_grid_kernel_resolution_check(span, grid257):
+def test_grid_kernel_resolution_check(grid257):
     grid257.require_resolves(ScatteringFunction(0.2))  # h = 0.015625 <= 0.05
-    coarse = QuadratureGrid(span, 129)
+    coarse = QuadratureGrid(HALF_WIDTH, 129)
     with pytest.raises(InvalidGrid):
         coarse.require_resolves(ScatteringFunction(0.1))  # h = 0.03125 > 0.025
 
@@ -65,10 +72,12 @@ def test_grid_rejects_kernel_wider_than_span(logistic200, grid257):
 
 # --- entropy quadrature -----------------------------------------------------
 
-def test_entropy_of_uniform_reference(span, grid257):
+def test_entropy_of_uniform_reference(grid257):
     # The uniform density 1/(2L)^2 has quadrature entropy 2 log(2L) exactly
-    # when the trapezoid weights of each axis sum to the span width 2L.
-    assert grid257.weights().sum() == pytest.approx(span.width, rel=1e-12)
+    # when the trapezoid weights of each axis, (G - 1) steps in all, sum to
+    # the span width 2L.
+    weight_sum = (grid257.points_per_axis - 1) * grid257.step
+    assert weight_sum == pytest.approx(2.0 * HALF_WIDTH, rel=1e-12)
 
 
 def test_entropy_of_centered_kernel_matches_gaussian_closed_form(sf02, grid257):
@@ -76,14 +85,14 @@ def test_entropy_of_centered_kernel_matches_gaussian_closed_form(sf02, grid257):
     assert abs(kernel_entropy(sf02, grid257, 0.0, 0.0) - expected) <= 1e-6
 
 
-def test_entropy_of_corner_kernel_is_quarter_of_full(sf02, span, grid257):
+def test_entropy_of_corner_kernel_is_quarter_of_full(sf02, grid257):
     # A kernel centered on the span corner has exactly one quadrant inside,
     # and -f log f is symmetric about the center, so the span integral is a
     # quarter of the full-plane value. (It is *larger* than the full value
     # here, not smaller: the peak exceeds 1, so the omitted quadrants carry
     # negative integrand.)
     full = 2.0 * math.log(sf02.sigma) + LOG_2PIE
-    corner = kernel_entropy(sf02, grid257, span.half_width, span.half_width)
+    corner = kernel_entropy(sf02, grid257, HALF_WIDTH, HALF_WIDTH)
     assert abs(corner - full / 4.0) <= 1e-6
     assert corner > full
 
@@ -101,24 +110,24 @@ def test_indeterminacy_never_positive(logistic200, sf02, grid257):
         assert rec.info + h_u <= 1e-9
 
 
-def test_indeterminacy_agrees_with_generic_quadrature(logistic200, sf02, span, grid257):
+def test_indeterminacy_agrees_with_generic_quadrature(logistic200, sf02, grid257):
     # The record's H_z against np.trapezoid over the brute-force joint grid.
     data = logistic200.prefix(50)
     joint = kde_joint_grid(data.x, data.y, sf02.sigma, grid257.axis)
-    via_trapezoid = entropy_grid(joint, grid257.axis) - 2.0 * math.log(span.width)
+    via_trapezoid = entropy_grid(joint, grid257.axis) - 2.0 * math.log(2.0 * HALF_WIDTH)
     h_z = one_point_info(data, sf02, grid257) + grid257.calibration_entropy(sf02)
     assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
 
 
-def test_indeterminacy_with_most_nodes_unreached(span):
+def test_indeterminacy_with_most_nodes_unreached():
     # Four clustered narrow kernels leave most of the span at a density of
     # exactly 0, where the curve's running sum holds only DENSITY_FLOOR.
     sf = ScatteringFunction(0.05)
-    grid = QuadratureGrid(span, 321)
+    grid = QuadratureGrid(HALF_WIDTH, 321)
     data = Dataset([1.5, 1.4, 1.6, 1.45], [1.5, 1.6, 1.3, 1.55])
     joint = kde_joint_grid(data.x, data.y, sf.sigma, grid.axis)
     assert np.count_nonzero(joint == 0.0) == 67274
-    via_trapezoid = entropy_grid(joint, grid.axis) - 2.0 * math.log(span.width)
+    via_trapezoid = entropy_grid(joint, grid.axis) - 2.0 * math.log(2.0 * HALF_WIDTH)
     h_z = one_point_info(data, sf, grid) + grid.calibration_entropy(sf)
     assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
 
@@ -127,9 +136,9 @@ def test_information_of_one_sample_is_zero(logistic200, sf02, grid257):
     assert abs(one_point_info(logistic200.prefix(1), sf02, grid257)) <= 1e-2
 
 
-def test_information_of_four_isolated_kernels_is_log4(span):
+def test_information_of_four_isolated_kernels_is_log4():
     sf = ScatteringFunction(0.05)
-    grid = QuadratureGrid(span, 321)  # step = sigma/4
+    grid = QuadratureGrid(HALF_WIDTH, 321)  # step = sigma/4
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
     assert one_point_info(data, sf, grid) == pytest.approx(math.log(4.0), abs=0.02)
 
@@ -149,14 +158,14 @@ def test_information_bounds_on_benchmark(logistic200, sf02, grid257):
         assert -tol <= rec.info <= rec.log_n + tol
 
 
-def test_information_is_grid_converged(logistic200, sf02, span):
-    coarse = one_point_info(logistic200, sf02, QuadratureGrid(span, 257))
-    fine = one_point_info(logistic200, sf02, QuadratureGrid(span, 514))
+def test_information_is_grid_converged(logistic200, sf02):
+    coarse = one_point_info(logistic200, sf02, QuadratureGrid(HALF_WIDTH, 257))
+    fine = one_point_info(logistic200, sf02, QuadratureGrid(HALF_WIDTH, 514))
     assert abs(coarse - fine) <= 1e-3
 
 
-def test_information_limit_decreases_with_sigma(logistic200, span):
-    grid = QuadratureGrid(span, 257)
+def test_information_limit_decreases_with_sigma(logistic200):
+    grid = QuadratureGrid(HALF_WIDTH, 257)
     limits = [info_curve(logistic200, ScatteringFunction(s), grid).info_limit
               for s in (0.1, 0.2, 0.4)]
     assert limits[0] > limits[1] > limits[2]
@@ -173,7 +182,7 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid25
     curve = info_curve(logistic600, sf02, grid257, schedule=schedule)
     assert [r.n for r in curve.records] == schedule
     axis = grid257.axis
-    offset = 2.0 * math.log(grid257.span.width) + grid257.calibration_entropy(sf02)
+    offset = 2.0 * math.log(2.0 * grid257.half_width) + grid257.calibration_entropy(sf02)
     for rec in curve.records:
         prefix = logistic600.prefix(rec.n)
         # A streaming record is the curve of its prefix alone...
@@ -245,10 +254,10 @@ def test_schedule_validation(logistic200, sf02, grid257):
         info_curve(logistic200, sf02, grid257, schedule=[])
 
 
-def test_curve_requires_fine_enough_grid(logistic200, span):
+def test_curve_requires_fine_enough_grid(logistic200):
     sf = ScatteringFunction(0.1)
     with pytest.raises(InvalidGrid):
-        info_curve(logistic200, sf, QuadratureGrid(span, 129))
+        info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 129))
 
 
 def test_curve_csv_outputs(tmp_path, logistic200, sf02, grid257):

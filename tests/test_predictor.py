@@ -13,6 +13,7 @@ from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
 from expmodel.density import MIN_UNSHIFTED_EXPONENT
 from expmodel.predictor import (QUERY_BLOCK_ELEMS, write_predictions_csv,
                                 write_quality_csv)
+from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, trap1
 
 
@@ -146,13 +147,13 @@ def _oracle_predictions(data, sigma, xs):
     return np.array(out)
 
 
-def test_predict_many_matches_oracle_across_block_boundary(basic50, span):
+def test_predict_many_matches_oracle_across_block_boundary(basic50):
     # A wide kernel keeps the oracle's plain Gaussians above underflow out to
     # |x| = 10 L, so far-field queries can sit on both sides of the boundary.
     sf = ScatteringFunction(1.0)
     p = CaPredictor(basic50, sf)
     block = QUERY_BLOCK_ELEMS // len(basic50)
-    far = 10 * span.half_width
+    far = 10 * HALF_WIDTH
     xs = np.linspace(-1.5, 1.5, block + 1)
     xs[[0, block - 2, block]] = [far, far, far]
     xs[[1, block - 1]] = [-far, -far]
@@ -338,12 +339,12 @@ def test_quality_moment_decomposition(pairs):
     assert rep.q == pytest.approx(alt, rel=1e-9, abs=1e-9)
 
 
-def test_model_quadrature_identities_on_reduced_set(basic50, sf02, span):
+def test_model_quadrature_identities_on_reduced_set(basic50, sf02):
     # Under the estimated joint density itself, the conditional average has
     # the same mean as y and its covariance with y equals its own variance.
     # Both sides are obtained by quadrature only.
     sigma = sf02.sigma
-    axis = extended_axis(span.half_width, sigma)
+    axis = extended_axis(HALF_WIDTH, sigma)
     p = CaPredictor(basic50, sf02)
     y_p = p.predict_many(axis)
 

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "QualityReport",
     "ScatteringFunction",
     "ShapeMismatch",
-    "SpanConfig",
     "default_schedule",
     "generate",
     "info_curve",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expmodel import InvalidParameter, ScatteringFunction, SpanConfig
+from expmodel import InvalidParameter, ScatteringFunction
 from expmodel.scattering import gaussian_exponent
 from oracles import SQRT2PI, entropy_grid, gauss, trap1
 
@@ -78,13 +78,6 @@ def test_sf_difference_symmetry(sf02):
         assert sf_oracle(sf02, z, u) == pytest.approx(sf_oracle(sf02, u, z), rel=1e-12)
 
 
-def test_span_requires_positive_half_width():
-    with pytest.raises(InvalidParameter):
-        SpanConfig(0.0)
-    with pytest.raises(InvalidParameter):
-        SpanConfig(-2.0)
-
-
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_sf_rejects_bad_sigma(bad):
     with pytest.raises(InvalidParameter):
@@ -102,10 +95,10 @@ def test_calibration_entropy_grows_with_sigma(grid257):
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_calibration_entropy_matches_quadrature(sf02, span, grid257):
+def test_calibration_entropy_matches_quadrature(sf02, grid257):
     # Independent route: tabulate the kernel at the span center, integrate
     # -psi log psi over the span, subtract the uniform-reference term.
-    axis = np.linspace(-span.half_width, span.half_width, 801)
+    axis = np.linspace(-grid257.half_width, grid257.half_width, 801)
     values = np.outer(gauss(axis, 0.0, sf02.sigma), gauss(axis, 0.0, sf02.sigma))
-    h_u = entropy_grid(values, axis) - 2.0 * math.log(span.width)
+    h_u = entropy_grid(values, axis) - 2.0 * math.log(2.0 * grid257.half_width)
     assert abs(h_u - grid257.calibration_entropy(sf02)) <= 1e-3
