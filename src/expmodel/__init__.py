@@ -15,8 +15,7 @@ from .generator import GenerationMeta, generate, logistic_step
 from .information import (InfoCurve, InfoRecord, QuadratureGrid,
                           default_schedule, info_curve)
 from .predictor import (CaPredictor, QualityReport, predictor_quality,
-                        quality_sweep, write_predictions_csv,
-                        write_quality_csv)
+                        quality_sweep)
 from .scattering import ScatteringFunction
 from .tables import read_dataset_csv, write_dataset_csv
 
@@ -48,6 +47,4 @@ __all__ = [
     "quality_sweep",
     "read_dataset_csv",
     "write_dataset_csv",
-    "write_predictions_csv",
-    "write_quality_csv",
 ]

@@ -13,6 +13,12 @@ Each subcommand accepts only the flags it reads (COMMANDS below); any other
 flag is a usage error (exit 2). reproduce runs the one configuration its
 criteria are stated for, so it reads only --seed and --out-dir. All outputs
 are deterministic functions of the flags. Entropic quantities are in nats.
+
+The library returns numbers; this module alone lays them out as tables, one
+write_table call per file (cell format in expmodel.tables). info_curve.csv,
+fig2.csv and fig3.csv share CURVE_COLUMNS behind their seed and sigma
+columns; fig4.csv is a predictions.csv table and fig5.csv a quality.csv
+table, whose rows run seed-major and in schedule order within a seed.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,10 +35,9 @@ from .density import Dataset
 from .errors import ExperimentModelError, InvalidParameter
 from .generator import GenerationMeta, generate
 from .information import InfoCurve, QuadratureGrid, info_curve
-from .predictor import (CaPredictor, quality_sweep, write_predictions_csv,
-                        write_quality_csv)
+from .predictor import CaPredictor, QualityReport, quality_sweep
 from .scattering import ScatteringFunction
-from .tables import read_dataset_csv, write_dataset_csv, write_table
+from .tables import column_rows, read_dataset_csv, write_dataset_csv, write_table
 
 # Offset between the basic-set seed and the seed of the held-out test set.
 TEST_SEED_OFFSET = 7919
@@ -47,6 +52,9 @@ SIGMA_SWEEP = (0.1, 0.2, 0.4)
 N_SAMPLES = 200
 SPAN_L = 2.0
 GRID_POINTS = 257
+
+# Columns of the information-curve table, one row per record.
+CURVE_COLUMNS = ("N", "logN", "I", "R", "C", "K")
 
 
 def _seeds(args) -> list[int]:
@@ -72,6 +80,22 @@ def _out(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+def _curve_rows(curve: InfoCurve):
+    return ((r.n, r.log_n, r.info, r.redundancy, r.cost, r.complexity) for r in curve.records)
+
+
+def _write_predictions(path: str, test: Dataset, y_p: np.ndarray) -> None:
+    write_table(path, ("x_t", "y_t", "y_p", "err"),
+                ((x, y, p, p - y) for x, y, p in column_rows(test.x, test.y, y_p)))
+
+
+def _write_quality(path: str, reports: Mapping[int, Mapping[int, QualityReport]]) -> None:
+    """reports[seed][n] is the quality of the first n basic samples of seed."""
+    write_table(path, ("N", "seed", "Q", "var_y", "var_yp", "cov", "mse"),
+                ((n, seed, r.q, r.var_true, r.var_pred, r.cov, r.mse)
+                 for seed, sweep in reports.items() for n, r in sweep.items()))
+
+
 def cmd_generate(args) -> None:
     if args.sigma is None:
         raise InvalidParameter("generate requires --sigma (noise standard deviation)")
@@ -93,8 +117,9 @@ def cmd_info(args) -> None:
                                    | (abs(dataset.y[:n]) > grid.half_width)))
     if outside:
         print(f"warning: {outside} samples lie outside the span (-L, L)", file=sys.stderr)
-    curve.write_records_csv(_out(args, "info_curve.csv"))
-    curve.write_summary_csv(_out(args, "summary.csv"))
+    write_table(_out(args, "info_curve.csv"), CURVE_COLUMNS, _curve_rows(curve))
+    write_table(_out(args, "summary.csv"), ("N_opt", "I_inf", "K_inf"),
+                [(curve.n_opt, curve.info_limit, curve.complexity_limit)])
     print(f"N_opt={curve.n_opt} I_inf={curve.info_limit:.6f} K_inf={curve.complexity_limit:.6f}")
 
 
@@ -107,29 +132,20 @@ def cmd_predict(args) -> None:
     if args.n is not None:
         basic = basic.prefix(args.n)
     y_p = CaPredictor(basic, ScatteringFunction(sigma)).predict_many(test.x)
-    write_predictions_csv(_out(args, "predictions.csv"), test.x, test.y, y_p)
+    _write_predictions(_out(args, "predictions.csv"), test, y_p)
     print(_out(args, "predictions.csv"))
-
-
-def _quality_rows(basics: Iterable[tuple[int, Dataset]], test: Dataset,
-                  sf: ScatteringFunction, schedule: Optional[Sequence[int]] = None):
-    rows = []
-    per_seed = {}
-    for seed, basic in basics:
-        sweep = quality_sweep(basic, test, sf, schedule)
-        per_seed[seed] = dict(sweep)
-        rows.extend((n, seed, rep) for n, rep in sweep)
-    return rows, per_seed
 
 
 def cmd_quality(args) -> None:
     if args.sigma is None:
         raise InvalidParameter("quality requires --sigma")
     test = _generate(args.seed + TEST_SEED_OFFSET, args.sigma, args.n)
+    sf = ScatteringFunction(args.sigma)
     # One basic set at a time: memory stays that of one set whatever the seeds.
-    basics = ((seed, _generate(seed, args.sigma, args.n)) for seed in _seeds(args))
-    rows, _ = _quality_rows(basics, test, ScatteringFunction(args.sigma), args.schedule)
-    write_quality_csv(_out(args, "quality.csv"), rows)
+    reports = {seed: dict(quality_sweep(_generate(seed, args.sigma, args.n), test, sf,
+                                        args.schedule))
+               for seed in _seeds(args)}
+    _write_quality(_out(args, "quality.csv"), reports)
     print(_out(args, "quality.csv"))
 
 
@@ -144,23 +160,23 @@ def cmd_reproduce(args) -> None:
                   for seed in seeds}
               for s in SIGMA_SWEEP}
 
-    write_table(_out(args, "fig2.csv"), ("seed",) + InfoCurve.COLUMNS,
-                ((seed, *row) for seed in seeds for row in curves[SIGMA_MAIN][seed].rows()))
-    write_table(_out(args, "fig3.csv"), ("sigma", "seed") + InfoCurve.COLUMNS,
+    write_table(_out(args, "fig2.csv"), ("seed",) + CURVE_COLUMNS,
+                ((seed, *row) for seed in seeds for row in _curve_rows(curves[SIGMA_MAIN][seed])))
+    write_table(_out(args, "fig3.csv"), ("sigma", "seed") + CURVE_COLUMNS,
                 ((repr(float(s)), seed, *row)
                  for s in SIGMA_SWEEP if s != SIGMA_MAIN
-                 for seed in seeds for row in curves[s][seed].rows()))
+                 for seed in seeds for row in _curve_rows(curves[s][seed])))
 
     # Prediction trace: reduced 50-sample basic set against the test set.
     sf = ScatteringFunction(SIGMA_MAIN)
     test = _generate(args.seed + TEST_SEED_OFFSET, SIGMA_MAIN)
     y_p = CaPredictor(basics[args.seed].prefix(50), sf).predict_many(test.x)
-    write_predictions_csv(_out(args, "fig4.csv"), test.x, test.y, y_p)
+    _write_predictions(_out(args, "fig4.csv"), test, y_p)
 
-    rows, per_seed = _quality_rows(basics.items(), test, sf)
-    write_quality_csv(_out(args, "fig5.csv"), rows)
+    reports = {seed: dict(quality_sweep(basic, test, sf)) for seed, basic in basics.items()}
+    _write_quality(_out(args, "fig5.csv"), reports)
 
-    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, per_seed, sf, grid))
+    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, reports, sf, grid))
     print(_out(args, "report.txt"))
 
 

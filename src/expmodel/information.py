@@ -31,10 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import Dataset, accumulate_kernel_products
-from .errors import InvalidGrid, InvalidParameter, InvalidSchedule
+from .errors import EmptyDataset, InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
 from .scattering import ScatteringFunction, _require_finite
-from .tables import write_table
 
 # The running kernel sum of an information curve starts at this value, so
 # its log is finite at every node and a node no kernel reaches contributes
@@ -189,21 +188,6 @@ class InfoCurve:
     info_limit: float
     complexity_limit: float
 
-    # Columns of the information-curve table, one row per record.
-    COLUMNS = ("N", "logN", "I", "R", "C", "K")
-
-    def rows(self):
-        """The records as rows of the information-curve table."""
-        return ((r.n, r.log_n, r.info, r.redundancy, r.cost, r.complexity)
-                for r in self.records)
-
-    def write_records_csv(self, path) -> None:
-        write_table(path, self.COLUMNS, self.rows())
-
-    def write_summary_csv(self, path) -> None:
-        write_table(path, ["N_opt", "I_inf", "K_inf"],
-                    [(self.n_opt, self.info_limit, self.complexity_limit)])
-
 
 def default_schedule(n_max: int) -> list[int]:
     """Near-geometric ladder 1, 2, 3, 4, 6, ... clipped to and ending at n_max."""
@@ -214,6 +198,8 @@ def default_schedule(n_max: int) -> list[int]:
 
 def resolve_schedule(schedule: Optional[Sequence[int]], n_available: int) -> list[int]:
     """The schedule checked against n_available samples; None gives the default."""
+    if n_available < 1:
+        raise EmptyDataset("a schedule of prefixes needs at least one sample")
     if schedule is None:
         return default_schedule(n_available)
     sched = [int(n) for n in schedule]

@@ -27,7 +27,6 @@ from .density import Dataset, DensityModel
 from .errors import DegenerateVariance, InvalidParameter, ShapeMismatch
 from .information import resolve_schedule
 from .scattering import ScatteringFunction, _require_finite
-from .tables import column_rows, write_table
 
 # Kernel values held per query block (about 1 MB of float64): the memory of
 # one prediction call, whatever the sample and query counts.
@@ -130,21 +129,3 @@ def quality_sweep(basic: Dataset,
         y_p = predictor.predict_many(test.x)
         out.append((n, predictor_quality(test.y, y_p)))
     return out
-
-
-def write_predictions_csv(path, x_t, y_t, y_p) -> None:
-    """Prediction table: x_t, y_t, y_p, err with err = y_p - y_t."""
-    x_t = np.asarray(x_t, dtype=float)
-    y_t = np.asarray(y_t, dtype=float)
-    y_p = np.asarray(y_p, dtype=float)
-    if not (x_t.shape == y_t.shape == y_p.shape):
-        raise ShapeMismatch("prediction columns must have equal length")
-    write_table(path, ["x_t", "y_t", "y_p", "err"],
-                ((a, b, c, c - b) for a, b, c in column_rows(x_t, y_t, y_p)))
-
-
-def write_quality_csv(path, rows: Sequence[tuple[int, int, QualityReport]]) -> None:
-    """Quality table over (n, seed) runs."""
-    write_table(path, ["N", "seed", "Q", "var_y", "var_yp", "cov", "mse"],
-                ((n, seed, rep.q, rep.var_true, rep.var_pred, rep.cov, rep.mse)
-                 for n, seed, rep in rows))

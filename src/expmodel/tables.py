@@ -1,8 +1,9 @@
-"""CSV tables: the one place the package reads and writes them.
+"""CSV tables: the cell format of every table and the dataset table.
 
 Every table is a header row followed by data rows. Float cells are written
 with 17 significant digits, so every value round-trips exactly; ints and
-strings are written as they are.
+strings are written as they are. The columns of the output tables are laid
+out by expmodel.cli; this module knows only those of the dataset table.
 
 The dataset table has an optional leading comment
 "# seed=<s> sigma=<v> map=<name> prng=<name> n=<n>", then the header

@@ -63,6 +63,13 @@ def test_info_outputs_curve_and_summary(tmp_path, samples_csv):
     assert len(summary_lines) == 2
 
 
+def test_info_of_an_empty_dataset_fails_as_empty(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("i,x,y\n")
+    assert run("info", "--basic", str(empty), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
+    assert "EmptyDataset" in capsys.readouterr().err
+
+
 def test_info_sigma_defaults_to_dataset_metadata(tmp_path, samples_csv):
     out_meta = tmp_path / "m"
     out_flag = tmp_path / "f"

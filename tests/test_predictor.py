@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, InvalidParameter, ScatteringFunction, ShapeMismatch,
-                      generate, predictor_quality, quality_sweep)
+                      generate, predictor_quality, quality_sweep, write_dataset_csv)
+from expmodel.cli import TEST_SEED_OFFSET, main
 from expmodel.density import MIN_UNSHIFTED_EXPONENT
-from expmodel.predictor import (QUERY_BLOCK_ELEMS, write_predictions_csv,
-                                write_quality_csv)
+from expmodel.predictor import QUERY_BLOCK_ELEMS
 from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, trap1
 
@@ -385,23 +385,32 @@ def test_quality_sweep_shape_and_single_sample_limit(basic50, sf02):
     assert sweep[2][1].q == by_hand.q
 
 
-# --- CSV ------------------------------------------------------------------------
+# --- CSV (laid out by the CLI) ----------------------------------------------------
 
-def test_predictions_csv(tmp_path):
-    path = tmp_path / "predictions.csv"
-    write_predictions_csv(path, [0.0, 1.0], [1.0, 2.0], [1.5, 1.5])
-    lines = path.read_text().splitlines()
+def test_predictions_csv(tmp_path, basic50, sf02):
+    test = generate(GenerationMeta(seed=4001, sigma_noise=0.2, n=50))
+    write_dataset_csv(basic50, tmp_path / "basic.csv")
+    write_dataset_csv(test, tmp_path / "test.csv")
+    assert main(["predict", "--basic", str(tmp_path / "basic.csv"),
+                 "--test", str(tmp_path / "test.csv"), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "predictions.csv").read_text().splitlines()
     assert lines[0] == "x_t,y_t,y_p,err"
-    assert lines[1].split(",")[3] == "0.5"
-    assert len(lines) == 3
+    assert len(lines) == 51
+    x_t, y_t, y_p, err = np.loadtxt(lines[1:], delimiter=",").T
+    assert np.array_equal(x_t, test.x) and np.array_equal(y_t, test.y)
+    assert np.array_equal(y_p, CaPredictor(basic50, sf02).predict_many(test.x))
+    assert np.array_equal(err, y_p - y_t)
 
 
 def test_quality_csv(tmp_path, basic50, sf02):
-    test = generate(GenerationMeta(seed=4001, sigma_noise=0.2, n=50))
-    sweep = quality_sweep(basic50, test, sf02, schedule=[2, 4])
-    path = tmp_path / "quality.csv"
-    write_quality_csv(path, [(n, 1, rep) for n, rep in sweep])
-    lines = path.read_text().splitlines()
+    assert main(["quality", "--sigma", "0.2", "--n", "50", "--seed", "1",
+                 "--schedule", "2,4", "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "quality.csv").read_text().splitlines()
     assert lines[0] == "N,seed,Q,var_y,var_yp,cov,mse"
-    assert len(lines) == 3
-    assert lines[1].split(",")[:2] == ["2", "1"]
+    rows = [line.split(",") for line in lines[1:]]
+    # Seed-major, in schedule order within a seed.
+    assert [tuple(r[:2]) for r in rows] == [
+        (n, seed) for seed in ("1", "2", "3") for n in ("2", "4")]
+    test = generate(GenerationMeta(seed=1 + TEST_SEED_OFFSET, sigma_noise=0.2, n=50))
+    sweep = quality_sweep(basic50, test, sf02, schedule=[2, 4])
+    assert [float(r[2]) for r in rows[:2]] == [rep.q for _, rep in sweep]
