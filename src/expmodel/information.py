@@ -30,10 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Dataset, accumulate_kernel_products
+from .density import Dataset
 from .errors import EmptyDataset, InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
-from .scattering import ScatteringFunction, _require_finite
+from .scattering import ScatteringFunction, gaussian_exponent, _require_finite
 
 # The running kernel sum of an information curve starts at this value, so
 # its log is finite at every node and a node no kernel reaches contributes
@@ -44,10 +44,10 @@ DENSITY_FLOOR = 1e-300
 # Near-geometric ladder used when no explicit schedule is given.
 _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 
-# Bytes held per grid node by info_curve, float64 each: the running sum, the
-# scratch grid that holds each block's kernel product and then the entropy
-# integrand, and the two kernel-row buffers, which together hold at most one
-# grid. They are allocated once per curve.
+# Bytes held per grid node by info_curve's one workspace, float64 each: the
+# running sum, the scratch grid that holds each block's kernel product and
+# then the entropy integrand, and one kernel-row buffer, which holds at most
+# one grid. The workspace is allocated once per curve.
 GRID_BYTES_PER_NODE = 3 * 8
 
 
@@ -126,8 +126,9 @@ class QuadratureGrid:
 
 def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
     """Samples per kernel-product block of a curve: at most half the grid
-    points, so the two kernel-row buffers hold no more than one grid (as
-    GRID_BYTES_PER_NODE counts), and at most the largest schedule segment."""
+    points, so the one kernel-row buffer, with a block's x and y rows, holds
+    no more than one grid (as GRID_BYTES_PER_NODE counts), and at most the
+    largest schedule segment."""
     segment = max(b - a for a, b in zip([0, *sched], sched))
     return min(points_per_axis // 2, segment)
 
@@ -225,18 +226,17 @@ def info_curve(data: Dataset,
     The joint grid of prefix n is c = 1/(2 pi sigma^2 n) times the running
     sum of the samples' unnormalised kernel products on the sigma-scaled
     axis, a sum seeded with DENSITY_FLOOR. The samples between two schedule
-    points are added to the sum once (see
-    :func:`expmodel.density.accumulate_kernel_products`), and at each point
-    the entropy is taken of the sum with the one scalar c. Every sample's
-    kernel rows are built exactly once. With G the grid points per axis, the
-    curve allocates three G x G float64 arrays' worth once
-    (GRID_BYTES_PER_NODE): the running sum, one scratch grid for the kernel
-    products and the entropy integrand, and kernel rows holding at most one
-    grid between them. Nothing of grid size is allocated per schedule point,
-    and memory does not grow with the dataset or the schedule. Each I(n) is
-    H_z - H_u of the kernel estimate on the first n
-    samples: the trapezoid entropy of its joint density on the grid, less
-    2 log(2L) and the closed-form H_u of ``grid.calibration_entropy(sf)``.
+    points are added to the sum once (see :func:`accumulate_kernel_products`),
+    and at each point the entropy is taken of the sum with the one scalar c.
+    Every sample's kernel rows are built exactly once. With G the grid points
+    per axis, the curve allocates one workspace of at most three G x G
+    float64 arrays' worth (GRID_BYTES_PER_NODE): the running sum, one scratch
+    grid for the kernel products and the entropy integrand, and one
+    kernel-row buffer holding at most one grid. Nothing of grid size is
+    allocated per schedule point, and memory does not grow with the dataset
+    or the schedule. Each I(n) is H_z - H_u of the kernel estimate on the
+    first n samples: the trapezoid entropy of its joint density on the grid,
+    less 2 log(2L) and the closed-form H_u of ``grid.calibration_entropy(sf)``.
 
     n_opt is the schedule point with the smallest cost (ties resolved toward
     the smallest n). The limit of I is estimated as the mean of the top tenth
@@ -248,16 +248,16 @@ def info_curve(data: Dataset,
 
     scaled_axis = grid.axis / sf.sigma
     g = scaled_axis.size
-    joint_sum = np.full((g, g), DENSITY_FLOOR)
-    scratch = np.empty_like(joint_sum)
-    gx, gy = np.empty((2, _kernel_rows(sched, g), g))
+    workspace = np.empty((2 * g + 2 * _kernel_rows(sched, g)) * g)
+    joint_sum, scratch = workspace[:2 * g * g].reshape(2, g, g)
+    joint_sum.fill(DENSITY_FLOOR)
+    rows = workspace[2 * g * g:].reshape(-1, g)
     h_u = grid.calibration_entropy(sf)
     records = []
     done = 0
     for n in sched:
         accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
-                                   scaled_axis, scaled_axis, sf.sigma,
-                                   scratch=scratch, gx=gx, gy=gy)
+                                   scaled_axis, sf.sigma, scratch=scratch, rows=rows)
         done = n
         h_z = _indeterminacy(joint_sum, kernel_norm / n, grid, scratch)
         records.append(InfoRecord.from_info(n, h_z - h_u))
@@ -272,3 +272,37 @@ def info_curve(data: Dataset,
         info_limit=info_limit,
         complexity_limit=math.exp(info_limit),
     )
+
+
+def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
+                               scratch: np.ndarray, rows: np.ndarray) -> None:
+    """Add sum_i g(axis - x[i]/sigma) g(axis - y[i]/sigma)^T to out, in place,
+    with g(t) = exp(-t^2 / 2) the unnormalised kernel.
+
+    axis is the grid axis both channels share, already divided by sigma; x
+    and y are samples, which each block divides by sigma. So out gains
+    2 pi sigma^2 times the sum of the samples' normalised kernel products,
+    and the normalisation is left to the caller as one scalar. A sample too
+    far from the axis to square its scaled distance gives a zero row,
+    without a warning.
+
+    out and scratch have shape (axis.size, axis.size); rows has an even
+    number of rows of axis.size entries. Samples are taken in blocks of
+    len(rows) // 2, so each sample's two kernel rows are built exactly once,
+    in place in rows: a block's x kernels in its first half and its y
+    kernels in its second. A block's product is written to scratch and
+    added to out, so nothing of grid size is allocated here. Adding the
+    samples of a dataset in consecutive slices gives the joint grid of every
+    prefix on the way.
+    """
+    block = len(rows) // 2
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(x), block):
+            k = min(block, len(x) - lo)
+            kx = np.subtract(axis, x[lo:lo + k, None] / sigma, out=rows[:k])
+            ky = np.subtract(axis, y[lo:lo + k, None] / sigma, out=rows[block:block + k])
+            np.exp(gaussian_exponent(kx, out=kx), out=kx)
+            np.exp(gaussian_exponent(ky, out=ky), out=ky)
+            # np.dot, as np.matmul takes a slow loop for a one-sample block.
+            np.dot(kx.T, ky, out=scratch)
+            out += scratch

@@ -8,9 +8,8 @@ import pytest
 from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       InvalidParameter, ScatteringFunction, ShapeMismatch,
                       read_dataset_csv, write_dataset_csv)
-from expmodel.density import accumulate_kernel_products
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
-from expmodel.information import _kernel_rows
+from expmodel.information import _kernel_rows, accumulate_kernel_products
 from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
 
@@ -26,17 +25,18 @@ CURVE_ROWS = _kernel_rows([600], 257)
 
 def kernel_product_sum(data, sigma, xs, ys):
     """The joint grid sum_i g(xs - x_i) g(ys - y_i)^T, not divided by the
-    sample count, from the accumulator info_curve runs, with kernel-row
-    buffers of CURVE_ROWS samples: the axes are passed divided by sigma, as
-    info_curve passes them, and the sum is normalised here."""
+    sample count, from the accumulator info_curve runs, with a kernel-row
+    buffer of CURVE_ROWS samples per channel: xs and ys are joined into the
+    one axis the accumulator takes, divided by sigma as info_curve passes
+    it, the off-diagonal block of its grid is returned, and the sum is
+    normalised here."""
     with np.errstate(over="ignore"):  # a far query scales to an infinite one
-        xs = np.asarray(xs, dtype=float) / sigma
-        ys = np.asarray(ys, dtype=float) / sigma
-    out = np.zeros((xs.size, ys.size))
-    accumulate_kernel_products(out, data.x, data.y, xs, ys, sigma, scratch=np.empty_like(out),
-                               gx=np.empty((CURVE_ROWS, xs.size)),
-                               gy=np.empty((CURVE_ROWS, ys.size)))
-    return out / (2.0 * math.pi * sigma ** 2)
+        axis = np.concatenate([np.ravel(xs), np.ravel(ys)]) / sigma
+    out = np.zeros((axis.size, axis.size))
+    accumulate_kernel_products(out, data.x, data.y, axis, sigma, scratch=np.empty_like(out),
+                               rows=np.empty((2 * CURVE_ROWS, axis.size)))
+    nx = np.size(xs)
+    return out[:nx, nx:] / (2.0 * math.pi * sigma ** 2)
 
 
 def conditional_density(model, ys, x):

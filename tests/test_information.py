@@ -9,7 +9,8 @@ from expmodel import (Dataset, EmptyDataset, GenerationMeta, InfoRecord,
                       QuadratureGrid, ScatteringFunction, default_schedule,
                       generate, info_curve, quality_sweep, write_dataset_csv)
 from expmodel.cli import main
-from expmodel.information import _kernel_rows
+from expmodel import information
+from expmodel.information import GRID_BYTES_PER_NODE, _kernel_rows
 from conftest import HALF_WIDTH
 from oracles import entropy_grid, kde_joint_grid
 
@@ -199,9 +200,9 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid25
 @pytest.mark.parametrize("fixture,schedule", [
     ("logistic200", None), ("logistic200", [200]), ("logistic600", None)])
 def test_curve_holds_three_grids_at_most(request, fixture, schedule, sf02, grid257):
-    # The running sum, the scratch grid and the kernel rows (at most one grid
-    # between them) are allocated once per curve; 256 KB covers numpy's
-    # ufunc buffers and the axis-sized vectors.
+    # The running sum, the scratch grid and the kernel-row buffer (at most
+    # one grid) are one workspace allocated once per curve; 256 KB covers
+    # numpy's ufunc buffers and the axis-sized vectors.
     data = request.getfixturevalue(fixture)
     tracemalloc.start()
     try:
@@ -210,6 +211,30 @@ def test_curve_holds_three_grids_at_most(request, fixture, schedule, sf02, grid2
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * grid257.points_per_axis ** 2 + 256 * 1024
+
+
+def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02, grid257):
+    # At the curve's first entropy every grid-sized array it holds is live:
+    # the running sum, the scratch grid and the kernel rows are views of one
+    # workspace, so one traced block of at least 64 G bytes is held.
+    g = grid257.points_per_axis
+    snapshots = []
+    indeterminacy = information._indeterminacy
+
+    def first_entropy_snapshot(*args):
+        if not snapshots:
+            snapshots.append(tracemalloc.take_snapshot())
+        return indeterminacy(*args)
+
+    monkeypatch.setattr(information, "_indeterminacy", first_entropy_snapshot)
+    tracemalloc.start()
+    try:
+        info_curve(logistic200, sf02, grid257)
+    finally:
+        tracemalloc.stop()
+    large = [t.size for t in snapshots[0].traces if t.size >= 64 * g]
+    assert len(large) == 1
+    assert large[0] <= GRID_BYTES_PER_NODE * g ** 2
 
 
 # --- records and curve ------------------------------------------------------
