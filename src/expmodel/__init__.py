@@ -10,8 +10,8 @@ quantified quality score.
 from .density import Dataset, DensityModel
 from .errors import (DegenerateVariance, EmptyDataset, ExperimentModelError,
                      InvalidGrid, InvalidParameter, InvalidSchedule,
-                     OutOfDomain, ShapeMismatch)
-from .generator import GenerationMeta, generate, logistic_step
+                     ShapeMismatch)
+from .generator import GenerationMeta, generate
 from .information import (InfoCurve, InfoRecord, QuadratureGrid,
                           default_schedule, info_curve)
 from .predictor import (CaPredictor, QualityReport, predictor_quality,
@@ -34,7 +34,6 @@ __all__ = [
     "InvalidGrid",
     "InvalidParameter",
     "InvalidSchedule",
-    "OutOfDomain",
     "QualityReport",
     "QuadratureGrid",
     "ScatteringFunction",
@@ -42,7 +41,6 @@ __all__ = [
     "default_schedule",
     "generate",
     "info_curve",
-    "logistic_step",
     "predictor_quality",
     "quality_sweep",
     "read_dataset_csv",

@@ -21,10 +21,6 @@ class InvalidSchedule(ExperimentModelError):
     """Sample-count schedule is not strictly increasing or out of range."""
 
 
-class OutOfDomain(ExperimentModelError):
-    """Input lies outside the domain of the chaotic map."""
-
-
 class ShapeMismatch(ExperimentModelError):
     """Paired arrays have different lengths."""
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
-from typing import ClassVar, Optional
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .density import Dataset
-from .errors import InvalidParameter, OutOfDomain
+from .errors import InvalidParameter
 from .memory import memory_limit
 
 TRANSIENT_STEPS = 100
@@ -47,7 +47,6 @@ class GenerationMeta:
     seed: int
     sigma_noise: float
     n: int
-    initial_x: Optional[float] = None
 
     # The map and the noise generator are fixed; the dataset CSV names them.
     map_name: ClassVar[str] = "ulam"
@@ -61,15 +60,6 @@ class GenerationMeta:
         if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):
             raise InvalidParameter(f"sigma_noise must be >= 0 and keep the noise finite, "
                                    f"got {self.sigma_noise}")
-        if self.initial_x is not None and not -1.0 <= self.initial_x <= 1.0:
-            raise InvalidParameter(f"initial_x must lie in [-1, 1], got {self.initial_x}")
-
-
-def logistic_step(x: float) -> float:
-    """One iterate of the chaotic map 1 - 2 x^2 on [-1, 1]."""
-    if not -1.0 <= x <= 1.0:
-        raise OutOfDomain(f"x={x} outside [-1, 1]")
-    return 1.0 - 2.0 * x * x
 
 
 def _box_muller(stream: np.random.SeedSequence, n: int) -> np.ndarray:
@@ -96,8 +86,7 @@ def generate(meta: GenerationMeta) -> Dataset:
     """Produce the noisy benchmark dataset described by meta.
 
     Returns a dataset whose x, y columns carry the noisy measurements and
-    whose clean columns hold the underlying map iterates. The attached meta
-    records the initial condition actually used.
+    whose clean columns hold the underlying map iterates.
     """
     needed = 8 * FLOATS_PER_SAMPLE * int(meta.n)
     available = memory_limit()
@@ -105,19 +94,10 @@ def generate(meta: GenerationMeta) -> Dataset:
         raise InvalidParameter(f"n={meta.n} samples need {needed} bytes, more than "
                                f"the {available} bytes this process may allocate")
     s_init, s_x, s_y = np.random.SeedSequence(meta.seed).spawn(3)
+    x = -0.99 + 1.98 * np.random.Generator(np.random.PCG64(s_init)).random()
 
-    if meta.initial_x is not None:
-        x = float(meta.initial_x)
-    else:
-        rng = np.random.Generator(np.random.PCG64(s_init))
-        x = -0.99 + 1.98 * rng.random()
-    initial_x = x
-
-    # The first step checks the initial condition; the map keeps [-1, 1]
-    # exactly, so the later steps need no check and run in plain floats,
-    # with the same arithmetic as logistic_step.
-    x = logistic_step(x)
-    for _ in range(TRANSIENT_STEPS - 1):
+    # The start lies in [-0.99, 0.99] and the map keeps [-1, 1]: no domain check.
+    for _ in range(TRANSIENT_STEPS):
         x = 1.0 - 2.0 * x * x
     orbit = array("d", [x])
     for _ in range(meta.n):
@@ -134,5 +114,4 @@ def generate(meta: GenerationMeta) -> Dataset:
     else:
         x_noisy, y_noisy = x_clean, y_clean
 
-    resolved = replace(meta, initial_x=initial_x)
-    return Dataset._owning(x_noisy, y_noisy, x_clean, y_clean, meta=resolved)
+    return Dataset._owning(x_noisy, y_noisy, x_clean, y_clean, meta=meta)

@@ -48,3 +48,8 @@ def extended_axis(half_width, sigma, step_divisor=8):
     ext = half_width + 8.0 * sigma
     n = int(round(2.0 * ext / (sigma / step_divisor))) + 1
     return np.linspace(-ext, ext, n)
+
+
+def quadratic_map(x):
+    """One iterate of the generator's chaotic map y = 1 - 2 x^2."""
+    return 1.0 - 2.0 * x * x

@@ -6,27 +6,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expmodel import (GenerationMeta, InvalidParameter, OutOfDomain, generate,
-                      logistic_step, write_dataset_csv)
+from expmodel import (GenerationMeta, InvalidParameter, generate,
+                      read_dataset_csv, write_dataset_csv)
 from expmodel.generator import FLOATS_PER_SAMPLE, TRANSIENT_STEPS
+from oracles import quadratic_map
 
 
 def test_map_values():
-    assert logistic_step(0.0) == 1.0
-    assert logistic_step(1.0) == -1.0
-    assert logistic_step(-1.0) == -1.0
-    assert abs(logistic_step(1.0 / math.sqrt(2.0))) <= 1e-12
+    assert quadratic_map(0.0) == 1.0
+    assert quadratic_map(1.0) == -1.0
+    assert quadratic_map(-1.0) == -1.0
+    assert abs(quadratic_map(1.0 / math.sqrt(2.0))) <= 1e-12
 
 
+# The map keeps [-1, 1], so generate's loop needs no domain check.
 @given(st.floats(min_value=-1.0, max_value=1.0))
 def test_map_stays_in_interval(x):
-    assert -1.0 <= logistic_step(x) <= 1.0
-
-
-@pytest.mark.parametrize("x", [1.0001, -1.2, 5.0])
-def test_map_rejects_outside_domain(x):
-    with pytest.raises(OutOfDomain):
-        logistic_step(x)
+    assert -1.0 <= quadratic_map(x) <= 1.0
 
 
 def test_meta_validation():
@@ -39,8 +35,6 @@ def test_meta_validation():
     # Noise of this width overflows float64 in some samples.
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=5.448323523428893e307, n=10)
-    with pytest.raises(InvalidParameter):
-        GenerationMeta(seed=1, sigma_noise=0.2, n=10, initial_x=1.5)
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1, sigma_noise=0.2, n=1.5)  # not a sample count
     with pytest.raises(InvalidParameter):
@@ -73,9 +67,11 @@ def test_noise_free_pairs_satisfy_the_map():
 def test_clean_columns_iterate_the_map_from_the_recorded_start():
     n = 200
     ds = generate(GenerationMeta(seed=1, sigma_noise=0.2, n=n))
-    orbit = [ds.meta.initial_x]
+    # The start is drawn from the first of the seed's three substreams.
+    stream = np.random.SeedSequence(1).spawn(3)[0]
+    orbit = [-0.99 + 1.98 * np.random.Generator(np.random.PCG64(stream)).random()]
     for _ in range(TRANSIENT_STEPS + n):
-        orbit.append(logistic_step(orbit[-1]))
+        orbit.append(quadratic_map(orbit[-1]))
     orbit = np.array(orbit[TRANSIENT_STEPS:])
     assert ds.x_clean.tobytes() == orbit[:-1].tobytes()
     assert ds.y_clean.tobytes() == orbit[1:].tobytes()
@@ -134,16 +130,9 @@ def test_noise_channels_are_uncorrelated():
     assert abs(np.corrcoef(nx, ny)[0, 1]) <= 0.05
 
 
-def test_explicit_initial_condition_controls_the_trajectory():
-    a = generate(GenerationMeta(seed=1, sigma_noise=0.0, n=20, initial_x=0.3))
-    b = generate(GenerationMeta(seed=999, sigma_noise=0.0, n=20, initial_x=0.3))
-    assert np.array_equal(a.x_clean, b.x_clean)
-    assert a.meta.initial_x == 0.3
-
-
-def test_drawn_initial_condition_is_recorded():
-    ds = generate(GenerationMeta(seed=1, sigma_noise=0.2, n=5))
-    assert ds.meta.initial_x is not None
-    assert -0.99 <= ds.meta.initial_x <= 0.99
-    again = generate(GenerationMeta(seed=1, sigma_noise=0.2, n=5))
-    assert again.meta.initial_x == ds.meta.initial_x
+def test_provenance_round_trips_through_generate_and_the_csv(tmp_path):
+    meta = GenerationMeta(seed=1, sigma_noise=0.2, n=50)
+    ds = generate(meta)
+    assert ds.meta == meta
+    write_dataset_csv(ds, tmp_path / "samples.csv")
+    assert read_dataset_csv(tmp_path / "samples.csv").meta == meta

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import expmodel
@@ -16,7 +18,6 @@ PUBLIC_NAMES = [
     "InvalidGrid",
     "InvalidParameter",
     "InvalidSchedule",
-    "OutOfDomain",
     "QuadratureGrid",
     "QualityReport",
     "ScatteringFunction",
@@ -24,7 +25,6 @@ PUBLIC_NAMES = [
     "default_schedule",
     "generate",
     "info_curve",
-    "logistic_step",
     "predictor_quality",
     "quality_sweep",
     "read_dataset_csv",
@@ -51,3 +51,9 @@ def test_estimator_methods_are_pinned(name):
     cls = getattr(expmodel, name)
     public = sorted(m for m in dir(cls) if not m.startswith("_") and callable(getattr(cls, m)))
     assert public == PUBLIC_METHODS[name]
+
+
+# The provenance a dataset CSV records; adding a field takes an edit here.
+def test_generation_meta_fields_are_pinned():
+    fields = tuple(f.name for f in dataclasses.fields(expmodel.GenerationMeta))
+    assert fields == ("seed", "sigma_noise", "n")
