@@ -142,8 +142,7 @@ def cmd_quality(args) -> None:
     test = _generate(args.seed + TEST_SEED_OFFSET, args.sigma, args.n)
     sf = ScatteringFunction(args.sigma)
     # One basic set at a time: memory stays that of one set whatever the seeds.
-    reports = {seed: dict(quality_sweep(_generate(seed, args.sigma, args.n), test, sf,
-                                        args.schedule))
+    reports = {seed: quality_sweep(_generate(seed, args.sigma, args.n), test, sf, args.schedule)
                for seed in _seeds(args)}
     _write_quality(_out(args, "quality.csv"), reports)
     print(_out(args, "quality.csv"))
@@ -173,7 +172,7 @@ def cmd_reproduce(args) -> None:
     y_p = CaPredictor(basics[args.seed].prefix(50), sf).predict_many(test.x)
     _write_predictions(_out(args, "fig4.csv"), test, y_p)
 
-    reports = {seed: dict(quality_sweep(basic, test, sf)) for seed, basic in basics.items()}
+    reports = {seed: quality_sweep(basic, test, sf) for seed, basic in basics.items()}
     _write_quality(_out(args, "fig5.csv"), reports)
 
     _write_report(_out(args, "report.txt"), criteria.evaluate(curves, reports, sf, grid))

@@ -10,6 +10,7 @@ samples, where every kernel underflows to zero, they stay a convex combination.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -79,7 +80,7 @@ class Dataset:
         return self.x_clean is not None
 
     def prefix(self, n: int) -> "Dataset":
-        """First n samples, preserving order and metadata."""
+        """First n samples, preserving order; the metadata records n samples."""
         if not 1 <= n <= len(self):
             raise InvalidParameter(f"prefix size {n} outside [1, {len(self)}]")
         if n == len(self):
@@ -87,7 +88,8 @@ class Dataset:
         # Views of read-only columns: read-only themselves, nothing is copied.
         xc = self.x_clean[:n] if self.has_clean else None
         yc = self.y_clean[:n] if self.has_clean else None
-        return Dataset._owning(self.x[:n], self.y[:n], xc, yc, meta=self.meta)
+        meta = None if self.meta is None else replace(self.meta, n=n)
+        return Dataset._owning(self.x[:n], self.y[:n], xc, yc, meta=meta)
 
 
 class DensityModel:

@@ -153,41 +153,54 @@ def _indeterminacy(joint_sum: np.ndarray, c: float, grid: QuadratureGrid,
 
 @dataclass(frozen=True)
 class InfoRecord:
-    """Statistics of one prefix experiment of size n.
+    """Experimental information I(n) of the prefix experiment of size n.
 
-    redundancy, cost and complexity are derived from (n, info) at
-    construction, so the identities R = log n - I, C = log n - 2I and
-    K = exp(I) hold exactly.
+    log_n, redundancy, cost and complexity are read from (n, info), so the
+    identities R = log n - I, C = log n - 2I and K = exp(I) hold exactly.
     """
 
     n: int
-    log_n: float
     info: float
-    redundancy: float
-    cost: float
-    complexity: float
 
-    @classmethod
-    def from_info(cls, n: int, info: float) -> "InfoRecord":
-        log_n = math.log(n)
-        return cls(
-            n=n,
-            log_n=log_n,
-            info=info,
-            redundancy=log_n - info,
-            cost=log_n - 2.0 * info,
-            complexity=math.exp(info),
-        )
+    @property
+    def log_n(self) -> float:
+        return math.log(self.n)
+
+    @property
+    def redundancy(self) -> float:
+        return self.log_n - self.info
+
+    @property
+    def cost(self) -> float:
+        return self.log_n - 2.0 * self.info
+
+    @property
+    def complexity(self) -> float:
+        return math.exp(self.info)
 
 
 @dataclass(frozen=True)
 class InfoCurve:
-    """Information statistics over a growing schedule of prefix sizes."""
+    """Information records over a growing schedule of prefix sizes."""
 
     records: tuple[InfoRecord, ...]
-    n_opt: int
-    info_limit: float
-    complexity_limit: float
+
+    @property
+    def n_opt(self) -> int:
+        """The schedule point with the smallest cost, ties resolved toward the
+        smallest n: the proper number of samples."""
+        return min(self.records, key=lambda rec: rec.cost).n
+
+    @property
+    def info_limit(self) -> float:
+        """The limit of I, estimated as the mean of the top tenth of the
+        schedule, at least its last three records."""
+        tail = min(len(self.records), max(3, math.ceil(len(self.records) / 10)))
+        return float(np.mean([r.info for r in self.records[-tail:]]))
+
+    @property
+    def complexity_limit(self) -> float:
+        return math.exp(self.info_limit)
 
 
 def default_schedule(n_max: int) -> list[int]:
@@ -221,7 +234,7 @@ def info_curve(data: Dataset,
                sf: ScatteringFunction,
                grid: QuadratureGrid,
                schedule: Optional[Sequence[int]] = None) -> InfoCurve:
-    """Evaluate I, R, C, K over nested prefixes and select the proper count.
+    """Evaluate I over nested prefixes; R, C, K and N_opt follow (InfoCurve).
 
     The joint grid of prefix n is c = 1/(2 pi sigma^2 n) times the running
     sum of the samples' unnormalised kernel products on the sigma-scaled
@@ -237,11 +250,6 @@ def info_curve(data: Dataset,
     or the schedule. Each I(n) is H_z - H_u of the kernel estimate on the
     first n samples: the trapezoid entropy of its joint density on the grid,
     less 2 log(2L) and the closed-form H_u of ``grid.calibration_entropy(sf)``.
-
-    n_opt is the schedule point with the smallest cost (ties resolved toward
-    the smallest n). The limit of I is estimated as the mean of the top tenth
-    of the schedule (at least the last three records) and the complexity
-    limit is its exponential.
     """
     kernel_norm = grid.require_resolves(sf)
     sched = resolve_schedule(schedule, len(data))
@@ -260,18 +268,8 @@ def info_curve(data: Dataset,
                                    scaled_axis, sf.sigma, scratch=scratch, rows=rows)
         done = n
         h_z = _indeterminacy(joint_sum, kernel_norm / n, grid, scratch)
-        records.append(InfoRecord.from_info(n, h_z - h_u))
-
-    n_opt = min(records, key=lambda rec: rec.cost).n
-
-    tail = min(len(records), max(3, math.ceil(len(records) / 10)))
-    info_limit = float(np.mean([r.info for r in records[-tail:]]))
-    return InfoCurve(
-        records=tuple(records),
-        n_opt=n_opt,
-        info_limit=info_limit,
-        complexity_limit=math.exp(info_limit),
-    )
+        records.append(InfoRecord(n, h_z - h_u))
+    return InfoCurve(tuple(records))
 
 
 def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,

@@ -116,16 +116,14 @@ def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> Quali
 def quality_sweep(basic: Dataset,
                   test: Dataset,
                   sf: ScatteringFunction,
-                  schedule: Optional[Sequence[int]] = None) -> list[tuple[int, QualityReport]]:
+                  schedule: Optional[Sequence[int]] = None) -> dict[int, QualityReport]:
     """Quality of predictors built on growing prefixes of the basic set.
 
     Every schedule point n yields a predictor on the first n basic samples,
-    evaluated on the full test set.
+    evaluated on the full test set; reports are keyed by n in schedule order.
     """
-    sched = resolve_schedule(schedule, len(basic))
-    out = []
-    for n in sched:
-        predictor = CaPredictor(basic.prefix(n), sf)
-        y_p = predictor.predict_many(test.x)
-        out.append((n, predictor_quality(test.y, y_p)))
-    return out
+    reports = {}
+    for n in resolve_schedule(schedule, len(basic)):
+        y_p = CaPredictor(basic.prefix(n), sf).predict_many(test.x)
+        reports[n] = predictor_quality(test.y, y_p)
+    return reports

@@ -68,7 +68,7 @@ def sweeps():
     out = {}
     for seed in SEEDS:
         basic = generate(GenerationMeta(seed=seed, sigma_noise=0.2, n=N_SAMPLES))
-        out[seed] = dict(quality_sweep(basic, test, sf))
+        out[seed] = quality_sweep(basic, test, sf)
     return out
 
 

@@ -112,6 +112,7 @@ def test_extending_n_preserves_the_prefix():
     assert np.array_equal(short.y, long.y[:50])
     assert np.array_equal(short.x_clean, long.x_clean[:50])
     assert np.array_equal(short.y_clean, long.y_clean[:50])
+    assert long.prefix(50).meta == short.meta
 
 
 def test_noise_statistics():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expmodel import (Dataset, EmptyDataset, GenerationMeta, InfoRecord,
+from expmodel import (Dataset, EmptyDataset, GenerationMeta, InfoCurve, InfoRecord,
                       InvalidGrid, InvalidParameter, InvalidSchedule,
                       QuadratureGrid, ScatteringFunction, default_schedule,
                       generate, info_curve, quality_sweep, write_dataset_csv)
@@ -240,7 +240,7 @@ def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02, 
 # --- records and curve ------------------------------------------------------
 
 def test_record_identities_are_exact():
-    rec = InfoRecord.from_info(22, 1.7321)
+    rec = InfoRecord(22, 1.7321)
     assert rec.log_n == math.log(22)
     assert rec.redundancy == rec.log_n - rec.info
     assert rec.cost == rec.log_n - 2.0 * rec.info
@@ -260,6 +260,20 @@ def test_curve_structure(logistic200, sf02, grid257):
     tail = [r.info for r in curve.records[-3:]]
     assert curve.info_limit == pytest.approx(float(np.mean(tail)), rel=1e-15)
     assert abs(curve.records[0].redundancy) <= 1e-2  # log 1 = 0 and I(1) ~ 0
+
+
+def test_n_opt_takes_the_smallest_n_of_a_cost_tie():
+    curve = InfoCurve((InfoRecord(1, 0.0), InfoRecord(4, math.log(2)), InfoRecord(8, 0.5)))
+    assert curve.records[0].cost == curve.records[1].cost == 0.0
+    assert curve.n_opt == 1
+
+
+def test_info_limit_averages_the_top_tenth_of_a_long_curve():
+    infos = [0.05 * k for k in range(41)]
+    curve = InfoCurve(tuple(InfoRecord(n, i) for n, i in enumerate(infos, start=1)))
+    assert curve.info_limit == float(np.mean(infos[-5:]))  # ceil(41 / 10) = 5 > 3
+    assert curve.info_limit != float(np.mean(infos[-3:]))
+    assert curve.complexity_limit == math.exp(curve.info_limit)
 
 
 def test_default_schedule_shape():

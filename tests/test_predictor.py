@@ -375,14 +375,14 @@ def test_model_quadrature_identities_on_reduced_set(basic50, sf02):
 def test_quality_sweep_shape_and_single_sample_limit(basic50, sf02):
     test = generate(GenerationMeta(seed=4001, sigma_noise=0.2, n=200))
     sweep = quality_sweep(basic50, test, sf02, schedule=[1, 2, 8, 32, 50])
-    assert [n for n, _ in sweep] == [1, 2, 8, 32, 50]
-    first = sweep[0][1]
+    assert list(sweep) == [1, 2, 8, 32, 50]
+    first = sweep[1]
     assert first.q <= 0.1  # constant predictor at y_1: no variance, mean offset
     assert first.var_pred == pytest.approx(0.0, abs=1e-30)
     # a sweep entry must match a predictor built by hand on the same prefix
     by_hand = predictor_quality(test.y,
                                 CaPredictor(basic50.prefix(8), sf02).predict_many(test.x))
-    assert sweep[2][1].q == by_hand.q
+    assert sweep[8].q == by_hand.q
 
 
 # --- CSV (laid out by the CLI) ----------------------------------------------------
@@ -413,4 +413,5 @@ def test_quality_csv(tmp_path, basic50, sf02):
         (n, seed) for seed in ("1", "2", "3") for n in ("2", "4")]
     test = generate(GenerationMeta(seed=1 + TEST_SEED_OFFSET, sigma_noise=0.2, n=50))
     sweep = quality_sweep(basic50, test, sf02, schedule=[2, 4])
-    assert [float(r[2]) for r in rows[:2]] == [rep.q for _, rep in sweep]
+    assert list(sweep) == [2, 4]
+    assert [float(r[2]) for r in rows[:2]] == [rep.q for rep in sweep.values()]

@@ -57,3 +57,9 @@ def test_estimator_methods_are_pinned(name):
 def test_generation_meta_fields_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(expmodel.GenerationMeta))
     assert fields == ("seed", "sigma_noise", "n")
+
+
+# The results store what was measured; the rest are properties derived from it.
+def test_result_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(expmodel.InfoRecord)) == ("n", "info")
+    assert tuple(f.name for f in dataclasses.fields(expmodel.InfoCurve)) == ("records",)
