@@ -1,6 +1,8 @@
 """Measured pairs and their kernel similarities C_i(x).
 
-A Dataset holds the measured pairs in order. A DensityModel adds the
+A Dataset holds the measured pairs in order and, for generated data, the
+GenerationMeta that regenerates them; the noise-free pairs are not stored,
+as generate rebuilds them at sigma_noise = 0. A DensityModel adds the
 instrument's scattering function, and its normalised similarities C_i(x)
 (DensityModel.weights) weight the conditional-average predictor. They are
 computed from the kernels' exponents, and a query whose largest exponent is
@@ -28,7 +30,7 @@ MIN_UNSHIFTED_EXPONENT = -300.0
 
 
 class Dataset:
-    """Ordered collection of measured pairs, optionally with clean references.
+    """Ordered collection of measured pairs and their provenance.
 
     Insertion order is significant: statistics over growing experiments are
     defined on nested prefixes, so ``prefix(n)`` must always return the same
@@ -36,48 +38,32 @@ class Dataset:
     copies what it is given, so no caller keeps a writeable alias to them.
     """
 
-    def __init__(self, x, y, x_clean=None, y_clean=None, meta=None):
-        self._adopt(*(None if c is None else np.array(c, dtype=float)
-                      for c in (x, y, x_clean, y_clean)), meta)
+    def __init__(self, x, y, meta=None):
+        self._adopt(np.array(x, dtype=float), np.array(y, dtype=float), meta)
 
     @classmethod
-    def _owning(cls, x, y, x_clean=None, y_clean=None, meta=None) -> "Dataset":
+    def _owning(cls, x, y, meta=None) -> "Dataset":
         """Dataset over float arrays handed over without a copy; the caller
         keeps no writeable alias to them."""
         dataset = cls.__new__(cls)
-        dataset._adopt(x, y, x_clean, y_clean, meta)
+        dataset._adopt(x, y, meta)
         return dataset
 
-    def _adopt(self, x, y, x_clean, y_clean, meta) -> None:
+    def _adopt(self, x, y, meta) -> None:
         if x.ndim != 1 or y.ndim != 1:
             raise InvalidParameter("sample columns must be one-dimensional")
         if x.shape != y.shape:
             raise ShapeMismatch(f"x has {x.size} entries, y has {y.size}")
         _require_finite("x", x, rows=True)
         _require_finite("y", y, rows=True)
-        if (x_clean is None) != (y_clean is None):
-            raise InvalidParameter("clean columns must be given for both channels or neither")
-        if x_clean is not None:
-            if x_clean.shape != x.shape or y_clean.shape != y.shape:
-                raise ShapeMismatch("clean columns must match the sample count")
-            _require_finite("x_clean", x_clean, rows=True)
-            _require_finite("y_clean", y_clean, rows=True)
-            x_clean.flags.writeable = False
-            y_clean.flags.writeable = False
         x.flags.writeable = False
         y.flags.writeable = False
         self.x = x
         self.y = y
-        self.x_clean = x_clean
-        self.y_clean = y_clean
         self.meta = meta
 
     def __len__(self) -> int:
         return self.x.size
-
-    @property
-    def has_clean(self) -> bool:
-        return self.x_clean is not None
 
     def prefix(self, n: int) -> "Dataset":
         """First n samples, preserving order; the metadata records n samples."""
@@ -86,10 +72,8 @@ class Dataset:
         if n == len(self):
             return self
         # Views of read-only columns: read-only themselves, nothing is copied.
-        xc = self.x_clean[:n] if self.has_clean else None
-        yc = self.y_clean[:n] if self.has_clean else None
         meta = None if self.meta is None else replace(self.meta, n=n)
-        return Dataset._owning(self.x[:n], self.y[:n], xc, yc, meta=meta)
+        return Dataset._owning(self.x[:n], self.y[:n], meta=meta)
 
 
 class DensityModel:

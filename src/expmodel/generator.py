@@ -2,7 +2,8 @@
 
 Clean pairs are successive iterates of the fully chaotic quadratic map
 y = 1 - 2 x^2 on [-1, 1]; each coordinate is then corrupted with independent
-zero-mean Gaussian noise. Determinism contract:
+zero-mean Gaussian noise. A dataset holds only the noisy pairs; at
+sigma_noise = 0 they are the clean pairs themselves. Determinism contract:
 
 * one 64-bit seed spawns three independent substreams (initial condition,
   x noise, y noise), so the same seed always yields bit-identical data and
@@ -31,7 +32,7 @@ TRANSIENT_STEPS = 100
 
 # Float64 values held per sample at the peak of generate: the clean orbit,
 # the noisy columns and the Box-Muller uniforms and result (the Dataset takes
-# the columns over without a copy).
+# the noisy columns over without a copy and keeps no clean column).
 FLOATS_PER_SAMPLE = 6
 
 # The largest |normal| of _box_muller: its uniforms are multiples of 2^-53,
@@ -86,7 +87,8 @@ def generate(meta: GenerationMeta) -> Dataset:
     """Produce the noisy benchmark dataset described by meta.
 
     Returns a dataset whose x, y columns carry the noisy measurements and
-    whose clean columns hold the underlying map iterates.
+    whose meta is the given one. The noise-free map iterates are not kept:
+    generate(replace(meta, sigma_noise=0.0)) returns them as its x, y.
     """
     needed = 8 * FLOATS_PER_SAMPLE * int(meta.n)
     available = memory_limit()
@@ -106,12 +108,8 @@ def generate(meta: GenerationMeta) -> Dataset:
     # Pair i is (orbit[i], orbit[i + 1]); both columns view the one orbit.
     clean = np.frombuffer(orbit)
     clean.flags.writeable = False
-    x_clean, y_clean = clean[:-1], clean[1:]
-
+    x, y = clean[:-1], clean[1:]
     if meta.sigma_noise > 0:
-        x_noisy = x_clean + meta.sigma_noise * _box_muller(s_x, meta.n)
-        y_noisy = y_clean + meta.sigma_noise * _box_muller(s_y, meta.n)
-    else:
-        x_noisy, y_noisy = x_clean, y_clean
-
-    return Dataset._owning(x_noisy, y_noisy, x_clean, y_clean, meta=meta)
+        x = x + meta.sigma_noise * _box_muller(s_x, meta.n)
+        y = y + meta.sigma_noise * _box_muller(s_y, meta.n)
+    return Dataset._owning(x, y, meta=meta)

@@ -59,14 +59,9 @@ class CaPredictor(DensityModel):
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Moment breakdown of a prediction run against a test set.
+    """Moments of a prediction run against a test set, population moments
+    (divide by n) throughout; q is read from them."""
 
-    q is 1 - mse / (var_true + var_pred): exactly 1 for perfect prediction,
-    0 for an independent predictor with matching mean, negative under mean
-    bias. Population moments (divide by n) throughout.
-    """
-
-    q: float
     mean_true: float
     mean_pred: float
     var_true: float
@@ -74,6 +69,13 @@ class QualityReport:
     cov: float
     mse: float
     n_test: int
+
+    @property
+    def q(self) -> float:
+        """1 - mse / (var_true + var_pred): exactly 1 for perfect prediction,
+        0 for an independent predictor with matching mean, negative under
+        mean bias."""
+        return 1.0 - self.mse / (self.var_true + self.var_pred)
 
 
 def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> QualityReport:
@@ -102,7 +104,6 @@ def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> Quali
         # Subnormal variances keep too few significant bits to give q.
         raise DegenerateVariance(f"variance sum {denom!r} vanishes; quality undefined")
     return QualityReport(
-        q=1.0 - mse / denom,
         mean_true=mean_true,
         mean_pred=mean_pred,
         var_true=var_true,

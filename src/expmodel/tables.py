@@ -7,7 +7,10 @@ out by expmodel.cli; this module knows only those of the dataset table.
 
 The dataset table has an optional leading comment
 "# seed=<s> sigma=<v> map=<name> prng=<name> n=<n>", then the header
-"i,x,y" or "i,x,y,x_o,y_o" and one row per sample in insertion order.
+"i,x,y" and one row per sample in insertion order. A header may name more
+columns after "i,x,y"; the reader ignores them, so older files with the
+clean columns "x_o,y_o" still load. The provenance read back records the
+number of rows read, whatever the comment's n says.
 Its fields are split on commas and are never quoted: a cell is any literal
 that Python's float() accepts, so a quoted cell is rejected like any other
 text that is not a number. Blank lines are skipped and are not counted as rows.
@@ -61,13 +64,8 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     if meta is not None:
         comment = (f"seed={meta.seed} sigma={float(meta.sigma_noise)!r} "
                    f"map={meta.map_name} prng={meta.prng_name} n={len(dataset)}")
-    header = ["i", "x", "y"]
-    columns = [dataset.x, dataset.y]
-    if dataset.has_clean:
-        header += ["x_o", "y_o"]
-        columns += [dataset.x_clean, dataset.y_clean]
-    rows = ((i, *row) for i, row in enumerate(column_rows(*columns), start=1))
-    write_table(path, header, rows, comment)
+    rows = ((i, *row) for i, row in enumerate(column_rows(dataset.x, dataset.y), start=1))
+    write_table(path, ["i", "x", "y"], rows, comment)
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -78,7 +76,7 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def _parse_dataset_csv(path) -> Dataset:
-    meta: Optional[GenerationMeta] = None
+    ours = False  # a comment naming this map and PRNG
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
@@ -87,22 +85,12 @@ def _parse_dataset_csv(path) -> Dataset:
             )
             ours = (fields.get("map", GenerationMeta.map_name) == GenerationMeta.map_name
                     and fields.get("prng", GenerationMeta.prng_name) == GenerationMeta.prng_name)
-            try:
-                meta = GenerationMeta(
-                    seed=int(fields["seed"]),
-                    sigma_noise=float(fields["sigma"]),
-                    n=int(fields["n"]),
-                ) if ours else None
-            except (KeyError, ValueError, InvalidParameter):
-                meta = None  # unknown comment style; data rows still load
             header_line = fh.readline()
         else:
             header_line = first
         header = [h.strip() for h in header_line.strip().split(",")]
         if header[:3] != ["i", "x", "y"]:
             raise InvalidParameter(f"unrecognized dataset header {header!r} in {path}")
-        with_clean = header == ["i", "x", "y", "x_o", "y_o"]
-        needed = 4 if with_clean else 2  # the cells after "i"
         values = array("d")  # 8 B per cell, read by numpy without a copy
         cells: list[str] = []
         k = 0
@@ -114,22 +102,28 @@ def _parse_dataset_csv(path) -> Dataset:
             row = line.split(",")
             if len(row) < len(header):
                 # Earlier rows of the block first, so the first bad row is named.
-                _append_cells(values, cells, needed, path)
+                _append_cells(values, cells, path)
                 raise InvalidParameter(
                     f"row {k} of {path} has {len(row)} fields, the header has {len(header)}"
                 )
-            cells += row[1:1 + needed]
-            if len(cells) == READ_BLOCK * needed:
-                _append_cells(values, cells, needed, path)
+            cells += row[1:3]  # x and y; columns after them are not read
+            if len(cells) == READ_BLOCK * 2:
+                _append_cells(values, cells, path)
                 cells = []
-        _append_cells(values, cells, needed, path)
+        _append_cells(values, cells, path)
     # Nothing else holds the table, so the dataset takes its columns as views.
-    table = np.frombuffer(values, dtype=float).reshape(-1, needed)
+    table = np.frombuffer(values, dtype=float).reshape(-1, 2)
+    try:
+        # The provenance records the rows read, whatever the comment's n says.
+        meta = GenerationMeta(seed=int(fields["seed"]), sigma_noise=float(fields["sigma"]),
+                              n=len(table)) if ours else None
+    except (KeyError, ValueError, InvalidParameter):
+        meta = None  # unknown comment style, or no rows; data rows still load
     return Dataset._owning(*table.T, meta=meta)
 
 
-def _append_cells(values: array, cells: list, needed: int, path) -> None:
-    """Append the float values of cells, `needed` per row, to the table values."""
+def _append_cells(values: array, cells: list, path) -> None:
+    """Append the float values of cells, an x and a y per row, to the table values."""
     try:
         values.frombytes(np.array(cells, dtype=float).data.cast("B"))
     except ValueError:
@@ -140,4 +134,4 @@ def _append_cells(values: array, cells: list, needed: int, path) -> None:
             try:
                 values.append(float(text))
             except ValueError as exc:
-                raise InvalidParameter(f"row {len(values) // needed + 1} of {path}: {exc}") from None
+                raise InvalidParameter(f"row {len(values) // 2 + 1} of {path}: {exc}") from None

@@ -52,8 +52,6 @@ def test_dataset_validation():
         Dataset([1.0, 2.0], [1.0])
     with pytest.raises(InvalidParameter):
         Dataset([1.0, float("nan")], [0.0, 0.0])
-    with pytest.raises(InvalidParameter):
-        Dataset([1.0], [1.0], x_clean=[1.0])  # clean columns come in pairs
 
 
 def test_dataset_prefix_preserves_order(logistic200):
@@ -61,7 +59,6 @@ def test_dataset_prefix_preserves_order(logistic200):
     assert len(p) == 10
     assert np.array_equal(p.x, logistic200.x[:10])
     assert np.array_equal(p.y, logistic200.y[:10])
-    assert np.array_equal(p.x_clean, logistic200.x_clean[:10])
     with pytest.raises(InvalidParameter):
         logistic200.prefix(0)
     with pytest.raises(InvalidParameter):
@@ -258,8 +255,6 @@ def test_csv_round_trip(tmp_path, logistic200):
     back = read_dataset_csv(path)
     assert np.array_equal(back.x, logistic200.x)
     assert np.array_equal(back.y, logistic200.y)
-    assert np.array_equal(back.x_clean, logistic200.x_clean)
-    assert np.array_equal(back.y_clean, logistic200.y_clean)
     assert back.meta.seed == 1 and back.meta.n == 200
     assert back.meta.sigma_noise == 0.2
     assert back.meta.map_name == "ulam" and back.meta.prng_name == "pcg64"
@@ -288,7 +283,7 @@ def test_csv_without_clean_columns(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "i,x,y"
     back = read_dataset_csv(path)
-    assert not back.has_clean and back.meta is None
+    assert back.meta is None
     assert np.array_equal(back.x, ds.x)
 
 
@@ -303,7 +298,8 @@ _FLOAT_LITERALS = ["1_0", " 0.5 ", "+.5", "1e-400", "\u0661\u0662"]
     ("i,x,y", "\n\n", "\n", ""),
     ("i,x,y", "\n", "\n\n", ""),
     ("i,x,y,note", "\n", "\n", ",text"),
-], ids=["lf", "crlf", "blank_lines", "trailing_blank_line", "extra_field"])
+    ("i,x,y,x_o,y_o", "\n", "\n", ",0.25,-0.5"),
+], ids=["lf", "crlf", "blank_lines", "trailing_blank_line", "extra_field", "clean_columns"])
 def test_csv_reader_reads_what_float_reads(tmp_path, header, sep, end, extra):
     rows = [f"{k},{x},{y}{extra}" for k, (x, y) in
             enumerate(zip(_FLOAT_LITERALS, _FLOAT_LITERALS[::-1]), start=1)]
@@ -351,15 +347,15 @@ def test_csv_writer_fits_the_generate_budget(tmp_path, dataset20k):
 
 
 def test_csv_reader_holds_no_python_float_per_cell(tmp_path, dataset20k):
-    # The reader holds one parsed float64 table (4 columns here) and its
-    # growth slack; the dataset's columns are views of it, not a second copy.
+    # The reader holds one parsed float64 table (x and y) and its growth
+    # slack; the dataset's columns are views of it, not a second copy.
     # A Python float per cell alone would take more.
     path = tmp_path / "s.csv"
     write_dataset_csv(dataset20k, path)
-    assert _peak_bytes(read_dataset_csv, path) < 1.5 * 8 * 4 * len(dataset20k)
+    assert _peak_bytes(read_dataset_csv, path) < 1.5 * 8 * 2 * len(dataset20k)
     back = read_dataset_csv(path)
-    assert np.may_share_memory(back.x, back.y_clean)
-    for column in (back.x, back.y, back.x_clean, back.y_clean):
+    assert np.may_share_memory(back.x, back.y)
+    for column in (back.x, back.y):
         assert not column.flags.writeable
 
 
@@ -370,7 +366,7 @@ def test_prefix_copies_no_column(dataset20k):
     assert _peak_bytes(dataset20k.prefix, n) < 2 * n
     p = dataset20k.prefix(n)
     assert np.shares_memory(p.x, dataset20k.x)
-    assert np.shares_memory(p.y_clean, dataset20k.y_clean)
+    assert np.shares_memory(p.y, dataset20k.y)
     assert not p.y.flags.writeable
 
 

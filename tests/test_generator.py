@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,10 +55,15 @@ def test_generate_budget_does_not_wrap_in_fixed_width(monkeypatch):
         generate(GenerationMeta(seed=1, sigma_noise=0.2, n=np.int64(2 ** 60)))
 
 
+def noise_free(ds):
+    """The noise-free pairs under a generated dataset, regenerated from its meta."""
+    return generate(replace(ds.meta, sigma_noise=0.0))
+
+
 def test_noise_free_pairs_satisfy_the_map():
-    ds = generate(GenerationMeta(seed=3, sigma_noise=0.0, n=50))
-    assert np.array_equal(ds.x, ds.x_clean)
-    assert np.array_equal(ds.y, ds.y_clean)
+    meta = GenerationMeta(seed=3, sigma_noise=0.2, n=50)
+    ds = noise_free(generate(meta))
+    assert ds.meta == replace(meta, sigma_noise=0.0)
     expected = 1.0 - 2.0 * ds.x * ds.x
     assert np.array_equal(ds.y, expected)
     # consecutive pairs chain: x_{i+1} is the previous output
@@ -73,9 +79,10 @@ def test_clean_columns_iterate_the_map_from_the_recorded_start():
     for _ in range(TRANSIENT_STEPS + n):
         orbit.append(quadratic_map(orbit[-1]))
     orbit = np.array(orbit[TRANSIENT_STEPS:])
-    assert ds.x_clean.tobytes() == orbit[:-1].tobytes()
-    assert ds.y_clean.tobytes() == orbit[1:].tobytes()
-    assert not ds.x_clean.flags.writeable and not ds.y_clean.flags.writeable
+    clean = noise_free(ds)
+    assert clean.x.tobytes() == orbit[:-1].tobytes()
+    assert clean.y.tobytes() == orbit[1:].tobytes()
+    assert not clean.x.flags.writeable and not clean.y.flags.writeable
 
 
 def test_generate_peak_stays_within_its_checked_budget():
@@ -92,9 +99,9 @@ def test_generate_peak_stays_within_its_checked_budget():
 
 
 def test_clean_trajectory_stays_in_interval():
-    ds = generate(GenerationMeta(seed=12, sigma_noise=0.2, n=500))
-    assert np.all(ds.x_clean >= -1.0) and np.all(ds.x_clean <= 1.0)
-    assert np.all(ds.y_clean >= -1.0) and np.all(ds.y_clean <= 1.0)
+    clean = noise_free(generate(GenerationMeta(seed=12, sigma_noise=0.2, n=500)))
+    assert np.all(clean.x >= -1.0) and np.all(clean.x <= 1.0)
+    assert np.all(clean.y >= -1.0) and np.all(clean.y <= 1.0)
 
 
 def test_same_seed_gives_identical_csv_bytes(tmp_path):
@@ -110,8 +117,8 @@ def test_extending_n_preserves_the_prefix():
     long = generate(GenerationMeta(seed=5, sigma_noise=0.2, n=100))
     assert np.array_equal(short.x, long.x[:50])
     assert np.array_equal(short.y, long.y[:50])
-    assert np.array_equal(short.x_clean, long.x_clean[:50])
-    assert np.array_equal(short.y_clean, long.y_clean[:50])
+    assert np.array_equal(noise_free(short).x, noise_free(long).x[:50])
+    assert np.array_equal(noise_free(short).y, noise_free(long).y[:50])
     assert long.prefix(50).meta == short.meta
 
 
@@ -119,15 +126,17 @@ def test_noise_statistics():
     n = 10_000
     sigma = 0.2
     ds = generate(GenerationMeta(seed=2, sigma_noise=sigma, n=n))
-    for noise in (ds.x - ds.x_clean, ds.y - ds.y_clean):
+    clean = noise_free(ds)
+    for noise in (ds.x - clean.x, ds.y - clean.y):
         assert noise.std() == pytest.approx(sigma, abs=0.01)
         assert abs(noise.mean()) <= 3.0 * sigma / math.sqrt(n)
 
 
 def test_noise_channels_are_uncorrelated():
     ds = generate(GenerationMeta(seed=8, sigma_noise=0.2, n=10_000))
-    nx = ds.x - ds.x_clean
-    ny = ds.y - ds.y_clean
+    clean = noise_free(ds)
+    nx = ds.x - clean.x
+    ny = ds.y - clean.y
     assert abs(np.corrcoef(nx, ny)[0, 1]) <= 0.05
 
 
@@ -137,3 +146,17 @@ def test_provenance_round_trips_through_generate_and_the_csv(tmp_path):
     assert ds.meta == meta
     write_dataset_csv(ds, tmp_path / "samples.csv")
     assert read_dataset_csv(tmp_path / "samples.csv").meta == meta
+
+
+def test_truncated_csv_records_the_rows_it_holds(tmp_path):
+    # A file cut short reads back as the dataset its rows hold, and its
+    # provenance regenerates exactly those rows.
+    path = tmp_path / "samples.csv"
+    write_dataset_csv(generate(GenerationMeta(seed=1, sigma_noise=0.2, n=50)), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2 + 10]) + "\n")  # comment, header, 10 rows
+    back = read_dataset_csv(path)
+    assert len(back) == 10 and back.meta.n == 10
+    again = generate(back.meta)
+    assert again.x.tobytes() == back.x.tobytes()
+    assert again.y.tobytes() == back.y.tobytes()

@@ -63,3 +63,13 @@ def test_generation_meta_fields_are_pinned():
 def test_result_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(expmodel.InfoRecord)) == ("n", "info")
     assert tuple(f.name for f in dataclasses.fields(expmodel.InfoCurve)) == ("records",)
+    assert tuple(f.name for f in dataclasses.fields(expmodel.QualityReport)) == (
+        "mean_true", "mean_pred", "var_true", "var_pred", "cov", "mse", "n_test")
+
+
+# A dataset holds its measured pairs and their provenance, nothing derived.
+def test_dataset_attributes_are_pinned():
+    data = expmodel.generate(expmodel.GenerationMeta(seed=1, sigma_noise=0.2, n=5))
+    assert sorted(vars(data)) == ["meta", "x", "y"]
+    assert sorted(vars(data.prefix(2))) == ["meta", "x", "y"]
+    assert sorted(vars(expmodel.Dataset([0.1], [0.2]))) == ["meta", "x", "y"]
