@@ -175,7 +175,7 @@ def cmd_reproduce(args) -> None:
     reports = {seed: quality_sweep(basic, test, sf) for seed, basic in basics.items()}
     _write_quality(_out(args, "fig5.csv"), reports)
 
-    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, reports, sf, grid))
+    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, reports, sf, SPAN_L))
     print(_out(args, "report.txt"))
 
 
@@ -201,7 +201,7 @@ FLAGS = {
                      "basic-set prefix to use (default: all rows)"),
     "--seed": dict(type=int, default=1, help="base PRNG seed"),
     "--span-l": dict(type=float, default=SPAN_L,
-                     help="span half width L; channels cover (-L, L)"),
+                     help="half width L of the integration square [-L, L]^2"),
     "--grid-points": dict(type=int, default=GRID_POINTS,
                           help="quadrature nodes per axis (>= 129, step <= sigma/4)"),
     "--schedule": dict(type=_parse_schedule, default=None,

@@ -1,25 +1,24 @@
 """Entropy statistics of an experiment and selection of the sample count.
 
-All quantities are in nats. The reference distribution is uniform over the
-instrument span (-L, L)^2, which the quadrature grid alone holds, so the
-indeterminacy of the estimated joint density is
-
-    H_z = -integral_span f log f  -  2 log(2L)
-
-which is never positive. Subtracting the calibration uncertainty H_u of the
-scattering kernel gives the experimental information I(N) = H_z - H_u, the
-net information carried by N noisy measurements. From I(N) follow the
-redundancy R = log N - I, the cost C = log N - 2 I whose minimizer is the
-proper number of samples, and the complexity K = exp(I), the equivalent
+All quantities are in nats. The experimental information of N noisy
+measurements is the entropy of their kernel estimate f of the joint density
+less that of one kernel, I(N) = -integral f log f - log(2 pi e sigma^2).
+This is H_z - H_u, the indeterminacy of f less the calibration uncertainty
+of the kernel, each relative to a uniform reference on the instrument span
+(-L, L)^2: the reference adds -2 log(2L) to both and cancels, so only
+criterion 1's ceiling -H_u reads it (expmodel.criteria). From I(N) follow
+the redundancy R = log N - I, the cost C = log N - 2 I whose minimizer is
+the proper number of samples, and the complexity K = exp(I), the equivalent
 count of non-overlapping kernels.
 
 Entropy integrals are evaluated with the trapezoid rule on a uniform tensor
-grid restricted to the span. Kernel mass that leaks outside the span is not
-renormalized; the leak is a property of the instrument, not of the estimator.
-The joint density is tabulated as a running sum S of unnormalised kernel
-products seeded with DENSITY_FLOOR, and its normalisation 1/(2 pi sigma^2 n)
-enters the entropy as one scalar together with the squared grid step, so the
-quadrature sums stay of the order of the grid size at any span or sigma.
+grid over the square [-L, L]^2, the grid's extent. Kernel mass that leaks
+outside it is not renormalized; the leak is a property of the instrument,
+not of the estimator. The joint density is tabulated as a running sum S of
+unnormalised kernel products seeded with DENSITY_FLOOR, and its
+normalisation 1/(2 pi sigma^2 n) enters the entropy as one scalar together
+with the squared grid step, so the quadrature sums stay of the order of the
+grid size at any extent or sigma.
 """
 
 from __future__ import annotations
@@ -53,14 +52,12 @@ GRID_BYTES_PER_NODE = 3 * 8
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform tensor grid over the span square [-L, L]^2, the one holder of
-    the instrument span (-L, L) that both channels share: the uniform
-    reference and H_u are taken on it.
+    """Uniform tensor grid over the square [-L, L]^2 that both channels share.
 
     Parameters
     ----------
     half_width:
-        Half width L of the span, positive and finite.
+        Half width L of the square, positive and finite.
     points_per_axis:
         Number of nodes per axis, at least 129. The step is
         2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
@@ -98,11 +95,11 @@ class QuadratureGrid:
         return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
 
     def require_resolves(self, sf: ScatteringFunction) -> float:
-        """Reject kernels as wide as the span, narrower than 4 grid steps, or
+        """Reject kernels as wide as the square, narrower than 4 grid steps, or
         with a normalisation 1/(2 pi sigma^2) that is not positive and finite; return it."""
         if sf.sigma >= self.half_width:
             raise InvalidGrid(
-                f"sigma={sf.sigma} must be smaller than the span half width {self.half_width}"
+                f"sigma={sf.sigma} must be smaller than the grid's half width {self.half_width}"
             )
         if self.step > sf.sigma / 4.0 + 1e-15:
             raise InvalidGrid(
@@ -117,12 +114,6 @@ class QuadratureGrid:
             raise InvalidGrid(f"sigma={sf.sigma}: 1/(2 pi sigma^2) is not positive and finite")
         return norm
 
-    def calibration_entropy(self, sf: ScatteringFunction) -> float:
-        """Closed-form calibration uncertainty H_u of sf, in nats: the kernel's
-        entropy relative to the uniform reference on this span,
-        2*log(sigma/L) + log(pi/2) + 1, exact while its mass lies inside."""
-        return 2.0 * math.log(sf.sigma / self.half_width) + math.log(math.pi / 2.0) + 1.0
-
 
 def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
     """Samples per kernel-product block of a curve: at most half the grid
@@ -133,22 +124,21 @@ def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
     return min(points_per_axis // 2, segment)
 
 
-def _indeterminacy(joint_sum: np.ndarray, c: float, grid: QuadratureGrid,
-                   scratch: np.ndarray) -> float:
-    """H_z of the joint density f = c * joint_sum tabulated on the grid: the
-    trapezoid estimate of -integral_span f log f minus the uniform
-    reference's 2 log(2L). joint_sum S is positive (it is seeded with
-    DENSITY_FLOOR), and f log f = c S (log S + log c) is integrated as
-    c h^2 (u S log S u + log c u S u), with S log S built in scratch, h the
-    step and u the unit trapezoid weights (1/2, 1, ..., 1, 1/2). As h <=
-    sigma/4, c h^2 <= 1/(32 pi n): the sums do not grow with the span."""
+def _entropy(joint_sum: np.ndarray, c: float, grid: QuadratureGrid,
+             scratch: np.ndarray) -> float:
+    """The trapezoid estimate of -integral f log f over the grid of the joint
+    density f = c * joint_sum tabulated on it. joint_sum S is positive (it is
+    seeded with DENSITY_FLOOR), and f log f = c S (log S + log c) is
+    integrated as c h^2 (u S log S u + log c u S u), with S log S built in
+    scratch, h the step and u the unit trapezoid weights (1/2, 1, ..., 1,
+    1/2). As h <= sigma/4, c h^2 <= 1/(32 pi n): the sums do not grow with
+    the grid's extent."""
     s_log_s = np.log(joint_sum, out=scratch)
     s_log_s *= joint_sum
     u = np.ones(grid.points_per_axis)
     u[[0, -1]] = 0.5
-    f_log_f = c * grid.step ** 2 * (float(u @ s_log_s @ u)
-                                    + math.log(c) * float(u @ joint_sum @ u))
-    return -f_log_f - 2.0 * math.log(2.0 * grid.half_width)
+    return -c * grid.step ** 2 * (float(u @ s_log_s @ u)
+                                  + math.log(c) * float(u @ joint_sum @ u))
 
 
 @dataclass(frozen=True)
@@ -247,9 +237,9 @@ def info_curve(data: Dataset,
     grid for the kernel products and the entropy integrand, and one
     kernel-row buffer holding at most one grid. Nothing of grid size is
     allocated per schedule point, and memory does not grow with the dataset
-    or the schedule. Each I(n) is H_z - H_u of the kernel estimate on the
-    first n samples: the trapezoid entropy of its joint density on the grid,
-    less 2 log(2L) and the closed-form H_u of ``grid.calibration_entropy(sf)``.
+    or the schedule. Each I(n) is the trapezoid entropy of the joint density
+    of the first n samples on the grid, less log(2 pi e sigma^2) = 1 - log c1,
+    the entropy of one kernel, with c1 = 1/(2 pi sigma^2) its normalisation.
     """
     kernel_norm = grid.require_resolves(sf)
     sched = resolve_schedule(schedule, len(data))
@@ -260,15 +250,14 @@ def info_curve(data: Dataset,
     joint_sum, scratch = workspace[:2 * g * g].reshape(2, g, g)
     joint_sum.fill(DENSITY_FLOOR)
     rows = workspace[2 * g * g:].reshape(-1, g)
-    h_u = grid.calibration_entropy(sf)
     records = []
     done = 0
     for n in sched:
         accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
                                    scaled_axis, sf.sigma, scratch=scratch, rows=rows)
         done = n
-        h_z = _indeterminacy(joint_sum, kernel_norm / n, grid, scratch)
-        records.append(InfoRecord(n, h_z - h_u))
+        h = _entropy(joint_sum, kernel_norm / n, grid, scratch)
+        records.append(InfoRecord(n, h - (1.0 - math.log(kernel_norm))))
     return InfoCurve(tuple(records))
 
 

@@ -4,9 +4,9 @@ The kernel width sigma is a calibration constant of the instrument, not a
 bandwidth fitted to data. Both channels share one sigma and are independent,
 so the two-dimensional kernel factors into a product of channel Gaussians.
 Their exponent is written once, in gaussian_exponent, which every kernel of
-the package exponentiates unnormalised. The kernel knows no span: the
-instrument span (-L, L) is held by the quadrature grid alone
-(:class:`expmodel.information.QuadratureGrid`).
+the package exponentiates unnormalised. The kernel knows no span: its
+entropy relative to the instrument span (-L, L) is the calibration
+uncertainty H_u of :func:`expmodel.criteria.calibration_entropy`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ def _require_finite(name: str, value, rows: bool = False) -> None:
 @dataclass(frozen=True)
 class ScatteringFunction:
     """Product of two equal channel Gaussians of width sigma, centered at the
-    calibration unit. The span (-L, L) its calibration entropy is measured on
-    is the grid's (:meth:`expmodel.information.QuadratureGrid.calibration_entropy`).
-    """
+    calibration unit."""
 
     sigma: float
 

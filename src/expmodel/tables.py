@@ -6,11 +6,11 @@ strings are written as they are. The columns of the output tables are laid
 out by expmodel.cli; this module knows only those of the dataset table.
 
 The dataset table has an optional leading comment
-"# seed=<s> sigma=<v> map=<name> prng=<name> n=<n>", then the header
-"i,x,y" and one row per sample in insertion order. A header may name more
-columns after "i,x,y"; the reader ignores them, so older files with the
-clean columns "x_o,y_o" still load. The provenance read back records the
-number of rows read, whatever the comment's n says.
+"# seed=<s> sigma=<v> map=<name> prng=<name>", then the header "i,x,y" and
+one row per sample in insertion order. A header may name more columns after
+"i,x,y"; the reader ignores them, so older files with the clean columns
+"x_o,y_o" still load. The provenance read back records the number of rows
+read; older comments with an "n=<n>" field still load, and it is not read.
 Its fields are split on commas and are never quoted: a cell is any literal
 that Python's float() accepts, so a quoted cell is rejected like any other
 text that is not a number. Blank lines are skipped and are not counted as rows.
@@ -63,7 +63,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     comment = None
     if meta is not None:
         comment = (f"seed={meta.seed} sigma={float(meta.sigma_noise)!r} "
-                   f"map={meta.map_name} prng={meta.prng_name} n={len(dataset)}")
+                   f"map={meta.map_name} prng={meta.prng_name}")
     rows = ((i, *row) for i, row in enumerate(column_rows(dataset.x, dataset.y), start=1))
     write_table(path, ["i", "x", "y"], rows, comment)
 
@@ -114,7 +114,7 @@ def _parse_dataset_csv(path) -> Dataset:
     # Nothing else holds the table, so the dataset takes its columns as views.
     table = np.frombuffer(values, dtype=float).reshape(-1, 2)
     try:
-        # The provenance records the rows read, whatever the comment's n says.
+        # The provenance records the rows read; an old comment's n is not read.
         meta = GenerationMeta(seed=int(fields["seed"]), sigma_noise=float(fields["sigma"]),
                               n=len(table)) if ours else None
     except (KeyError, ValueError, InvalidParameter):

@@ -9,6 +9,8 @@ import math
 import numpy as np
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+# log(2 pi e): a kernel of width sigma has entropy LOG_2PIE + 2 log sigma.
+LOG_2PIE = math.log(2 * math.pi * math.e)
 
 
 def gauss(x, u, s):

@@ -17,7 +17,7 @@ from expmodel import (CaPredictor, Dataset, GenerationMeta, QuadratureGrid,
                       ScatteringFunction, criteria, default_schedule,
                       generate, info_curve, predictor_quality, quality_sweep)
 from expmodel.cli import main as cli_main
-from oracles import extended_axis, gauss, trap1
+from oracles import LOG_2PIE, extended_axis, gauss, trap1
 
 SEEDS = (1, 2, 3)
 SIGMAS = (0.1, 0.2, 0.4)
@@ -72,13 +72,13 @@ def sweeps():
     return out
 
 
-def test_criterion_1_information_plateau(grid, curves):
+def test_criterion_1_information_plateau(curves):
     # I = H_z - H_u <= -H_u since H_z <= 0, and I <= log N. -H_u is the closed
     # form here, so the bounds the records carry are checked independently.
     by_sigma, times = curves
     neg_h_u = -(2.0 * math.log(0.2 / HALF_WIDTH) + math.log(math.pi / 2.0) + 1.0)
     half = max(n for n in default_schedule(N_SAMPLES) if n <= N_SAMPLES // 2)
-    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2), grid)
+    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2), HALF_WIDTH)
     for rec in records[1:]:
         assert rec.values["bound"] == pytest.approx(min(math.log(N_SAMPLES), neg_h_u), rel=1e-12)
         assert rec.values["k_cap"] == pytest.approx(min(N_SAMPLES, math.exp(neg_h_u)), rel=1e-12)
@@ -129,10 +129,10 @@ def test_criterion_5c_kernel_entropy(grid):
     sf = ScatteringFunction(0.2)
     # The kernel's quadrature entropy, from the record of one sample at (0, 0).
     info = info_curve(Dataset([0.0], [0.0]), sf, grid, schedule=[1]).records[0].info
-    h = info + grid.calibration_entropy(sf) + 2.0 * math.log(2.0 * HALF_WIDTH)
+    h = info + LOG_2PIE + 2.0 * math.log(sf.sigma)
     ok_h = abs(h - (-0.38083)) <= 1e-3
     h_u = h - 2.0 * math.log(2.0 * HALF_WIDTH)
-    gap = abs(h_u - grid.calibration_entropy(sf))
+    gap = abs(h_u - criteria.calibration_entropy(sf, HALF_WIDTH))
     ok_match = gap <= 1e-3
     detail = f"quadrature entropy {h:.5f} (pinned -0.38083), H_u gap {gap:.2e}"
     assert report("5c exact-cases kernel-entropy", ok_h and ok_match, detail), detail

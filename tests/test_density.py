@@ -375,4 +375,4 @@ def test_generated_csv_prefix_comment(tmp_path):
     path = tmp_path / "gen.csv"
     write_dataset_csv(ds, path)
     first = path.read_text().splitlines()[0]
-    assert first == "# seed=9 sigma=0.1 map=ulam prng=pcg64 n=5"
+    assert first == "# seed=9 sigma=0.1 map=ulam prng=pcg64"

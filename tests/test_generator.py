@@ -150,10 +150,12 @@ def test_provenance_round_trips_through_generate_and_the_csv(tmp_path):
 
 def test_truncated_csv_records_the_rows_it_holds(tmp_path):
     # A file cut short reads back as the dataset its rows hold, and its
-    # provenance regenerates exactly those rows.
+    # provenance regenerates exactly those rows, also under an older comment
+    # whose n= field still names the rows written.
     path = tmp_path / "samples.csv"
     write_dataset_csv(generate(GenerationMeta(seed=1, sigma_noise=0.2, n=50)), path)
     lines = path.read_text().splitlines()
+    lines[0] += " n=50"
     path.write_text("\n".join(lines[:2 + 10]) + "\n")  # comment, header, 10 rows
     back = read_dataset_csv(path)
     assert len(back) == 10 and back.meta.n == 10

@@ -12,9 +12,7 @@ from expmodel.cli import main
 from expmodel import information
 from expmodel.information import GRID_BYTES_PER_NODE, _kernel_rows
 from conftest import HALF_WIDTH
-from oracles import entropy_grid, kde_joint_grid
-
-LOG_2PIE = math.log(2 * math.pi * math.e)
+from oracles import LOG_2PIE, entropy_grid, kde_joint_grid
 
 
 def one_point_info(data, sf, grid):
@@ -23,10 +21,10 @@ def one_point_info(data, sf, grid):
 
 
 def kernel_entropy(sf, grid, cx, cy):
-    """-integral_span f log f of one kernel centred at (cx, cy), recovered
-    from its one-sample record as I(1) + H_u + 2 log(2L)."""
+    """-integral f log f over the grid of one kernel centred at (cx, cy),
+    recovered from its one-sample record as I(1) + log(2 pi e sigma^2)."""
     info = one_point_info(Dataset([cx], [cy]), sf, grid)
-    return info + grid.calibration_entropy(sf) + 2.0 * math.log(2.0 * grid.half_width)
+    return info + LOG_2PIE + 2.0 * math.log(sf.sigma)
 
 
 # --- grid -------------------------------------------------------------------
@@ -66,7 +64,7 @@ def test_grid_kernel_resolution_check(grid257):
 
 
 def test_grid_rejects_kernel_wider_than_span(logistic200, grid257):
-    # The span is the grid's alone; a kernel as wide as it degenerates H_u.
+    # A kernel as wide as the grid's square leaks most of its mass out of it.
     for sigma in (2.0, 2.5):
         sf = ScatteringFunction(sigma)
         with pytest.raises(InvalidGrid):
@@ -102,24 +100,28 @@ def test_entropy_of_corner_kernel_is_quarter_of_full(sf02, grid257):
 
 # --- indeterminacy and information ------------------------------------------
 
-def test_indeterminacy_of_single_sample_equals_calibration_entropy(sf02, grid257):
-    # H_z - H_u is the record's I(1).
-    assert abs(one_point_info(Dataset([0.1], [-0.2]), sf02, grid257)) <= 1e-3
+@pytest.mark.parametrize("point,tol", [(None, 1e-2), ((0.1, -0.2), 1e-3)],
+                         ids=["first-sample", "off-centre"])
+def test_information_of_one_sample_is_zero(point, tol, logistic200, sf02, grid257):
+    # One kernel's entropy less one kernel's; None is the benchmark's first sample.
+    data = logistic200.prefix(1) if point is None else Dataset([point[0]], [point[1]])
+    assert abs(one_point_info(data, sf02, grid257)) <= tol
 
 
 def test_indeterminacy_never_positive(logistic200, sf02, grid257):
-    h_u = grid257.calibration_entropy(sf02)
+    # H_z = H - 2 log(2L) <= 0: mass m <= 1 on the square, of area A = 16,
+    # has entropy at most m log(A/m) <= log A.
+    ref = 2.0 * math.log(2.0 * HALF_WIDTH)
     for rec in info_curve(logistic200, sf02, grid257, schedule=[1, 5, 20, 80, 200]).records:
-        assert rec.info + h_u <= 1e-9
+        assert rec.info + LOG_2PIE + 2.0 * math.log(sf02.sigma) <= ref + 1e-9
 
 
 def test_indeterminacy_agrees_with_generic_quadrature(logistic200, sf02, grid257):
-    # The record's H_z against np.trapezoid over the brute-force joint grid.
+    # The record's entropy against np.trapezoid over the brute-force joint grid.
     data = logistic200.prefix(50)
     joint = kde_joint_grid(data.x, data.y, sf02.sigma, grid257.axis)
-    via_trapezoid = entropy_grid(joint, grid257.axis) - 2.0 * math.log(2.0 * HALF_WIDTH)
-    h_z = one_point_info(data, sf02, grid257) + grid257.calibration_entropy(sf02)
-    assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
+    h = one_point_info(data, sf02, grid257) + LOG_2PIE + 2.0 * math.log(sf02.sigma)
+    assert h == pytest.approx(entropy_grid(joint, grid257.axis), rel=1e-12)
 
 
 def test_indeterminacy_with_most_nodes_unreached():
@@ -130,13 +132,8 @@ def test_indeterminacy_with_most_nodes_unreached():
     data = Dataset([1.5, 1.4, 1.6, 1.45], [1.5, 1.6, 1.3, 1.55])
     joint = kde_joint_grid(data.x, data.y, sf.sigma, grid.axis)
     assert np.count_nonzero(joint == 0.0) == 67274
-    via_trapezoid = entropy_grid(joint, grid.axis) - 2.0 * math.log(2.0 * HALF_WIDTH)
-    h_z = one_point_info(data, sf, grid) + grid.calibration_entropy(sf)
-    assert h_z == pytest.approx(via_trapezoid, rel=1e-12)
-
-
-def test_information_of_one_sample_is_zero(logistic200, sf02, grid257):
-    assert abs(one_point_info(logistic200.prefix(1), sf02, grid257)) <= 1e-2
+    h = one_point_info(data, sf, grid) + LOG_2PIE + 2.0 * math.log(sf.sigma)
+    assert h == pytest.approx(entropy_grid(joint, grid.axis), rel=1e-12)
 
 
 def test_information_of_four_isolated_kernels_is_log4():
@@ -185,7 +182,7 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid25
     curve = info_curve(logistic600, sf02, grid257, schedule=schedule)
     assert [r.n for r in curve.records] == schedule
     axis = grid257.axis
-    offset = 2.0 * math.log(2.0 * grid257.half_width) + grid257.calibration_entropy(sf02)
+    offset = LOG_2PIE + 2.0 * math.log(sf02.sigma)
     for rec in curve.records:
         prefix = logistic600.prefix(rec.n)
         # A streaming record is the curve of its prefix alone...
@@ -219,14 +216,14 @@ def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02, 
     # workspace, so one traced block of at least 64 G bytes is held.
     g = grid257.points_per_axis
     snapshots = []
-    indeterminacy = information._indeterminacy
+    entropy = information._entropy
 
     def first_entropy_snapshot(*args):
         if not snapshots:
             snapshots.append(tracemalloc.take_snapshot())
-        return indeterminacy(*args)
+        return entropy(*args)
 
-    monkeypatch.setattr(information, "_indeterminacy", first_entropy_snapshot)
+    monkeypatch.setattr(information, "_entropy", first_entropy_snapshot)
     tracemalloc.start()
     try:
         info_curve(logistic200, sf02, grid257)
@@ -346,6 +343,20 @@ def test_information_is_invariant_under_symmetries_of_the_span(sigma, grid257):
     for variant in variants:
         moved = [r.info for r in info_curve(variant, sf, grid257).records]
         np.testing.assert_allclose(moved, info, rtol=0, atol=1e-14)
+
+
+def test_information_reads_the_half_width_only_as_the_grid_extent():
+    # Two squares at the same step 1/64 whose nodes hold every kernel of a
+    # set with |x|, |y| < 1.15 to 8.5 sigma: no mass leaks from either, so
+    # the records agree to rounding whatever L is.
+    data = generate(GenerationMeta(seed=1, sigma_noise=0.05, n=200))
+    assert max(np.abs(data.x).max(), np.abs(data.y).max()) < 1.15
+    sf = ScatteringFunction(0.1)
+    narrow, wide = QuadratureGrid(2.0, 257), QuadratureGrid(3.0, 385)
+    assert narrow.step == wide.step == 1.0 / 64
+    at = [r.info for r in info_curve(data, sf, narrow).records]
+    np.testing.assert_allclose([r.info for r in info_curve(data, sf, wide).records], at,
+                               rtol=0, atol=1e-13)
 
 
 def test_info_curve_is_deterministic(logistic200, sf02, grid257):

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expmodel import InvalidParameter, ScatteringFunction
+from expmodel.criteria import calibration_entropy
 from expmodel.scattering import gaussian_exponent
+from conftest import HALF_WIDTH
 from oracles import SQRT2PI, entropy_grid, gauss, trap1
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -84,21 +86,21 @@ def test_sf_rejects_bad_sigma(bad):
         ScatteringFunction(bad)
 
 
-def test_calibration_entropy_closed_form(sf02, grid257):
+def test_calibration_entropy_closed_form(sf02):
     # 2 log(sigma/L) + log(pi/2) + 1 with sigma=0.2, L=2
-    assert grid257.calibration_entropy(sf02) == pytest.approx(-3.1535874806986364, rel=1e-12)
+    assert calibration_entropy(sf02, HALF_WIDTH) == pytest.approx(-3.1535874806986364, rel=1e-12)
 
 
-def test_calibration_entropy_grows_with_sigma(grid257):
-    values = [grid257.calibration_entropy(ScatteringFunction(s))
+def test_calibration_entropy_grows_with_sigma():
+    values = [calibration_entropy(ScatteringFunction(s), HALF_WIDTH)
               for s in (0.05, 0.1, 0.2, 0.4, 0.8)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_calibration_entropy_matches_quadrature(sf02, grid257):
+def test_calibration_entropy_matches_quadrature(sf02):
     # Independent route: tabulate the kernel at the span center, integrate
     # -psi log psi over the span, subtract the uniform-reference term.
-    axis = np.linspace(-grid257.half_width, grid257.half_width, 801)
+    axis = np.linspace(-HALF_WIDTH, HALF_WIDTH, 801)
     values = np.outer(gauss(axis, 0.0, sf02.sigma), gauss(axis, 0.0, sf02.sigma))
-    h_u = entropy_grid(values, axis) - 2.0 * math.log(2.0 * grid257.half_width)
-    assert abs(h_u - grid257.calibration_entropy(sf02)) <= 1e-3
+    h_u = entropy_grid(values, axis) - 2.0 * math.log(2.0 * HALF_WIDTH)
+    assert abs(h_u - calibration_entropy(sf02, HALF_WIDTH)) <= 1e-3
