@@ -5,9 +5,12 @@ GenerationMeta that regenerates them; the noise-free pairs are not stored,
 as generate rebuilds them at sigma_noise = 0. A DensityModel adds the
 instrument's scattering function, and its normalised similarities C_i(x)
 (DensityModel.weights) weight the conditional-average predictor. They are
-computed from the kernels' exponents, and a query whose largest exponent is
-below MIN_UNSHIFTED_EXPONENT has it subtracted first, so far from all
-samples, where every kernel underflows to zero, they stay a convex combination.
+computed from the kernels' exponents in samples x queries blocks. Each
+query's largest exponent is that of its nearest sample, found by one
+binary search in the sorted scaled samples (_nearest_exponents); a query
+where it is below MIN_UNSHIFTED_EXPONENT has it subtracted first, so far
+from all samples, where every kernel underflows to zero, they stay a convex
+combination.
 """
 
 from __future__ import annotations
@@ -76,6 +79,21 @@ class Dataset:
         return Dataset._owning(self.x[:n], self.y[:n], meta=meta)
 
 
+def _nearest_exponents(scaled, qs: np.ndarray) -> np.ndarray:
+    """Each scaled query's largest kernel exponent over the sorted scaled samples.
+
+    fl(q - s_i) is monotone in s_i and the exponent in |fl(q - s_i)|, so the
+    largest exponent is that of the nearest sample below or above q, and it
+    equals the maximum over all samples bit for bit. A NaN (a query and a
+    sample both infinite when scaled) propagates as it would in that maximum.
+    The caller silences numpy's overflow warnings.
+    """
+    j = np.searchsorted(scaled, qs)
+    below = gaussian_exponent(qs - scaled[np.maximum(j - 1, 0)])
+    above = gaussian_exponent(qs - scaled[np.minimum(j, scaled.size - 1)])
+    return np.maximum(below, above, out=below)
+
+
 class DensityModel:
     """A dataset under a scattering function and its similarities C_i(x)."""
 
@@ -89,43 +107,70 @@ class DensityModel:
     def _scaled_x(self) -> np.ndarray:
         return self.data.x / self.sf.sigma
 
-    def _block_kernels(self, xs: np.ndarray) -> np.ndarray:
-        # Row j is C_i(xs[j]) up to a factor, built in place in one q x n
-        # buffer contiguous along the samples. A row is exponentiated as it
-        # is when its largest exponent is at least MIN_UNSHIFTED_EXPONENT;
-        # the other rows, which could underflow, are first shifted by their
-        # largest exponent, so their largest entry is exactly 1. Either way
-        # the kernels' common log normalisation cancels in C_i and is never
-        # added. Far rows overflow, and give inf - inf where a query and a
-        # sample both overflow when scaled; they are replaced below.
+    def _query_adjustments(self, xs: np.ndarray, qs: np.ndarray, n: int):
+        """What the kernels of the first n samples need at the queries xs
+        (qs scaled): None where every query's largest exponent is at least
+        MIN_UNSHIFTED_EXPONENT, else (shift, far) for _block_kernels."""
         with np.errstate(over="ignore", invalid="ignore"):
-            e = np.subtract.outer(xs / self.sf.sigma, self._scaled_x)
-            gaussian_exponent(e, out=e)
-            top = e.max(axis=1)
-            far = ~np.isfinite(top)
-            if far.any():
-                # Every squared scaled distance overflowed; in that limit the
-                # nearest samples share all the weight evenly, those below
-                # and above alike on an exact tie. They are found from the
-                # sample values, as x - x_i rounds alike for all of them there.
-                x, q = self.data.x, xs[far, None]
-                below = np.where(x <= q, x, -np.inf).max(axis=1, keepdims=True)
-                above = np.where(x >= q, x, np.inf).min(axis=1, keepdims=True)
-                nearest = (((x == below) & (q - below <= above - q))
-                           | ((x == above) & (above - q <= q - below)))
-                e[far] = np.where(nearest, 0.0, -np.inf)
-                top[far] = 0.0
+            top = _nearest_exponents(np.sort(self._scaled_x[:n]), qs)
+        if (top >= MIN_UNSHIFTED_EXPONENT).all():
+            return None
+        far = np.flatnonzero(~np.isfinite(top))
+        if far.size:
+            top[far] = 0.0
+            far = (far, *self._far_neighbours(xs[far], n))
+        else:
+            far = None
         low = top < MIN_UNSHIFTED_EXPONENT
-        if low.any():
-            e[low] -= top[low, None]
-        np.exp(e, out=e)
-        return e
+        return (np.where(low, top, 0.0) if low.any() else None), far
+
+    def _far_neighbours(self, q: np.ndarray, n: int):
+        # Every squared scaled distance overflowed; in that limit the nearest
+        # samples share all the weight evenly, those below and above alike on
+        # an exact tie. They are read from the sorted sample values, as
+        # x - x_i rounds alike for all of them there. A side that does not
+        # share the weight gets NaN, which no sample equals.
+        x = np.sort(self.data.x[:n])
+        at_or_below = np.searchsorted(x, q, "right")
+        at_or_above = np.searchsorted(x, q, "left")
+        below = np.where(at_or_below > 0, x[np.maximum(at_or_below - 1, 0)], -np.inf)
+        above = np.where(at_or_above < n, x[np.minimum(at_or_above, n - 1)], np.inf)
+        with np.errstate(over="ignore"):
+            return (np.where(q - below <= above - q, below, np.nan),
+                    np.where(above - q <= q - below, above, np.nan))
+
+    def _block_kernels(self, lo: int, hi: int, qs: np.ndarray, out: np.ndarray,
+                       adjust=None) -> np.ndarray:
+        # Row i - lo is sample i's kernel at each scaled query up to a factor
+        # per query, built in place in out[:hi - lo], contiguous along the
+        # queries. A query is exponentiated as it is unless adjust (from
+        # _query_adjustments) shifts it by its largest exponent, whose entry
+        # is then exactly 1, or gives it the far-query limit. Either way the
+        # kernels' common log normalisation cancels in C_i and is never added.
+        # Far queries overflow, and give inf - inf where a query and a sample
+        # both overflow when scaled; their columns are replaced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.subtract.outer(self._scaled_x[lo:hi], qs, out=out[:hi - lo])
+            gaussian_exponent(e, out=e)
+        if adjust is not None:
+            shift, far = adjust
+            if shift is not None:
+                e -= shift
+            if far is not None:
+                cols, near_below, near_above = far
+                x = self.data.x[lo:hi, None]
+                e[:, cols] = np.where((x == near_below) | (x == near_above), 0.0, -np.inf)
+        return np.exp(e, out=e)
 
     def weights(self, x: float) -> np.ndarray:
         """Similarity coefficients C_i(x): nonnegative, summing to one."""
         if np.ndim(x) != 0:
             raise InvalidParameter(f"x must be a scalar, got shape {np.shape(x)}")
         _require_finite("x", x)
-        e = self._block_kernels(np.array([float(x)]))[0]
+        xs = np.array([float(x)])
+        with np.errstate(over="ignore"):
+            qs = xs / self.sf.sigma
+        n = len(self.data)
+        e = self._block_kernels(0, n, qs, np.empty((n, 1)),
+                                self._query_adjustments(xs, qs, n))[:, 0]
         return e / e.sum()
-

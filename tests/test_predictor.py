@@ -11,8 +11,9 @@ from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, InvalidParameter, ScatteringFunction, ShapeMismatch,
                       generate, predictor_quality, quality_sweep, write_dataset_csv)
 from expmodel.cli import TEST_SEED_OFFSET, main
-from expmodel.density import MIN_UNSHIFTED_EXPONENT
-from expmodel.predictor import QUERY_BLOCK_ELEMS
+from expmodel.density import MIN_UNSHIFTED_EXPONENT, _nearest_exponents
+from expmodel.predictor import _QUERY_CHUNK, _QUERY_VECTORS, QUERY_BLOCK_ELEMS
+from expmodel.scattering import gaussian_exponent
 from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, trap1
 
@@ -140,37 +141,72 @@ def test_predict_many_matches_scalar_path(predictor50):
 
 
 def _oracle_predictions(data, sigma, xs):
+    xs = np.asarray(xs)
     out = []
-    for x in xs:
-        g = gauss(x, data.x, sigma)
-        out.append(data.y @ (g / g.sum()))
-    return np.array(out)
+    for lo in range(0, xs.size, 4096):
+        g = gauss(xs[lo:lo + 4096, None], data.x, sigma)
+        out.append((g / g.sum(axis=1, keepdims=True)) @ data.y)
+    return np.concatenate(out)
+
+
+def _sample_rows(n_queries):
+    # Samples per kernel block at one chunk of n_queries queries.
+    return QUERY_BLOCK_ELEMS // n_queries - _QUERY_VECTORS
 
 
 def test_predict_many_matches_oracle_across_block_boundary(basic50):
-    # A wide kernel keeps the oracle's plain Gaussians above underflow out to
-    # |x| = 10 L, so far-field queries can sit on both sides of the boundary.
+    # The queries span two chunks: in the first every sample block is one
+    # row, in the second the 50 samples span two blocks. Far-field queries
+    # at 10 L and queries shifted by their largest exponent sit on both
+    # sides of the chunk boundary; a wide kernel keeps the oracle's plain
+    # Gaussians above underflow at both.
     sf = ScatteringFunction(1.0)
     p = CaPredictor(basic50, sf)
-    block = QUERY_BLOCK_ELEMS // len(basic50)
-    far = 10 * HALF_WIDTH
-    xs = np.linspace(-1.5, 1.5, block + 1)
-    xs[[0, block - 2, block]] = [far, far, far]
-    xs[[1, block - 1]] = [-far, -far]
+    chunk, rest = _QUERY_CHUNK, 3000
+    assert _sample_rows(chunk) == 1 and _sample_rows(rest) < len(basic50)
+    far, low = 10 * HALF_WIDTH, 30.0
+    assert -0.5 * (low - np.abs(basic50.x).max()) ** 2 < MIN_UNSHIFTED_EXPONENT
+    xs = np.linspace(-1.5, 1.5, chunk + rest)
+    xs[[0, chunk - 3, chunk, chunk + rest - 1]] = [far, -far, far, -far]
+    xs[[1, chunk - 2, chunk - 1, chunk + 1, chunk + 2]] = [-low, low, -low, low, -low]
     expected = _oracle_predictions(basic50, sf.sigma, xs)
     np.testing.assert_allclose(p.predict_many(xs), expected, rtol=1e-12,
                                atol=1e-12 * np.abs(basic50.y).max())
 
 
-def test_predict_many_matches_oracle_with_one_query_per_block(sf02):
-    # More samples than a block holds: every block is a single query row.
+def test_predict_many_matches_oracle_with_samples_over_several_blocks(sf02):
+    # More samples than one block holds at five queries.
     basic = generate(GenerationMeta(seed=3, sigma_noise=0.2, n=QUERY_BLOCK_ELEMS + 1))
     p = CaPredictor(basic, sf02)
     xs = np.array([-1.5, -0.3, 0.0, 0.7, 1.5])
+    assert _sample_rows(xs.size) < len(basic)
     got = p.predict_many(xs)
     np.testing.assert_allclose(got, _oracle_predictions(basic, sf02.sigma, xs), rtol=1e-12,
                                atol=1e-12 * np.abs(basic.y).max())
     assert got.tobytes() == p.predict_many(xs).tobytes()
+
+
+_SIGMAS = st.sampled_from([0.2, 1.0, 3.0, 1e-300, 1e300])
+_VALUES = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e308, -1e308]))
+
+
+@given(sigma=_SIGMAS, x=st.lists(_VALUES, min_size=1, max_size=12),
+       extra=st.lists(_VALUES, max_size=6))
+def test_nearest_sample_exponent_is_the_row_max(sigma, x, extra):
+    # Duplicates, queries equal to a sample or midway between two, queries
+    # beyond the samples, and samples that collide or overflow when scaled.
+    x = np.array(x + x[::3])
+    mids = [a / 2 + b / 2 for a, b in zip(x, x[1:])]
+    xs = np.array(list(x) + mids + extra + [x.min() - 1e3, x.max() + 1e3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled, qs = x / sigma, xs / sigma
+        want = gaussian_exponent(np.subtract.outer(qs, scaled)).max(axis=1)
+        got = _nearest_exponents(np.sort(scaled), qs)
+    # Bit for bit, signed zeros included; a NaN (inf - inf) may differ in sign.
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_far_rows_leave_the_rest_of_their_block_alone(predictor50, basic50, sf02):
@@ -383,6 +419,79 @@ def test_quality_sweep_shape_and_single_sample_limit(basic50, sf02):
     by_hand = predictor_quality(test.y,
                                 CaPredictor(basic50.prefix(8), sf02).predict_many(test.x))
     assert sweep[8].q == by_hand.q
+
+
+@pytest.fixture(scope="module")
+def basic3000():
+    return generate(GenerationMeta(seed=5, sigma_noise=0.2, n=3000))
+
+
+@pytest.fixture(scope="module")
+def test3000():
+    return generate(GenerationMeta(seed=5 + TEST_SEED_OFFSET, sigma_noise=0.2, n=3000))
+
+
+def _hand_built(basic, sf, n, xs):
+    return CaPredictor(basic.prefix(n), sf).predict_many(xs)
+
+
+def test_quality_sweep_equals_predictors_built_by_hand(basic3000, test3000, sf02):
+    # The samples span many blocks; the schedule holds n = 1, points inside
+    # a block and one on a block boundary.
+    rows = _sample_rows(len(test3000))
+    schedule = [1, rows - 1, 2 * rows, 2 * rows + 1, 500, len(basic3000)]
+    sweep = quality_sweep(basic3000, test3000, sf02, schedule)
+    assert list(sweep) == schedule
+    for n in schedule:
+        by_hand = _hand_built(basic3000, sf02, n, test3000.x)
+        assert sweep[n] == predictor_quality(test3000.y, by_hand)
+
+
+def _far_first_samples(basic, test, sigma):
+    # The first 40 samples (beyond the first block) sit more than 25 sigma
+    # from some test queries, so prefixes of up to 40 shift those queries.
+    x = basic.x.copy()
+    x[:40] -= 10.0
+    assert (test.x - x[:40].max()).max() > 25 * sigma
+    return Dataset(x, basic.y), test
+
+
+def _queries_beyond_all_samples(basic, test, sigma):
+    x = test.x.copy()
+    x[::30] = basic.x.max() + sigma * np.linspace(30, 40, x[::30].size)
+    return basic, Dataset(x, test.y)
+
+
+def _query_whose_distances_overflow(basic, test, sigma):
+    x = test.x.copy()
+    x[[7, 8]] = [1e155, -2e300]
+    return basic, Dataset(x, test.y)
+
+
+@pytest.mark.parametrize("case", [_far_first_samples, _queries_beyond_all_samples,
+                                  _query_whose_distances_overflow])
+def test_sweep_points_with_shifted_or_far_queries_equal_predictors_built_by_hand(
+        case, basic3000, test3000, sf02):
+    # A point whose predictor shifts a test query or gives one the far-query
+    # limit is computed on its own; the others still stream.
+    basic, test = case(basic3000, test3000, sf02.sigma)
+    schedule = [1, 39, 40, 41, 2 * _sample_rows(len(test)), len(basic)]
+    sweep = quality_sweep(basic, test, sf02, schedule)
+    for n in schedule:
+        assert sweep[n] == predictor_quality(test.y, _hand_built(basic, sf02, n, test.x))
+
+
+def test_sweep_points_with_scaled_targets_equal_predictors_built_by_hand(basic3000, test3000,
+                                                                         sf02):
+    # max|y| is 1.7e307, above float max / 2n from n = 8 on, where the
+    # unscaled kernel-weighted sums overflow: those points scale their
+    # targets on their own. The moments of such predictions overflow, so
+    # the predictions are compared themselves.
+    basic = Dataset(basic3000.x, basic3000.y * 1e307)
+    schedule = [1, 7, 8, 40, len(basic)]
+    swept = CaPredictor(basic, sf02)._predict_prefixes(test3000.x, schedule)
+    for n, y_p in zip(schedule, swept):
+        assert y_p.tobytes() == _hand_built(basic, sf02, n, test3000.x).tobytes()
 
 
 # --- CSV (laid out by the CLI) ----------------------------------------------------
