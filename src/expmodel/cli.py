@@ -47,8 +47,8 @@ TEST_SEED_OFFSET = 7919
 SIGMA_MAIN = 0.2
 SIGMA_SWEEP = (0.1, 0.2, 0.4)
 
-# Samples per dataset, span half width L and grid points per axis of the
-# benchmark sweep; the other commands default to them.
+# Samples per dataset and span half width L of the benchmark sweep, which the
+# other commands default to, and the least grid points per axis of info_curve.
 N_SAMPLES = 200
 SPAN_L = 2.0
 GRID_POINTS = 257
@@ -110,7 +110,7 @@ def cmd_info(args) -> None:
         raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
     sigma = _resolve_sigma(args, dataset)
-    grid = QuadratureGrid(args.span_l, args.grid_points)
+    grid = QuadratureGrid(args.span_l, GRID_POINTS)
     curve = info_curve(dataset, ScatteringFunction(sigma), grid, args.schedule)
     n = curve.records[-1].n  # the curve reads only the samples up to its last point
     outside = int(np.count_nonzero((abs(dataset.x[:n]) > grid.half_width)
@@ -195,15 +195,15 @@ def _parse_schedule(text: str) -> list[int]:
 FLAGS = {
     "--basic": dict(default=None, help="basic dataset CSV path"),
     "--test": dict(default=None, help="test dataset CSV path"),
-    "--sigma": dict(type=float, default=None, help="kernel / noise standard deviation"),
+    "--sigma": dict(type=float, default=None,
+                    help="kernel / noise standard deviation; for info, the grid step is <= sigma/4"),
     "--n": dict(type=int, default=None,
                 help=f"number of samples (default {N_SAMPLES}); for predict, the "
                      "basic-set prefix to use (default: all rows)"),
     "--seed": dict(type=int, default=1, help="base PRNG seed"),
     "--span-l": dict(type=float, default=SPAN_L,
-                     help="half width L of the integration square [-L, L]^2"),
-    "--grid-points": dict(type=int, default=GRID_POINTS,
-                          help="quadrature nodes per axis (>= 129, step <= sigma/4)"),
+                     help=f"half width L of the integration square [-L, L]^2, on "
+                          f"max({GRID_POINTS}, ceil(8L/sigma) + 1) nodes per axis"),
     "--schedule": dict(type=_parse_schedule, default=None,
                        help="comma-separated strictly increasing sample counts"),
     "--out-dir": dict(default=".", help="directory for output files"),
@@ -214,7 +214,7 @@ COMMANDS = [
     ("generate", cmd_generate, "write a noisy chaotic benchmark dataset (samples.csv)",
      ("--sigma", "--n", "--seed", "--out-dir")),
     ("info", cmd_info, "information curve and summary for a dataset",
-     ("--basic", "--sigma", "--span-l", "--grid-points", "--schedule", "--out-dir")),
+     ("--basic", "--sigma", "--span-l", "--schedule", "--out-dir")),
     ("predict", cmd_predict, "conditional-average predictions for a test set",
      ("--basic", "--test", "--sigma", "--n", "--out-dir")),
     ("quality", cmd_quality, "predictor quality over sample counts, three seeds",

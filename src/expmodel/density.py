@@ -111,30 +111,30 @@ class DensityModel:
         """What the kernels of the first n samples need at the queries xs
         (qs scaled): None where every query's largest exponent is at least
         MIN_UNSHIFTED_EXPONENT, else (shift, far) for _block_kernels."""
+        x = np.sort(self.data.x[:n])  # so is x / sigma, as sigma > 0
         with np.errstate(over="ignore", invalid="ignore"):
-            top = _nearest_exponents(np.sort(self._scaled_x[:n]), qs)
+            top = _nearest_exponents(x / self.sf.sigma, qs)
         if (top >= MIN_UNSHIFTED_EXPONENT).all():
             return None
         far = np.flatnonzero(~np.isfinite(top))
         if far.size:
             top[far] = 0.0
-            far = (far, *self._far_neighbours(xs[far], n))
+            far = (far, *self._far_neighbours(x, xs[far]))
         else:
             far = None
         low = top < MIN_UNSHIFTED_EXPONENT
         return (np.where(low, top, 0.0) if low.any() else None), far
 
-    def _far_neighbours(self, q: np.ndarray, n: int):
+    def _far_neighbours(self, x: np.ndarray, q: np.ndarray):
         # Every squared scaled distance overflowed; in that limit the nearest
         # samples share all the weight evenly, those below and above alike on
-        # an exact tie. They are read from the sorted sample values, as
-        # x - x_i rounds alike for all of them there. A side that does not
+        # an exact tie. They are read from the sorted sample values x, as
+        # q - x_i rounds alike for all of them there. A side that does not
         # share the weight gets NaN, which no sample equals.
-        x = np.sort(self.data.x[:n])
         at_or_below = np.searchsorted(x, q, "right")
         at_or_above = np.searchsorted(x, q, "left")
         below = np.where(at_or_below > 0, x[np.maximum(at_or_below - 1, 0)], -np.inf)
-        above = np.where(at_or_above < n, x[np.minimum(at_or_above, n - 1)], np.inf)
+        above = np.where(at_or_above < x.size, x[np.minimum(at_or_above, x.size - 1)], np.inf)
         with np.errstate(over="ignore"):
             return (np.where(q - below <= above - q, below, np.nan),
                     np.where(above - q <= q - below, above, np.nan))

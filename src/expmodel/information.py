@@ -12,13 +12,13 @@ the proper number of samples, and the complexity K = exp(I), the equivalent
 count of non-overlapping kernels.
 
 Entropy integrals are evaluated with the trapezoid rule on a uniform tensor
-grid over the square [-L, L]^2, the grid's extent. Kernel mass that leaks
-outside it is not renormalized; the leak is a property of the instrument,
-not of the estimator. The joint density is tabulated as a running sum S of
-unnormalised kernel products seeded with DENSITY_FLOOR, and its
-normalisation 1/(2 pi sigma^2 n) enters the entropy as one scalar together
-with the squared grid step, so the quadrature sums stay of the order of the
-grid size at any extent or sigma.
+grid over the square [-L, L]^2, the grid's extent, on at least its nodes and
+at a step <= sigma/4. Kernel mass that leaks outside it is not renormalized;
+the leak is a property of the instrument, not of the estimator. The joint
+density is tabulated as a running sum S of unnormalised kernel products
+seeded with DENSITY_FLOOR, and its normalisation 1/(2 pi sigma^2 n) enters
+the entropy as one scalar together with the squared grid step, so the
+quadrature sums stay of the order of the grid size at any extent or sigma.
 """
 
 from __future__ import annotations
@@ -59,12 +59,11 @@ class QuadratureGrid:
     half_width:
         Half width L of the square, positive and finite.
     points_per_axis:
-        Number of nodes per axis, at least 129. The step is
-        2L / (points_per_axis - 1) and must not exceed sigma/4 of the kernel
-        being integrated, which must be narrower than L (both checked by
-        :meth:`require_resolves`). The arrays an information curve holds at
-        once on this grid must fit in physical memory and in what the soft
-        RLIMIT_AS leaves of the address space.
+        Nodes per axis, at least 129: a floor, which info_curve raises to
+        ceil(8L/sigma) + 1 for a step 2L/(G - 1) <= sigma/4 of a kernel
+        narrower than L (:meth:`require_resolves`). The arrays an information
+        curve holds at once on its grid must fit in physical memory and in
+        what the soft RLIMIT_AS leaves of the address space.
     """
 
     half_width: float
@@ -95,16 +94,11 @@ class QuadratureGrid:
         return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
 
     def require_resolves(self, sf: ScatteringFunction) -> float:
-        """Reject kernels as wide as the square, narrower than 4 grid steps, or
-        with a normalisation 1/(2 pi sigma^2) that is not positive and finite; return it."""
+        """Reject kernels as wide as the square or with a normalisation
+        1/(2 pi sigma^2) that is not positive and finite; return it."""
         if sf.sigma >= self.half_width:
             raise InvalidGrid(
                 f"sigma={sf.sigma} must be smaller than the grid's half width {self.half_width}"
-            )
-        if self.step > sf.sigma / 4.0 + 1e-15:
-            raise InvalidGrid(
-                f"grid step {self.step:.6g} exceeds sigma/4 = {sf.sigma / 4.0:.6g}; "
-                f"increase points_per_axis"
             )
         try:  # sigma ** 2 overflows above about 1.3e154 and is 0 below about 1e-162
             norm = 1.0 / (2.0 * math.pi * sf.sigma ** 2)
@@ -231,10 +225,11 @@ def info_curve(data: Dataset,
     axis, a sum seeded with DENSITY_FLOOR. The samples between two schedule
     points are added to the sum once (see :func:`accumulate_kernel_products`),
     and at each point the entropy is taken of the sum with the one scalar c.
-    Every sample's kernel rows are built exactly once. With G the grid points
-    per axis, the curve allocates one workspace of at most three G x G
-    float64 arrays' worth (GRID_BYTES_PER_NODE): the running sum, one scratch
-    grid for the kernel products and the entropy integrand, and one
+    Every sample's kernel rows are built exactly once. On the grid's square
+    with G = max(grid.points_per_axis, ceil(8L/sigma) + 1) nodes per axis,
+    a step <= sigma/4, the curve allocates one workspace of at most three
+    G x G float64 arrays' worth (GRID_BYTES_PER_NODE): the running sum, one
+    scratch grid for the kernel products and the entropy integrand, and one
     kernel-row buffer holding at most one grid. Nothing of grid size is
     allocated per schedule point, and memory does not grow with the dataset
     or the schedule. Each I(n) is the trapezoid entropy of the joint density
@@ -242,6 +237,11 @@ def info_curve(data: Dataset,
     the entropy of one kernel, with c1 = 1/(2 pi sigma^2) its normalisation.
     """
     kernel_norm = grid.require_resolves(sf)
+    try:  # 8L/sigma may overflow to inf, and G's workspace exceed memory
+        points = max(grid.points_per_axis, math.ceil(8.0 * grid.half_width / sf.sigma) + 1)
+        grid = QuadratureGrid(grid.half_width, points)
+    except (OverflowError, InvalidGrid) as exc:
+        raise InvalidGrid(f"sigma={sf.sigma}, L={grid.half_width}, step <= sigma/4: {exc}") from None
     sched = resolve_schedule(schedule, len(data))
 
     scaled_axis = grid.axis / sf.sigma

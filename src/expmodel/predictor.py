@@ -162,12 +162,12 @@ def predictor_quality(y_true: Sequence[float], y_pred: Sequence[float]) -> Quali
     _require_finite("y_pred", yp)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_true = float(yt.mean())
-        mean_pred = float(yp.mean())
-        var_true = float(np.mean((yt - mean_true) ** 2))
-        var_pred = float(np.mean((yp - mean_pred) ** 2))
-        cov = float(np.mean((yt - mean_true) * (yp - mean_pred)))
+        mean_true, mean_pred = float(yt.mean()), float(yp.mean())
         mse = float(np.mean((yt - yp) ** 2))
+        # mse first: its temporaries are then not held beside the deviations.
+        d_true, d_pred = yt - mean_true, yp - mean_pred
+        var_true, var_pred = float(np.mean(d_true * d_true)), float(np.mean(d_pred * d_pred))
+        cov = float(np.mean(d_true * d_pred))
         denom = var_true + var_pred
     if not np.isfinite([mean_true, mean_pred, denom, cov, mse]).all():
         # Finite values near the float64 limit overflow their sums or squares.

@@ -5,13 +5,14 @@ import resource
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expmodel import cli, default_schedule, generate, memory, read_dataset_csv
+from expmodel import cli, default_schedule, generate, information, memory, read_dataset_csv
 from expmodel.cli import main
 from expmodel.tables import READ_BLOCK
 
@@ -93,14 +94,17 @@ def test_info_single_sample_dataset(tmp_path):
 
 
 def test_info_rejects_coarse_grid(tmp_path, samples_csv, capsys):
-    # 129 points are too coarse for sigma = 0.1; a 2 000 000^2 grid (32 TB)
-    # exceeds any physical memory and is refused before it is allocated; a
-    # kernel wider than the grid's span (L = 2) degenerates H_u.
-    for sigma, points in [("0.1", "129"), ("0.2", "2000000"), ("2.5", "257")]:
-        code = run("info", "--basic", str(samples_csv), "--sigma", sigma,
-                   "--grid-points", points, "--out-dir", str(tmp_path))
-        assert code == 2
-        assert "InvalidGrid" in capsys.readouterr().err
+    # A kernel wider than the grid's span (L = 2) degenerates H_u. At
+    # sigma = 8.000004000002e-06 a step <= sigma/4 needs ceil(8L/sigma) + 1 =
+    # 2 000 000 nodes per axis, a grid (96 TB) beyond any physical memory that
+    # is refused before it is allocated, as is the 80 000 000 001^2 grid of
+    # L = 1e150 and sigma = 1e140; at L = 1e300, 8L/sigma overflows.
+    for flags in [("--sigma", "2.5"), ("--sigma", "8.000004000002e-06"),
+                  ("--span-l", "1e150", "--sigma", "1e140"),
+                  ("--span-l", "1e300", "--sigma", "1e-10")]:
+        assert run("info", "--basic", str(samples_csv), *flags, "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "InvalidGrid" in err and f"sigma={float(flags[-1])}" in err
 
 
 @pytest.mark.parametrize("span_l, sigma", [("1e-300", "1e-301"), ("1e-160", "1e-161")],
@@ -128,9 +132,10 @@ def test_info_on_a_large_span_stays_finite(tmp_path, small_csv):
 
 def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
     # The running sum, scratch grid and kernel rows take 24 B per node. With
-    # 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB: a 2001^2
-    # grid (96.1 MB) and a 1700^2 grid (69.4 MB, below the limit itself) are
-    # refused before allocation; 257^2 still fits.
+    # 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB: the 2001^2
+    # grid that sigma = 0.008 sets (96.1 MB) and the 1700^2 grid of
+    # sigma = 0.00942 (69.4 MB, below the limit itself) are refused before
+    # allocation; the 257^2 floor at sigma = 0.2 still fits.
     limit, mapped = 96 << 20, 32 << 20
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
@@ -138,12 +143,13 @@ def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(memory, "mapped_bytes", lambda: mapped)
     one = tmp_path / "one.csv"
     one.write_text("i,x,y\n1,0.1,0.2\n")
-    args = ("info", "--basic", str(one), "--sigma", "0.2", "--out-dir", str(tmp_path))
-    for points in ("2001", "1700"):
-        assert run(*args, "--grid-points", points) == 2
+    args = ("info", "--basic", str(one), "--out-dir", str(tmp_path))
+    for sigma, points in (("0.008", "2001"), ("0.00942", "1700")):
+        assert run(*args, "--sigma", sigma) == 2
         err = capsys.readouterr().err
         assert "InvalidGrid" in err and str(limit - mapped) in err
-    assert run(*args, "--grid-points", "257") == 0
+        assert f"sigma={sigma}, L=2.0" in err and f"a {points}^2 grid" in err
+    assert run(*args, "--sigma", "0.2") == 0
 
 
 def test_info_rejects_bad_schedule(tmp_path, samples_csv):
@@ -430,8 +436,6 @@ _FLAGS = {
     "--n": st.one_of(_COUNT, st.sampled_from(["nan", "inf", "1.5", ""])),
     "--sigma": st.one_of(st.floats(0.01, 0.5), st.floats()).map(repr),
     "--span-l": st.one_of(st.floats(0.5, 4.0), st.floats()).map(repr),
-    "--grid-points": st.one_of(st.integers(129, 300), st.integers(-3, 128),
-                               st.integers(10 ** 7, 10 ** 40)).map(str) | st.just("nan"),
     "--schedule": st.one_of(st.lists(_COUNT, max_size=4).map(",".join), st.just("1,nan")),
     "--seed": _COUNT,
 }
@@ -440,12 +444,13 @@ _FLAGS = {
 # The flags each subcommand reads; --out-dir is read by all of them.
 _READS = {
     "generate": {"--sigma", "--n", "--seed"},
-    "info": {"--basic", "--sigma", "--span-l", "--grid-points", "--schedule"},
+    "info": {"--basic", "--sigma", "--span-l", "--schedule"},
     "predict": {"--basic", "--test", "--sigma", "--n"},
     "quality": {"--sigma", "--n", "--seed", "--schedule"},
     "reproduce": {"--seed"},
 }
-_ALL_FLAGS = set().union(*_READS.values())
+# No command reads --grid-points: info's grid follows --sigma and --span-l.
+_ALL_FLAGS = set().union(*_READS.values()) | {"--grid-points"}
 _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_FLAGS - reads)
 
 
@@ -458,13 +463,17 @@ _UNREAD = sorted((cmd, flag) for cmd, reads in _READS.items() for flag in _ALL_F
 @example(command_flags=("generate", {"--sigma": "0.2", "--seed": "-1"}))
 @example(command_flags=("info", {"--span-l": "1e-300", "--sigma": "1e-301"}))
 @example(command_flags=("info", {"--sigma": "1e200"}))
-@example(command_flags=("info", {"--span-l": "1e200", "--sigma": "1e199",
-                                 "--grid-points": "257"}))
+@example(command_flags=("info", {"--span-l": "1e200", "--sigma": "1e199"}))
+@example(command_flags=("info", {"--span-l": "1e300", "--sigma": "1e-10"}))
+@example(command_flags=("info", {"--span-l": "1e150", "--sigma": "1e140"}))
 @example(command_flags=("info", {"--span-l": "1e154", "--sigma": "1e153"}))
 def test_flag_values_exit_with_documented_codes(small_csv, command_flags):
     command, flags = command_flags
     # Any flag value gives success or a reported input error, never exit 1.
-    with tempfile.TemporaryDirectory() as tmp:
+    # The grid that --sigma and --span-l set is refused above 32 MiB (G > 1182),
+    # so no drawn pair allocates a large one.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(information, "memory_limit", lambda: 32 << 20):
         argv = [command, *(f"{k}={v}" for k, v in flags.items()), "--out-dir", tmp]
         if command in ("info", "predict"):
             argv += ["--basic", small_csv]

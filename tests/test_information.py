@@ -56,11 +56,12 @@ def test_grid_step_and_axis(grid257):
     assert axis[0] == -2.0 and axis[-1] == 2.0 and axis.size == 257
 
 
-def test_grid_kernel_resolution_check(grid257):
-    grid257.require_resolves(ScatteringFunction(0.2))  # h = 0.015625 <= 0.05
-    coarse = QuadratureGrid(HALF_WIDTH, 129)
-    with pytest.raises(InvalidGrid):
-        coarse.require_resolves(ScatteringFunction(0.1))  # h = 0.03125 > 0.025
+def test_grid_kernel_resolution_check(logistic200):
+    # A grid's node count is a floor: at sigma = 0.1, 129 nodes (h = 0.03125 >
+    # sigma/4) become the ceil(8L/sigma) + 1 = 161 of h = sigma/4 = 0.025.
+    sf = ScatteringFunction(0.1)
+    assert (info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 129)).records
+            == info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 161)).records)
 
 
 def test_grid_rejects_kernel_wider_than_span(logistic200, grid257):
@@ -290,12 +291,6 @@ def test_schedule_validation(logistic200, sf02, grid257):
         info_curve(logistic200, sf02, grid257, schedule=[1, 500])
     with pytest.raises(InvalidSchedule):
         info_curve(logistic200, sf02, grid257, schedule=[])
-
-
-def test_curve_requires_fine_enough_grid(logistic200):
-    sf = ScatteringFunction(0.1)
-    with pytest.raises(InvalidGrid):
-        info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 129))
 
 
 def test_curve_csv_outputs(tmp_path, logistic200, sf02, grid257):
