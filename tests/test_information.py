@@ -56,12 +56,13 @@ def test_grid_step_and_axis(grid257):
     assert axis[0] == -2.0 and axis[-1] == 2.0 and axis.size == 257
 
 
-def test_grid_kernel_resolution_check(logistic200):
-    # A grid's node count is a floor: at sigma = 0.1, 129 nodes (h = 0.03125 >
-    # sigma/4) become the ceil(8L/sigma) + 1 = 161 of h = sigma/4 = 0.025.
-    sf = ScatteringFunction(0.1)
-    assert (info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 129)).records
-            == info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 161)).records)
+def test_grid_kernel_resolution_check(grid257):
+    # The check returns the kernel normalisation 1/(2 pi sigma^2); a grid
+    # coarser than sigma/4 is not rejected, since info_curve refines it.
+    sf = ScatteringFunction(0.2)
+    assert grid257.require_resolves(sf) == 1.0 / (2.0 * math.pi * 0.2 ** 2)
+    coarse = QuadratureGrid(HALF_WIDTH, 129)  # h = 0.03125 > 0.1/4
+    assert coarse.require_resolves(ScatteringFunction(0.1)) == 1.0 / (2.0 * math.pi * 0.1 ** 2)
 
 
 def test_grid_rejects_kernel_wider_than_span(logistic200, grid257):
@@ -291,6 +292,14 @@ def test_schedule_validation(logistic200, sf02, grid257):
         info_curve(logistic200, sf02, grid257, schedule=[1, 500])
     with pytest.raises(InvalidSchedule):
         info_curve(logistic200, sf02, grid257, schedule=[])
+
+
+def test_curve_requires_fine_enough_grid(logistic200):
+    # A grid's node count is a floor: at sigma = 0.1, 129 nodes (h = 0.03125 >
+    # sigma/4) become the ceil(8L/sigma) + 1 = 161 of h = sigma/4 = 0.025.
+    sf = ScatteringFunction(0.1)
+    assert (info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 129)).records
+            == info_curve(logistic200, sf, QuadratureGrid(HALF_WIDTH, 161)).records)
 
 
 def test_curve_csv_outputs(tmp_path, logistic200, sf02, grid257):
