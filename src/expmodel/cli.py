@@ -109,9 +109,13 @@ def cmd_info(args) -> None:
     if args.basic is None:
         raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
-    sigma = _resolve_sigma(args, dataset)
-    grid = QuadratureGrid(args.span_l, GRID_POINTS)
-    curve = info_curve(dataset, ScatteringFunction(sigma), grid, args.schedule)
+    sf = ScatteringFunction(_resolve_sigma(args, dataset))
+    grid = QuadratureGrid(args.span_l, GRID_POINTS).refined_for(sf)
+    if grid.points_per_axis > GRID_POINTS:
+        print(f"info: sigma={sf.sigma} sets G={grid.points_per_axis} grid points per axis "
+              f"(step {grid.step:.6g} <= sigma/4), a workspace of at most "
+              f"{grid.workspace_bytes} bytes", file=sys.stderr)
+    curve = info_curve(dataset, sf, grid, args.schedule)
     n = curve.records[-1].n  # the curve reads only the samples up to its last point
     outside = int(np.count_nonzero((abs(dataset.x[:n]) > grid.half_width)
                                    | (abs(dataset.y[:n]) > grid.half_width)))

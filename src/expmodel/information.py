@@ -43,11 +43,12 @@ DENSITY_FLOOR = 1e-300
 # Near-geometric ladder used when no explicit schedule is given.
 _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 
-# Bytes held per grid node by info_curve's one workspace, float64 each: the
-# running sum, the scratch grid that holds each block's kernel product and
-# then the entropy integrand, and one kernel-row buffer, which holds at most
-# one grid. The workspace is allocated once per curve.
-GRID_BYTES_PER_NODE = 3 * 8
+# Bytes held per grid node by info_curve's one workspace, float64 each, at
+# most: the running sum, the kernel rows of one block (at most one grid) and
+# a panel of ceil(G/4) grid rows, a quarter grid plus under one row, through
+# which each block's product and then S log S pass. The workspace is
+# allocated once per curve; QuadratureGrid.workspace_bytes adds the row.
+GRID_BYTES_PER_NODE = 18
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,10 @@ class QuadratureGrid:
     points_per_axis:
         Nodes per axis, at least 129: a floor, which info_curve raises to
         ceil(8L/sigma) + 1 for a step 2L/(G - 1) <= sigma/4 of a kernel
-        narrower than L (:meth:`require_resolves`). The arrays an information
-        curve holds at once on its grid must fit in physical memory and in
-        what the soft RLIMIT_AS leaves of the address space.
+        narrower than L (:meth:`refined_for`). The workspace an information
+        curve holds on its grid (:attr:`workspace_bytes`) must fit in
+        physical memory and in what the soft RLIMIT_AS leaves of the
+        address space.
     """
 
     half_width: float
@@ -77,13 +79,20 @@ class QuadratureGrid:
             raise InvalidGrid(
                 f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
             )
-        needed = GRID_BYTES_PER_NODE * int(self.points_per_axis) ** 2
+        needed = self.workspace_bytes
         available = memory_limit()
         if needed > available:
             raise InvalidGrid(
                 f"a {self.points_per_axis}^2 grid needs {needed} bytes, more than "
                 f"the {available} bytes this process may allocate"
             )
+
+    @property
+    def workspace_bytes(self) -> int:
+        """The most an information curve on this grid allocates: 2.25 grids
+        and one row of float64 (GRID_BYTES_PER_NODE), in Python integers."""
+        g = int(self.points_per_axis)
+        return (GRID_BYTES_PER_NODE * g + 8) * g
 
     @property
     def step(self) -> float:
@@ -108,31 +117,52 @@ class QuadratureGrid:
             raise InvalidGrid(f"sigma={sf.sigma}: 1/(2 pi sigma^2) is not positive and finite")
         return norm
 
+    def refined_for(self, sf: ScatteringFunction) -> "QuadratureGrid":
+        """The grid an information curve of kernel sf integrates on: this
+        square on G = max(points_per_axis, ceil(8L/sigma) + 1) nodes per
+        axis, a step <= sigma/4. The kernel is checked first
+        (:meth:`require_resolves`), and G's workspace must fit in memory."""
+        self.require_resolves(sf)
+        try:  # 8L/sigma may overflow to inf, and G's workspace exceed memory
+            points = max(self.points_per_axis, math.ceil(8.0 * self.half_width / sf.sigma) + 1)
+            return QuadratureGrid(self.half_width, points)
+        except (OverflowError, InvalidGrid) as exc:
+            raise InvalidGrid(f"sigma={sf.sigma}, L={self.half_width}, step <= sigma/4: {exc}") from None
+
 
 def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
     """Samples per kernel-product block of a curve: at most half the grid
-    points, so the one kernel-row buffer, with a block's x and y rows, holds
-    no more than one grid (as GRID_BYTES_PER_NODE counts), and at most the
-    largest schedule segment."""
+    points, so a block's x kernels (stored grid-major, G x block) and y
+    kernels (block x G) hold no more than one grid together (as
+    GRID_BYTES_PER_NODE counts), and at most the largest schedule segment."""
     segment = max(b - a for a, b in zip([0, *sched], sched))
     return min(points_per_axis // 2, segment)
 
 
-def _entropy(joint_sum: np.ndarray, c: float, grid: QuadratureGrid,
-             scratch: np.ndarray) -> float:
+def _panel_rows(points_per_axis: int) -> int:
+    """Grid rows of the panel through which a curve adds kernel products and
+    takes S log S: a quarter of the grid, rounded up. It follows G alone, so
+    every curve on a grid sums in the same bands whatever its schedule."""
+    return -(-points_per_axis // 4)
+
+
+def _entropy(joint_sum: np.ndarray, mass: float, c: float, step: float,
+             weights: np.ndarray, panel: np.ndarray) -> float:
     """The trapezoid estimate of -integral f log f over the grid of the joint
     density f = c * joint_sum tabulated on it. joint_sum S is positive (it is
     seeded with DENSITY_FLOOR), and f log f = c S (log S + log c) is
-    integrated as c h^2 (u S log S u + log c u S u), with S log S built in
-    scratch, h the step and u the unit trapezoid weights (1/2, 1, ..., 1,
-    1/2). As h <= sigma/4, c h^2 <= 1/(32 pi n): the sums do not grow with
-    the grid's extent."""
-    s_log_s = np.log(joint_sum, out=scratch)
-    s_log_s *= joint_sum
-    u = np.ones(grid.points_per_axis)
-    u[[0, -1]] = 0.5
-    return -c * grid.step ** 2 * (float(u @ s_log_s @ u)
-                                  + math.log(c) * float(u @ joint_sum @ u))
+    integrated as c h^2 (u S log S u + log c * mass), with mass = u S u, h
+    the step and u = weights, the unit trapezoid weights (1/2, 1, ..., 1,
+    1/2). S log S is built a band of len(panel) grid rows at a time in panel.
+    As h <= sigma/4, c h^2 <= 1/(32 pi n): the sums do not grow with the
+    grid's extent."""
+    s_log_s = 0.0
+    for lo in range(0, len(joint_sum), len(panel)):
+        band = joint_sum[lo:lo + len(panel)]
+        term = np.log(band, out=panel[:len(band)])
+        term *= band
+        s_log_s += float(weights[lo:lo + len(band)] @ term @ weights)
+    return -c * step ** 2 * (s_log_s + math.log(c) * mass)
 
 
 @dataclass(frozen=True)
@@ -221,50 +251,56 @@ def info_curve(data: Dataset,
     """Evaluate I over nested prefixes; R, C, K and N_opt follow (InfoCurve).
 
     The joint grid of prefix n is c = 1/(2 pi sigma^2 n) times the running
-    sum of the samples' unnormalised kernel products on the sigma-scaled
+    sum S of the samples' unnormalised kernel products on the sigma-scaled
     axis, a sum seeded with DENSITY_FLOOR. The samples between two schedule
-    points are added to the sum once (see :func:`accumulate_kernel_products`),
-    and at each point the entropy is taken of the sum with the one scalar c.
-    Every sample's kernel rows are built exactly once. On the grid's square
-    with G = max(grid.points_per_axis, ceil(8L/sigma) + 1) nodes per axis,
-    a step <= sigma/4, the curve allocates one workspace of at most three
-    G x G float64 arrays' worth (GRID_BYTES_PER_NODE): the running sum, one
-    scratch grid for the kernel products and the entropy integrand, and one
-    kernel-row buffer holding at most one grid. Nothing of grid size is
-    allocated per schedule point, and memory does not grow with the dataset
-    or the schedule. Each I(n) is the trapezoid entropy of the joint density
-    of the first n samples on the grid, less log(2 pi e sigma^2) = 1 - log c1,
-    the entropy of one kernel, with c1 = 1/(2 pi sigma^2) its normalisation.
+    points are added to S once (see :func:`accumulate_kernel_products`),
+    which also returns the trapezoid mass they add, so the mass u S u is a
+    running scalar; at each point the entropy is taken of S with the one
+    scalar c. Every sample's kernel rows are built exactly once. The curve
+    integrates on grid.refined_for(sf), the grid's square on
+    G = max(grid.points_per_axis, ceil(8L/sigma) + 1) nodes per axis, a
+    step <= sigma/4, and allocates one workspace of at most 2.25 G x G
+    float64 arrays and one row (GRID_BYTES_PER_NODE): the running sum, the
+    kernel rows of one block (at most one grid), and a panel of ceil(G/4)
+    grid rows through which each block's product and then S log S pass a
+    band at a time. Nothing of grid size is allocated per schedule point,
+    and memory does not grow with the dataset or the schedule. Each I(n) is
+    the trapezoid entropy of the joint density of the first n samples on the
+    grid, less log(2 pi e sigma^2) = 1 - log c1, the entropy of one kernel,
+    with c1 = 1/(2 pi sigma^2) its normalisation.
     """
+    grid = grid.refined_for(sf)
     kernel_norm = grid.require_resolves(sf)
-    try:  # 8L/sigma may overflow to inf, and G's workspace exceed memory
-        points = max(grid.points_per_axis, math.ceil(8.0 * grid.half_width / sf.sigma) + 1)
-        grid = QuadratureGrid(grid.half_width, points)
-    except (OverflowError, InvalidGrid) as exc:
-        raise InvalidGrid(f"sigma={sf.sigma}, L={grid.half_width}, step <= sigma/4: {exc}") from None
     sched = resolve_schedule(schedule, len(data))
 
     scaled_axis = grid.axis / sf.sigma
     g = scaled_axis.size
-    workspace = np.empty((2 * g + 2 * _kernel_rows(sched, g)) * g)
-    joint_sum, scratch = workspace[:2 * g * g].reshape(2, g, g)
+    rows_end = (g + 2 * _kernel_rows(sched, g)) * g
+    workspace = np.empty(rows_end + _panel_rows(g) * g)
+    joint_sum, rows, panel = np.split(workspace, [g * g, rows_end])
+    joint_sum, panel = joint_sum.reshape(g, g), panel.reshape(-1, g)
     joint_sum.fill(DENSITY_FLOOR)
-    rows = workspace[2 * g * g:].reshape(-1, g)
+    weights = np.ones(g)
+    weights[[0, -1]] = 0.5
+    mass = DENSITY_FLOOR * (g - 1) ** 2  # u S u of the seed: the weights sum to G - 1
     records = []
     done = 0
     for n in sched:
-        accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
-                                   scaled_axis, sf.sigma, scratch=scratch, rows=rows)
+        mass += accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
+                                           scaled_axis, sf.sigma, rows=rows, panel=panel,
+                                           weights=weights)
         done = n
-        h = _entropy(joint_sum, kernel_norm / n, grid, scratch)
+        h = _entropy(joint_sum, mass, kernel_norm / n, grid.step, weights, panel)
         records.append(InfoRecord(n, h - (1.0 - math.log(kernel_norm))))
     return InfoCurve(tuple(records))
 
 
 def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
-                               scratch: np.ndarray, rows: np.ndarray) -> None:
+                               rows: np.ndarray, panel: np.ndarray,
+                               weights: np.ndarray) -> float:
     """Add sum_i g(axis - x[i]/sigma) g(axis - y[i]/sigma)^T to out, in place,
-    with g(t) = exp(-t^2 / 2) the unnormalised kernel.
+    with g(t) = exp(-t^2 / 2) the unnormalised kernel, and return the
+    trapezoid mass weights @ (what was added) @ weights.
 
     axis is the grid axis both channels share, already divided by sigma; x
     and y are samples, which each block divides by sigma. So out gains
@@ -273,23 +309,33 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
     far from the axis to square its scaled distance gives a zero row,
     without a warning.
 
-    out and scratch have shape (axis.size, axis.size); rows has an even
-    number of rows of axis.size entries. Samples are taken in blocks of
-    len(rows) // 2, so each sample's two kernel rows are built exactly once,
-    in place in rows: a block's x kernels in its first half and its y
-    kernels in its second. A block's product is written to scratch and
-    added to out, so nothing of grid size is allocated here. Adding the
-    samples of a dataset in consecutive slices gives the joint grid of every
-    prefix on the way.
+    out has shape (G, G) with G = axis.size, weights G entries, and panel G
+    columns and at most G rows; rows is a flat buffer of at least 2G floats.
+    Samples are taken in blocks of len(rows) // 2G, so each sample's two
+    kernel rows are built exactly once, in place in rows: a block's x
+    kernels grid-major (G x block) in its first half, so that a band of grid
+    rows is contiguous, and its y kernels (block x G) in its second. A
+    block's product is formed len(panel) grid rows at a time in panel and
+    added to the same band of out, so nothing of grid size is allocated
+    here; its mass is (weights @ Kx^T)(Ky @ weights). Adding the samples of
+    a dataset in consecutive slices gives the joint grid of every prefix on
+    the way.
     """
-    block = len(rows) // 2
+    g = axis.size
+    block = len(rows) // (2 * g)
+    height = len(panel)
+    mass = 0.0
     with np.errstate(over="ignore"):
         for lo in range(0, len(x), block):
             k = min(block, len(x) - lo)
-            kx = np.subtract(axis, x[lo:lo + k, None] / sigma, out=rows[:k])
-            ky = np.subtract(axis, y[lo:lo + k, None] / sigma, out=rows[block:block + k])
-            np.exp(gaussian_exponent(kx, out=kx), out=kx)
+            kxt = np.subtract(axis[:, None], x[lo:lo + k] / sigma, out=rows[:g * k].reshape(g, k))
+            ky = np.subtract(axis, y[lo:lo + k, None] / sigma,
+                             out=rows[block * g:(block + k) * g].reshape(k, g))
+            np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
             np.exp(gaussian_exponent(ky, out=ky), out=ky)
-            # np.dot, as np.matmul takes a slow loop for a one-sample block.
-            np.dot(kx.T, ky, out=scratch)
-            out += scratch
+            mass += float((weights @ kxt) @ (ky @ weights))
+            for r in range(0, g, height):
+                # np.dot, as np.matmul takes a slow loop for a one-sample block.
+                band = np.dot(kxt[r:r + height], ky, out=panel[:min(height, g - r)])
+                out[r:r + height] += band
+    return mass

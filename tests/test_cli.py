@@ -131,11 +131,11 @@ def test_info_on_a_large_span_stays_finite(tmp_path, small_csv):
 
 
 def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsys):
-    # The running sum, scratch grid and kernel rows take 24 B per node. With
-    # 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves 64 MiB: the 2001^2
-    # grid that sigma = 0.008 sets (96.1 MB) and the 1700^2 grid of
-    # sigma = 0.00942 (69.4 MB, below the limit itself) are refused before
-    # allocation; the 257^2 floor at sigma = 0.2 still fits.
+    # The running sum, kernel rows and panel take at most 18 B per node and
+    # 8 B per row. With 32 MiB already mapped, a 96 MiB soft RLIMIT_AS leaves
+    # 64 MiB (67.1 MB): the 2001^2 grid that sigma = 0.008 sets (72.1 MB) and
+    # the 1932^2 grid of sigma = 0.00829 (67.2 MB, below the limit itself)
+    # are refused before allocation; the 257^2 floor at sigma = 0.2 still fits.
     limit, mapped = 96 << 20, 32 << 20
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
@@ -144,7 +144,7 @@ def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsy
     one = tmp_path / "one.csv"
     one.write_text("i,x,y\n1,0.1,0.2\n")
     args = ("info", "--basic", str(one), "--out-dir", str(tmp_path))
-    for sigma, points in (("0.008", "2001"), ("0.00942", "1700")):
+    for sigma, points in (("0.008", "2001"), ("0.00829", "1932")):
         assert run(*args, "--sigma", sigma) == 2
         err = capsys.readouterr().err
         assert "InvalidGrid" in err and str(limit - mapped) in err
@@ -198,6 +198,21 @@ def test_info_names_the_row_of_a_non_finite_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "InvalidParameter" in err and "row 17" in err and "inf" in err
     assert len(err) < 200
+
+
+def test_info_reports_a_grid_that_sigma_refines(tmp_path, samples_csv, capsys):
+    # The dataset's sigma = 0.2 keeps the 257 floor and prints nothing to
+    # stderr. --sigma 0.03 needs ceil(8L/sigma) + 1 = 535 nodes per axis at
+    # L = 2, which info reports in one line with the step 4/534 and the
+    # workspace bound (18 G + 8) G; stdout keeps its one summary line.
+    assert run("info", "--basic", str(samples_csv), "--out-dir", str(tmp_path / "a")) == 0
+    assert capsys.readouterr().err == ""
+    assert run("info", "--basic", str(samples_csv), "--sigma", "0.03",
+               "--out-dir", str(tmp_path / "b")) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("N_opt=") and out.count("\n") == 1
+    assert err.count("\n") == 1 and err.startswith("info: sigma=0.03 sets G=535 ")
+    assert f"step {4 / 534:.6g} " in err and f" {(18 * 535 + 8) * 535} bytes" in err
 
 
 def test_info_warns_of_samples_outside_the_span(tmp_path, samples_csv, capsys):

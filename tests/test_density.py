@@ -9,7 +9,7 @@ from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       InvalidParameter, ScatteringFunction, ShapeMismatch,
                       read_dataset_csv, write_dataset_csv)
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
-from expmodel.information import _kernel_rows, accumulate_kernel_products
+from expmodel.information import _kernel_rows, _panel_rows, accumulate_kernel_products
 from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
 
@@ -26,15 +26,18 @@ CURVE_ROWS = _kernel_rows([600], 257)
 def kernel_product_sum(data, sigma, xs, ys):
     """The joint grid sum_i g(xs - x_i) g(ys - y_i)^T, not divided by the
     sample count, from the accumulator info_curve runs, with a kernel-row
-    buffer of CURVE_ROWS samples per channel: xs and ys are joined into the
-    one axis the accumulator takes, divided by sigma as info_curve passes
-    it, the off-diagonal block of its grid is returned, and the sum is
-    normalised here."""
+    buffer of CURVE_ROWS samples per channel and a panel of a quarter of
+    the axis, as info_curve sizes it: xs and ys are joined into the one axis
+    the accumulator takes, divided by sigma as info_curve passes it, the
+    off-diagonal block of its grid is returned, and the sum is normalised
+    here."""
     with np.errstate(over="ignore"):  # a far query scales to an infinite one
         axis = np.concatenate([np.ravel(xs), np.ravel(ys)]) / sigma
-    out = np.zeros((axis.size, axis.size))
-    accumulate_kernel_products(out, data.x, data.y, axis, sigma, scratch=np.empty_like(out),
-                               rows=np.empty((2 * CURVE_ROWS, axis.size)))
+    g = axis.size
+    out = np.zeros((g, g))
+    accumulate_kernel_products(out, data.x, data.y, axis, sigma,
+                               rows=np.empty(2 * CURVE_ROWS * g),
+                               panel=np.empty((_panel_rows(g), g)), weights=np.ones(g))
     nx = np.size(xs)
     return out[:nx, nx:] / (2.0 * math.pi * sigma ** 2)
 

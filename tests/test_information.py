@@ -10,7 +10,8 @@ from expmodel import (Dataset, EmptyDataset, GenerationMeta, InfoCurve, InfoReco
                       generate, info_curve, quality_sweep, write_dataset_csv)
 from expmodel.cli import main
 from expmodel import information
-from expmodel.information import GRID_BYTES_PER_NODE, _kernel_rows
+from expmodel.information import (DENSITY_FLOOR, _kernel_rows, _panel_rows,
+                                  accumulate_kernel_products)
 from conftest import HALF_WIDTH
 from oracles import LOG_2PIE, entropy_grid, kde_joint_grid
 
@@ -196,26 +197,33 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02, grid25
         assert abs(rec.info - (entropy_grid(joint, axis) - offset)) <= 1e-9
 
 
-@pytest.mark.parametrize("fixture,schedule", [
-    ("logistic200", None), ("logistic200", [200]), ("logistic600", None)])
-def test_curve_holds_three_grids_at_most(request, fixture, schedule, sf02, grid257):
-    # The running sum, the scratch grid and the kernel-row buffer (at most
-    # one grid) are one workspace allocated once per curve; 256 KB covers
-    # numpy's ufunc buffers and the axis-sized vectors.
+@pytest.mark.parametrize("fixture,schedule,sigma,g", [
+    pytest.param("logistic200", None, 0.2, 257, id="logistic200-None"),
+    pytest.param("logistic200", [200], 0.2, 257, id="logistic200-schedule1"),
+    pytest.param("logistic600", None, 0.2, 257, id="logistic600-None"),
+    pytest.param("logistic200", None, 0.05, 321, id="logistic200-None-sigma0.05")])
+def test_curve_holds_three_grids_at_most(request, fixture, schedule, sigma, g, grid257):
+    # The running sum, the kernel rows (at most one grid) and a panel of
+    # ceil(G/4) grid rows are one workspace allocated once per curve, at
+    # most 2.25 grids and one row. At sigma = 0.05 the step <= sigma/4 sets
+    # G = 321 over the 257 floor. 256 KB covers numpy's ufunc buffers and
+    # the axis-sized vectors.
     data = request.getfixturevalue(fixture)
     tracemalloc.start()
     try:
-        info_curve(data, sf02, grid257, schedule=schedule)
+        info_curve(data, ScatteringFunction(sigma), grid257, schedule=schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * grid257.points_per_axis ** 2 + 256 * 1024
+    assert peak <= 8 * (2.25 * g ** 2 + g) + 256 * 1024
 
 
 def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02, grid257):
     # At the curve's first entropy every grid-sized array it holds is live:
-    # the running sum, the scratch grid and the kernel rows are views of one
-    # workspace, so one traced block of at least 64 G bytes is held.
+    # the running sum, the kernel rows and the panel are views of one
+    # workspace, so one traced block of at least 64 G bytes is held. The
+    # default ladder's largest segment on 200 samples is 52 (128 to 180),
+    # so the kernel rows are 2 x 52 grid rows, and the panel is ceil(G/4).
     g = grid257.points_per_axis
     snapshots = []
     entropy = information._entropy
@@ -233,7 +241,24 @@ def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02, 
         tracemalloc.stop()
     large = [t.size for t in snapshots[0].traces if t.size >= 64 * g]
     assert len(large) == 1
-    assert large[0] <= GRID_BYTES_PER_NODE * g ** 2
+    assert large[0] == 8 * (g + 2 * 52 + 65) * g <= 8 * (2.25 * g ** 2 + g)
+
+
+def test_accumulated_mass_is_the_mass_added(logistic600, sf02, grid257):
+    # The returned mass is u (S_after - S_before) u for a one-sample segment
+    # and for segments of one, two and three blocks of 128 samples.
+    g = grid257.points_per_axis
+    u = np.ones(g)
+    u[[0, -1]] = 0.5
+    block = _kernel_rows([len(logistic600)], g)
+    joint = np.full((g, g), DENSITY_FLOOR)
+    rows, panel = np.empty(2 * block * g), np.empty((_panel_rows(g), g))
+    for lo, hi in [(0, 1), (1, 100), (100, 300), (300, 600)]:
+        before = joint.copy()
+        mass = accumulate_kernel_products(joint, logistic600.x[lo:hi], logistic600.y[lo:hi],
+                                          grid257.axis / sf02.sigma, sf02.sigma,
+                                          rows=rows, panel=panel, weights=u)
+        assert mass == pytest.approx(float(u @ (joint - before) @ u), rel=1e-13, abs=0)
 
 
 # --- records and curve ------------------------------------------------------
