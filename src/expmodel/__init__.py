@@ -12,8 +12,7 @@ from .errors import (DegenerateVariance, EmptyDataset, ExperimentModelError,
                      InvalidGrid, InvalidParameter, InvalidSchedule,
                      ShapeMismatch)
 from .generator import GenerationMeta, generate
-from .information import (InfoCurve, InfoRecord, QuadratureGrid,
-                          default_schedule, info_curve)
+from .information import InfoCurve, InfoRecord, default_schedule, info_curve
 from .predictor import (CaPredictor, QualityReport, predictor_quality,
                         quality_sweep)
 from .scattering import ScatteringFunction
@@ -35,7 +34,6 @@ __all__ = [
     "InvalidParameter",
     "InvalidSchedule",
     "QualityReport",
-    "QuadratureGrid",
     "ScatteringFunction",
     "ShapeMismatch",
     "default_schedule",

@@ -30,11 +30,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import criteria
+from . import criteria, information
 from .density import Dataset
 from .errors import ExperimentModelError, InvalidParameter
 from .generator import GenerationMeta, generate
-from .information import InfoCurve, QuadratureGrid, info_curve
+from .information import InfoCurve, grid_points, info_curve, workspace_bytes
 from .predictor import CaPredictor, QualityReport, quality_sweep
 from .scattering import ScatteringFunction
 from .tables import column_rows, read_dataset_csv, write_dataset_csv, write_table
@@ -48,10 +48,9 @@ SIGMA_MAIN = 0.2
 SIGMA_SWEEP = (0.1, 0.2, 0.4)
 
 # Samples per dataset and span half width L of the benchmark sweep, which the
-# other commands default to, and the least grid points per axis of info_curve.
+# other commands default to.
 N_SAMPLES = 200
 SPAN_L = 2.0
-GRID_POINTS = 257
 
 # Columns of the information-curve table, one row per record.
 CURVE_COLUMNS = ("N", "logN", "I", "R", "C", "K")
@@ -110,15 +109,15 @@ def cmd_info(args) -> None:
         raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
     sf = ScatteringFunction(_resolve_sigma(args, dataset))
-    grid = QuadratureGrid(args.span_l, GRID_POINTS).refined_for(sf)
-    if grid.points_per_axis > GRID_POINTS:
-        print(f"info: sigma={sf.sigma} sets G={grid.points_per_axis} grid points per axis "
-              f"(step {grid.step:.6g} <= sigma/4), a workspace of at most "
-              f"{grid.workspace_bytes} bytes", file=sys.stderr)
-    curve = info_curve(dataset, sf, grid, args.schedule)
+    points = grid_points(args.span_l, sf)
+    if points > information.GRID_POINTS:
+        print(f"info: sigma={sf.sigma} sets G={points} grid points per axis "
+              f"(step {2.0 * args.span_l / (points - 1):.6g} <= sigma/4), a workspace of at "
+              f"most {workspace_bytes(points)} bytes", file=sys.stderr)
+    curve = info_curve(dataset, sf, args.schedule, half_width=args.span_l)
     n = curve.records[-1].n  # the curve reads only the samples up to its last point
-    outside = int(np.count_nonzero((abs(dataset.x[:n]) > grid.half_width)
-                                   | (abs(dataset.y[:n]) > grid.half_width)))
+    outside = int(np.count_nonzero((abs(dataset.x[:n]) > args.span_l)
+                                   | (abs(dataset.y[:n]) > args.span_l)))
     if outside:
         print(f"warning: {outside} samples lie outside the span (-L, L)", file=sys.stderr)
     write_table(_out(args, "info_curve.csv"), CURVE_COLUMNS, _curve_rows(curve))
@@ -157,9 +156,8 @@ def cmd_reproduce(args) -> None:
     # Only the main-width sets are used again (fig4, fig5); the others are
     # made when their curve is, so one of them is held at a time.
     basics = {seed: _generate(seed, SIGMA_MAIN) for seed in seeds}
-    grid = QuadratureGrid(SPAN_L, GRID_POINTS)
     curves = {s: {seed: info_curve(basics[seed] if s == SIGMA_MAIN else _generate(seed, s),
-                                   ScatteringFunction(s), grid)
+                                   ScatteringFunction(s), half_width=SPAN_L)
                   for seed in seeds}
               for s in SIGMA_SWEEP}
 
@@ -207,7 +205,7 @@ FLAGS = {
     "--seed": dict(type=int, default=1, help="base PRNG seed"),
     "--span-l": dict(type=float, default=SPAN_L,
                      help=f"half width L of the integration square [-L, L]^2, on "
-                          f"max({GRID_POINTS}, ceil(8L/sigma) + 1) nodes per axis"),
+                          f"max({information.GRID_POINTS}, ceil(8L/sigma) + 1) nodes per axis"),
     "--schedule": dict(type=_parse_schedule, default=None,
                        help="comma-separated strictly increasing sample counts"),
     "--out-dir": dict(default=".", help="directory for output files"),

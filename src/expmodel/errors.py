@@ -14,7 +14,9 @@ class EmptyDataset(ExperimentModelError):
 
 
 class InvalidGrid(ExperimentModelError):
-    """Quadrature grid too coarse or otherwise malformed."""
+    """The quadrature grid a kernel and span set cannot be built: the kernel
+    is not narrower than the span, its normalisation is not finite, or the
+    grid overflows or exceeds the memory this process may allocate."""
 
 
 class InvalidSchedule(ExperimentModelError):

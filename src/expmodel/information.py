@@ -12,8 +12,8 @@ the proper number of samples, and the complexity K = exp(I), the equivalent
 count of non-overlapping kernels.
 
 Entropy integrals are evaluated with the trapezoid rule on a uniform tensor
-grid over the square [-L, L]^2, the grid's extent, on at least its nodes and
-at a step <= sigma/4. Kernel mass that leaks outside it is not renormalized;
+grid over the square [-L, L]^2, whose nodes per axis the kernel sets
+(grid_points). Kernel mass that leaks outside it is not renormalized;
 the leak is a property of the instrument, not of the estimator. The joint
 density is tabulated as a running sum S of unnormalised kernel products
 seeded with DENSITY_FLOOR, and its normalisation 1/(2 pi sigma^2 n) enters
@@ -43,107 +43,80 @@ DENSITY_FLOOR = 1e-300
 # Near-geometric ladder used when no explicit schedule is given.
 _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 
+# Least nodes per axis of an information curve's grid (grid_points).
+GRID_POINTS = 257
+
 # Bytes held per grid node by info_curve's one workspace, float64 each, at
 # most: the running sum, the kernel rows of one block (at most one grid) and
 # a panel of ceil(G/4) grid rows, a quarter grid plus under one row, through
 # which each block's product and then S log S pass. The workspace is
-# allocated once per curve; QuadratureGrid.workspace_bytes adds the row.
+# allocated once per curve; workspace_bytes adds the row.
 GRID_BYTES_PER_NODE = 18
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform tensor grid over the square [-L, L]^2 that both channels share.
+def workspace_bytes(g: int) -> int:
+    """The most an information curve on a grid of G = g nodes per axis
+    allocates: 2.25 grids and one row of float64 (GRID_BYTES_PER_NODE), in
+    Python integers."""
+    g = int(g)
+    return (GRID_BYTES_PER_NODE * g + 8) * g
 
-    Parameters
-    ----------
-    half_width:
-        Half width L of the square, positive and finite.
-    points_per_axis:
-        Nodes per axis, at least 129: a floor, which info_curve raises to
-        ceil(8L/sigma) + 1 for a step 2L/(G - 1) <= sigma/4 of a kernel
-        narrower than L (:meth:`refined_for`). The workspace an information
-        curve holds on its grid (:attr:`workspace_bytes`) must fit in
-        physical memory and in what the soft RLIMIT_AS leaves of the
-        address space.
+
+def _kernel_norm(sf: ScatteringFunction) -> float:
+    """1/(2 pi sigma^2), or 0 where sigma ** 2 overflows (above about
+    1.3e154) or underflows to 0 (below about 1e-162)."""
+    try:
+        return 1.0 / (2.0 * math.pi * sf.sigma ** 2)
+    except (OverflowError, ZeroDivisionError):
+        return 0.0
+
+
+def grid_points(half_width: float, sf: ScatteringFunction) -> int:
+    """Nodes per axis G of the grid on which info_curve integrates the
+    entropy of kernel sf over the square [-L, L]^2, L = half_width:
+    G = max(GRID_POINTS, ceil(8L/sigma) + 1), a step 2L/(G - 1) <= sigma/4.
+
+    L must be positive and finite (InvalidParameter). The kernel must be
+    narrower than L with a normalisation 1/(2 pi sigma^2) that is positive
+    and finite, 8L/sigma must not overflow, and the curve's workspace on G
+    (:func:`workspace_bytes`) must fit in physical memory and in what the
+    soft RLIMIT_AS leaves of the address space (InvalidGrid, naming sigma,
+    L and G).
     """
-
-    half_width: float
-    points_per_axis: int
-
-    def __post_init__(self) -> None:
-        _require_finite("half_width", self.half_width)
-        if self.half_width <= 0:
-            raise InvalidParameter(f"half_width must be > 0, got {self.half_width}")
-        if not isinstance(self.points_per_axis, (int, np.integer)) or self.points_per_axis < 129:
-            raise InvalidGrid(
-                f"points_per_axis must be an integer >= 129, got {self.points_per_axis}"
-            )
-        needed = self.workspace_bytes
-        available = memory_limit()
-        if needed > available:
-            raise InvalidGrid(
-                f"a {self.points_per_axis}^2 grid needs {needed} bytes, more than "
-                f"the {available} bytes this process may allocate"
-            )
-
-    @property
-    def workspace_bytes(self) -> int:
-        """The most an information curve on this grid allocates: 2.25 grids
-        and one row of float64 (GRID_BYTES_PER_NODE), in Python integers."""
-        g = int(self.points_per_axis)
-        return (GRID_BYTES_PER_NODE * g + 8) * g
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.half_width / (self.points_per_axis - 1)
-
-    @property
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
-
-    def require_resolves(self, sf: ScatteringFunction) -> float:
-        """Reject kernels as wide as the square or with a normalisation
-        1/(2 pi sigma^2) that is not positive and finite; return it."""
-        if sf.sigma >= self.half_width:
-            raise InvalidGrid(
-                f"sigma={sf.sigma} must be smaller than the grid's half width {self.half_width}"
-            )
-        try:  # sigma ** 2 overflows above about 1.3e154 and is 0 below about 1e-162
-            norm = 1.0 / (2.0 * math.pi * sf.sigma ** 2)
-        except (OverflowError, ZeroDivisionError):
-            norm = 0.0
-        if not 0.0 < norm < math.inf:
-            raise InvalidGrid(f"sigma={sf.sigma}: 1/(2 pi sigma^2) is not positive and finite")
-        return norm
-
-    def refined_for(self, sf: ScatteringFunction) -> "QuadratureGrid":
-        """The grid an information curve of kernel sf integrates on: this
-        square on G = max(points_per_axis, ceil(8L/sigma) + 1) nodes per
-        axis, a step <= sigma/4. The kernel is checked first
-        (:meth:`require_resolves`), and G's workspace must fit in memory."""
-        self.require_resolves(sf)
-        try:  # 8L/sigma may overflow to inf, and G's workspace exceed memory
-            points = max(self.points_per_axis, math.ceil(8.0 * self.half_width / sf.sigma) + 1)
-            return QuadratureGrid(self.half_width, points)
-        except (OverflowError, InvalidGrid) as exc:
-            raise InvalidGrid(f"sigma={sf.sigma}, L={self.half_width}, step <= sigma/4: {exc}") from None
+    _require_finite("half_width", half_width)
+    if half_width <= 0:
+        raise InvalidParameter(f"half_width must be > 0, got {half_width}")
+    try:  # 8L/sigma may overflow to inf
+        g = max(GRID_POINTS, math.ceil(8.0 * half_width / sf.sigma) + 1)
+    except OverflowError:
+        raise InvalidGrid(f"sigma={sf.sigma}, L={half_width}: "
+                          f"G = ceil(8L/sigma) + 1 overflows") from None
+    where = f"sigma={sf.sigma}, L={half_width}, G={g}"
+    if sf.sigma >= half_width:
+        raise InvalidGrid(f"{where}: sigma must be smaller than L")
+    if not 0.0 < _kernel_norm(sf) < math.inf:
+        raise InvalidGrid(f"{where}: 1/(2 pi sigma^2) is not positive and finite")
+    needed, available = workspace_bytes(g), memory_limit()
+    if needed > available:
+        raise InvalidGrid(f"{where}, step <= sigma/4: a {g}^2 grid needs {needed} bytes, "
+                          f"more than the {available} bytes this process may allocate")
+    return g
 
 
-def _kernel_rows(sched: Sequence[int], points_per_axis: int) -> int:
+def _kernel_rows(sched: Sequence[int], g: int) -> int:
     """Samples per kernel-product block of a curve: at most half the grid
-    points, so a block's x kernels (stored grid-major, G x block) and y
+    points g, so a block's x kernels (stored grid-major, G x block) and y
     kernels (block x G) hold no more than one grid together (as
     GRID_BYTES_PER_NODE counts), and at most the largest schedule segment."""
     segment = max(b - a for a, b in zip([0, *sched], sched))
-    return min(points_per_axis // 2, segment)
+    return min(g // 2, segment)
 
 
-def _panel_rows(points_per_axis: int) -> int:
+def _panel_rows(g: int) -> int:
     """Grid rows of the panel through which a curve adds kernel products and
     takes S log S: a quarter of the grid, rounded up. It follows G alone, so
     every curve on a grid sums in the same bands whatever its schedule."""
-    return -(-points_per_axis // 4)
+    return -(-g // 4)
 
 
 def _entropy(joint_sum: np.ndarray, mass: float, c: float, step: float,
@@ -219,18 +192,23 @@ class InfoCurve:
 
 def default_schedule(n_max: int) -> list[int]:
     """Near-geometric ladder 1, 2, 3, 4, 6, ... clipped to and ending at n_max."""
-    if n_max < 1:
-        raise InvalidSchedule(f"n_max must be >= 1, got {n_max}")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise InvalidSchedule(f"n_max must be an integer >= 1, got {n_max}")
     return [n for n in _BASE_SCHEDULE if n < n_max] + [n_max]
 
 
 def resolve_schedule(schedule: Optional[Sequence[int]], n_available: int) -> list[int]:
-    """The schedule checked against n_available samples; None gives the default."""
+    """The schedule checked against n_available samples; None gives the
+    default. Every entry must be an int or a numpy integer: a prefix size
+    is a count, so 2.5 is rejected, not truncated."""
     if n_available < 1:
         raise EmptyDataset("a schedule of prefixes needs at least one sample")
     if schedule is None:
         return default_schedule(n_available)
-    sched = [int(n) for n in schedule]
+    sched = list(schedule)
+    if not all(isinstance(n, (int, np.integer)) for n in sched):
+        raise InvalidSchedule(f"schedule entries must be integers, got {sched}")
+    sched = [int(n) for n in sched]
     if len(sched) == 0:
         raise InvalidSchedule("schedule is empty")
     if any(b <= a for a, b in zip(sched, sched[1:])):
@@ -246,35 +224,35 @@ def resolve_schedule(schedule: Optional[Sequence[int]], n_available: int) -> lis
 
 def info_curve(data: Dataset,
                sf: ScatteringFunction,
-               grid: QuadratureGrid,
-               schedule: Optional[Sequence[int]] = None) -> InfoCurve:
+               schedule: Optional[Sequence[int]] = None, *,
+               half_width: float) -> InfoCurve:
     """Evaluate I over nested prefixes; R, C, K and N_opt follow (InfoCurve).
 
-    The joint grid of prefix n is c = 1/(2 pi sigma^2 n) times the running
-    sum S of the samples' unnormalised kernel products on the sigma-scaled
-    axis, a sum seeded with DENSITY_FLOOR. The samples between two schedule
-    points are added to S once (see :func:`accumulate_kernel_products`),
-    which also returns the trapezoid mass they add, so the mass u S u is a
-    running scalar; at each point the entropy is taken of S with the one
-    scalar c. Every sample's kernel rows are built exactly once. The curve
-    integrates on grid.refined_for(sf), the grid's square on
-    G = max(grid.points_per_axis, ceil(8L/sigma) + 1) nodes per axis, a
-    step <= sigma/4, and allocates one workspace of at most 2.25 G x G
-    float64 arrays and one row (GRID_BYTES_PER_NODE): the running sum, the
-    kernel rows of one block (at most one grid), and a panel of ceil(G/4)
-    grid rows through which each block's product and then S log S pass a
-    band at a time. Nothing of grid size is allocated per schedule point,
-    and memory does not grow with the dataset or the schedule. Each I(n) is
-    the trapezoid entropy of the joint density of the first n samples on the
-    grid, less log(2 pi e sigma^2) = 1 - log c1, the entropy of one kernel,
-    with c1 = 1/(2 pi sigma^2) its normalisation.
+    The curve integrates on the square [-L, L]^2, L = half_width, on the
+    G = grid_points(half_width, sf) nodes per axis of :func:`grid_points`,
+    which also checks L and the kernel. The joint grid of prefix n is
+    c = 1/(2 pi sigma^2 n) times the running sum S of the samples'
+    unnormalised kernel products on the sigma-scaled axis, a sum seeded with
+    DENSITY_FLOOR. The samples between two schedule points are added to S
+    once (see :func:`accumulate_kernel_products`), which also returns the
+    trapezoid mass they add, so the mass u S u is a running scalar; at each
+    point the entropy is taken of S with the one scalar c. Every sample's
+    kernel rows are built exactly once. The curve allocates one workspace of
+    at most 2.25 G x G float64 arrays and one row (:func:`workspace_bytes`):
+    the running sum, the kernel rows of one block (at most one grid), and a
+    panel of ceil(G/4) grid rows through which each block's product and then
+    S log S pass a band at a time. Nothing of grid size is allocated per
+    schedule point, and memory does not grow with the dataset or the
+    schedule. Each I(n) is the trapezoid entropy of the joint density of the
+    first n samples on the grid, less log(2 pi e sigma^2) = 1 - log c1, the
+    entropy of one kernel, with c1 = 1/(2 pi sigma^2) its normalisation.
     """
-    grid = grid.refined_for(sf)
-    kernel_norm = grid.require_resolves(sf)
+    g = grid_points(half_width, sf)
+    kernel_norm = _kernel_norm(sf)
     sched = resolve_schedule(schedule, len(data))
 
-    scaled_axis = grid.axis / sf.sigma
-    g = scaled_axis.size
+    step = 2.0 * half_width / (g - 1)
+    scaled_axis = np.linspace(-half_width, half_width, g) / sf.sigma
     rows_end = (g + 2 * _kernel_rows(sched, g)) * g
     workspace = np.empty(rows_end + _panel_rows(g) * g)
     joint_sum, rows, panel = np.split(workspace, [g * g, rows_end])
@@ -290,7 +268,7 @@ def info_curve(data: Dataset,
                                            scaled_axis, sf.sigma, rows=rows, panel=panel,
                                            weights=weights)
         done = n
-        h = _entropy(joint_sum, mass, kernel_norm / n, grid.step, weights, panel)
+        h = _entropy(joint_sum, mass, kernel_norm / n, step, weights, panel)
         records.append(InfoRecord(n, h - (1.0 - math.log(kernel_norm))))
     return InfoCurve(tuple(records))
 

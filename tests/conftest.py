@@ -1,7 +1,6 @@
 import pytest
 
-from expmodel import (DensityModel, GenerationMeta, QuadratureGrid,
-                      ScatteringFunction, generate)
+from expmodel import DensityModel, GenerationMeta, ScatteringFunction, generate
 
 SIGMA = 0.2
 HALF_WIDTH = 2.0
@@ -10,11 +9,6 @@ HALF_WIDTH = 2.0
 @pytest.fixture(scope="session")
 def sf02():
     return ScatteringFunction(SIGMA)
-
-
-@pytest.fixture(scope="session")
-def grid257():
-    return QuadratureGrid(HALF_WIDTH, 257)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from expmodel import (CaPredictor, Dataset, GenerationMeta, QuadratureGrid,
+from expmodel import (CaPredictor, Dataset, GenerationMeta,
                       ScatteringFunction, criteria, default_schedule,
-                      generate, info_curve, predictor_quality, quality_sweep)
+                      generate, info_curve, information, predictor_quality,
+                      quality_sweep)
 from expmodel.cli import main as cli_main
 from oracles import LOG_2PIE, extended_axis, gauss, trap1
 
@@ -23,7 +24,6 @@ SEEDS = (1, 2, 3)
 SIGMAS = (0.1, 0.2, 0.4)
 HALF_WIDTH = 2.0
 N_SAMPLES = 200
-GRID_POINTS = 257
 TEST_SEED = SEEDS[0] + 7919
 
 
@@ -40,12 +40,7 @@ def report_records(records) -> str:
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return QuadratureGrid(HALF_WIDTH, GRID_POINTS)
-
-
-@pytest.fixture(scope="module")
-def curves(grid):
+def curves():
     """Info curves by sigma and seed, plus per-seed wall time at 0.2."""
     out = {sigma: {} for sigma in SIGMAS}
     times = {}
@@ -54,7 +49,7 @@ def curves(grid):
         for seed in SEEDS:
             data = generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=N_SAMPLES))
             start = time.perf_counter()
-            out[sigma][seed] = info_curve(data, sf, grid)
+            out[sigma][seed] = info_curve(data, sf, half_width=HALF_WIDTH)
             if sigma == 0.2:
                 times[seed] = time.perf_counter() - start
     return out, times
@@ -116,19 +111,18 @@ def test_criterion_5a_information_bounds(curves):
 
 
 def test_criterion_5b_isolated_kernels():
-    sf = ScatteringFunction(0.05)
-    grid = QuadratureGrid(HALF_WIDTH, 321)
+    sf = ScatteringFunction(0.05)  # G = 321, step = sigma/4
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
-    info = info_curve(data, sf, grid, schedule=[len(data)]).records[0].info
+    info = info_curve(data, sf, [len(data)], half_width=HALF_WIDTH).records[0].info
     ok = abs(info - math.log(4.0)) <= 0.02
     detail = f"I(4 isolated kernels) = {info:.5f} vs log 4 = {math.log(4.0):.5f}"
     assert report("5b exact-cases isolated-kernels", ok, detail), detail
 
 
-def test_criterion_5c_kernel_entropy(grid):
+def test_criterion_5c_kernel_entropy():
     sf = ScatteringFunction(0.2)
     # The kernel's quadrature entropy, from the record of one sample at (0, 0).
-    info = info_curve(Dataset([0.0], [0.0]), sf, grid, schedule=[1]).records[0].info
+    info = info_curve(Dataset([0.0], [0.0]), sf, [1], half_width=HALF_WIDTH).records[0].info
     h = info + LOG_2PIE + 2.0 * math.log(sf.sigma)
     ok_h = abs(h - (-0.38083)) <= 1e-3
     h_u = h - 2.0 * math.log(2.0 * HALF_WIDTH)
@@ -192,11 +186,15 @@ def test_criterion_5f_model_quadrature_identities():
     assert report("5f exact-cases conditional-average-identities", ok, detail), detail
 
 
-def test_criterion_5g_grid_convergence():
+def test_criterion_5g_grid_convergence(monkeypatch):
+    # The curve's 257-node grid against a floor of twice as many nodes.
     sf = ScatteringFunction(0.2)
     data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2, n=N_SAMPLES))
-    coarse, fine = (info_curve(data, sf, QuadratureGrid(HALF_WIDTH, g), schedule=[N_SAMPLES])
-                    .records[0].info for g in (GRID_POINTS, 2 * GRID_POINTS))
+    infos = []
+    for floor in (information.GRID_POINTS, 2 * information.GRID_POINTS):
+        monkeypatch.setattr(information, "GRID_POINTS", floor)
+        infos.append(info_curve(data, sf, [N_SAMPLES], half_width=HALF_WIDTH).records[0].info)
+    coarse, fine = infos
     ok = abs(coarse - fine) <= 1e-3
     detail = f"I(200) change on grid doubling = {abs(coarse - fine):.2e}"
     assert report("5g exact-cases grid-convergence", ok, detail), detail

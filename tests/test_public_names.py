@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,6 @@ PUBLIC_NAMES = [
     "InvalidGrid",
     "InvalidParameter",
     "InvalidSchedule",
-    "QuadratureGrid",
     "QualityReport",
     "ScatteringFunction",
     "ShapeMismatch",
@@ -73,3 +74,14 @@ def test_dataset_attributes_are_pinned():
     assert sorted(vars(data)) == ["meta", "x", "y"]
     assert sorted(vars(data.prefix(2))) == ["meta", "x", "y"]
     assert sorted(vars(expmodel.Dataset([0.1], [0.2]))) == ["meta", "x", "y"]
+
+
+# The README's library example, run as written: a signature change that
+# breaks it fails here.
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and len(lines[0].split()) == 3
