@@ -27,6 +27,7 @@ import numpy as np
 from .density import Dataset
 from .errors import InvalidParameter
 from .memory import memory_limit
+from .scattering import _is_count
 
 TRANSIENT_STEPS = 100
 
@@ -54,9 +55,9 @@ class GenerationMeta:
     prng_name: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_count(self.seed) or self.seed < 0:
             raise InvalidParameter(f"seed must be an integer >= 0, got {self.seed}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_count(self.n) or self.n < 1:
             raise InvalidParameter(f"n must be an integer >= 1, got {self.n}")
         if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):
             raise InvalidParameter(f"sigma_noise must be >= 0 and keep the noise finite, "

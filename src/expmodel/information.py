@@ -16,9 +16,10 @@ grid over the square [-L, L]^2, whose nodes per axis the kernel sets
 (grid_points). Kernel mass that leaks outside it is not renormalized;
 the leak is a property of the instrument, not of the estimator. The joint
 density is tabulated as a running sum S of unnormalised kernel products
-seeded with DENSITY_FLOOR, and its normalisation 1/(2 pi sigma^2 n) enters
-the entropy as one scalar together with the squared grid step, so the
-quadrature sums stay of the order of the grid size at any extent or sigma.
+seeded with DENSITY_FLOOR. Its normalisation c = 1/(2 pi sigma^2 n) enters
+the integrand of f log f only as log c added to log S, and multiplies the
+quadrature sum as one scalar together with the squared grid step, so the
+sums stay of the order of the grid size at any extent or sigma.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .density import Dataset
 from .errors import EmptyDataset, InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
-from .scattering import ScatteringFunction, gaussian_exponent, _require_finite
+from .scattering import ScatteringFunction, gaussian_exponent, _is_count, _require_finite
 
 # The running kernel sum of an information curve starts at this value, so
 # its log is finite at every node and a node no kernel reaches contributes
@@ -49,8 +50,8 @@ GRID_POINTS = 257
 # Bytes held per grid node by info_curve's one workspace, float64 each, at
 # most: the running sum, the kernel rows of one block (at most one grid) and
 # a panel of ceil(G/4) grid rows, a quarter grid plus under one row, through
-# which each block's product and then S log S pass. The workspace is
-# allocated once per curve; workspace_bytes adds the row.
+# which each block's product and then the entropy integrand pass. The
+# workspace is allocated once per curve; workspace_bytes adds the row.
 GRID_BYTES_PER_NODE = 18
 
 
@@ -83,9 +84,9 @@ def grid_points(half_width: float, sf: ScatteringFunction) -> int:
     soft RLIMIT_AS leaves of the address space (InvalidGrid, naming sigma,
     L and G).
     """
-    _require_finite("half_width", half_width)
+    _require_finite("L", half_width)
     if half_width <= 0:
-        raise InvalidParameter(f"half_width must be > 0, got {half_width}")
+        raise InvalidParameter(f"L must be > 0, got {half_width}")
     try:  # 8L/sigma may overflow to inf
         g = max(GRID_POINTS, math.ceil(8.0 * half_width / sf.sigma) + 1)
     except OverflowError:
@@ -114,28 +115,31 @@ def _kernel_rows(sched: Sequence[int], g: int) -> int:
 
 def _panel_rows(g: int) -> int:
     """Grid rows of the panel through which a curve adds kernel products and
-    takes S log S: a quarter of the grid, rounded up. It follows G alone, so
-    every curve on a grid sums in the same bands whatever its schedule."""
+    takes the entropy integrand: a quarter of the grid, rounded up. It
+    follows G alone, so every curve on a grid sums in the same bands
+    whatever its schedule."""
     return -(-g // 4)
 
 
-def _entropy(joint_sum: np.ndarray, mass: float, c: float, step: float,
+def _entropy(joint_sum: np.ndarray, c: float, step: float,
              weights: np.ndarray, panel: np.ndarray) -> float:
     """The trapezoid estimate of -integral f log f over the grid of the joint
     density f = c * joint_sum tabulated on it. joint_sum S is positive (it is
     seeded with DENSITY_FLOOR), and f log f = c S (log S + log c) is
-    integrated as c h^2 (u S log S u + log c * mass), with mass = u S u, h
-    the step and u = weights, the unit trapezoid weights (1/2, 1, ..., 1,
-    1/2). S log S is built a band of len(panel) grid rows at a time in panel.
-    As h <= sigma/4, c h^2 <= 1/(32 pi n): the sums do not grow with the
-    grid's extent."""
-    s_log_s = 0.0
+    integrated as c h^2 u (S (log S + log c)) u, with h the step and
+    u = weights, the unit trapezoid weights (1/2, 1, ..., 1, 1/2). The
+    integrand is built a band of len(panel) grid rows at a time in panel;
+    log c is added to log S rather than c taken into S, where c * 1e-300
+    would underflow at a large sigma^2 n. As h <= sigma/4,
+    c h^2 <= 1/(32 pi n): the sums do not grow with the grid's extent."""
+    total = 0.0
     for lo in range(0, len(joint_sum), len(panel)):
         band = joint_sum[lo:lo + len(panel)]
         term = np.log(band, out=panel[:len(band)])
+        term += math.log(c)
         term *= band
-        s_log_s += float(weights[lo:lo + len(band)] @ term @ weights)
-    return -c * step ** 2 * (s_log_s + math.log(c) * mass)
+        total += float(weights[lo:lo + len(band)] @ term @ weights)
+    return -c * step ** 2 * total
 
 
 @dataclass(frozen=True)
@@ -192,21 +196,22 @@ class InfoCurve:
 
 def default_schedule(n_max: int) -> list[int]:
     """Near-geometric ladder 1, 2, 3, 4, 6, ... clipped to and ending at n_max."""
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+    if not _is_count(n_max) or n_max < 1:
         raise InvalidSchedule(f"n_max must be an integer >= 1, got {n_max}")
     return [n for n in _BASE_SCHEDULE if n < n_max] + [n_max]
 
 
 def resolve_schedule(schedule: Optional[Sequence[int]], n_available: int) -> list[int]:
     """The schedule checked against n_available samples; None gives the
-    default. Every entry must be an int or a numpy integer: a prefix size
-    is a count, so 2.5 is rejected, not truncated."""
+    default. Every entry must be an int or a numpy integer, not a bool: a
+    prefix size is a count, so 2.5 is rejected, not truncated, and True is
+    not taken for 1."""
     if n_available < 1:
         raise EmptyDataset("a schedule of prefixes needs at least one sample")
     if schedule is None:
         return default_schedule(n_available)
     sched = list(schedule)
-    if not all(isinstance(n, (int, np.integer)) for n in sched):
+    if not all(_is_count(n) for n in sched):
         raise InvalidSchedule(f"schedule entries must be integers, got {sched}")
     sched = [int(n) for n in sched]
     if len(sched) == 0:
@@ -234,18 +239,18 @@ def info_curve(data: Dataset,
     c = 1/(2 pi sigma^2 n) times the running sum S of the samples'
     unnormalised kernel products on the sigma-scaled axis, a sum seeded with
     DENSITY_FLOOR. The samples between two schedule points are added to S
-    once (see :func:`accumulate_kernel_products`), which also returns the
-    trapezoid mass they add, so the mass u S u is a running scalar; at each
-    point the entropy is taken of S with the one scalar c. Every sample's
-    kernel rows are built exactly once. The curve allocates one workspace of
-    at most 2.25 G x G float64 arrays and one row (:func:`workspace_bytes`):
-    the running sum, the kernel rows of one block (at most one grid), and a
+    once (see :func:`accumulate_kernel_products`), and at each point the
+    entropy is taken of S with the one scalar c. Every sample's kernel rows
+    are built exactly once. The curve allocates one workspace of at most
+    2.25 G x G float64 arrays and one row (:func:`workspace_bytes`): the
+    running sum, the kernel rows of one block (at most one grid), and a
     panel of ceil(G/4) grid rows through which each block's product and then
-    S log S pass a band at a time. Nothing of grid size is allocated per
-    schedule point, and memory does not grow with the dataset or the
-    schedule. Each I(n) is the trapezoid entropy of the joint density of the
-    first n samples on the grid, less log(2 pi e sigma^2) = 1 - log c1, the
-    entropy of one kernel, with c1 = 1/(2 pi sigma^2) its normalisation.
+    the entropy integrand S (log S + log c) pass a band at a time. Nothing
+    of grid size is allocated per schedule point, and memory does not grow
+    with the dataset or the schedule. Each I(n) is the trapezoid entropy of
+    the joint density of the first n samples on the grid, less
+    log(2 pi e sigma^2) = 1 - log c1, the entropy of one kernel, with
+    c1 = 1/(2 pi sigma^2) its normalisation.
     """
     g = grid_points(half_width, sf)
     kernel_norm = _kernel_norm(sf)
@@ -260,25 +265,21 @@ def info_curve(data: Dataset,
     joint_sum.fill(DENSITY_FLOOR)
     weights = np.ones(g)
     weights[[0, -1]] = 0.5
-    mass = DENSITY_FLOOR * (g - 1) ** 2  # u S u of the seed: the weights sum to G - 1
     records = []
     done = 0
     for n in sched:
-        mass += accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
-                                           scaled_axis, sf.sigma, rows=rows, panel=panel,
-                                           weights=weights)
+        accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
+                                   scaled_axis, sf.sigma, rows=rows, panel=panel)
         done = n
-        h = _entropy(joint_sum, mass, kernel_norm / n, step, weights, panel)
+        h = _entropy(joint_sum, kernel_norm / n, step, weights, panel)
         records.append(InfoRecord(n, h - (1.0 - math.log(kernel_norm))))
     return InfoCurve(tuple(records))
 
 
 def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
-                               rows: np.ndarray, panel: np.ndarray,
-                               weights: np.ndarray) -> float:
+                               rows: np.ndarray, panel: np.ndarray) -> None:
     """Add sum_i g(axis - x[i]/sigma) g(axis - y[i]/sigma)^T to out, in place,
-    with g(t) = exp(-t^2 / 2) the unnormalised kernel, and return the
-    trapezoid mass weights @ (what was added) @ weights.
+    with g(t) = exp(-t^2 / 2) the unnormalised kernel.
 
     axis is the grid axis both channels share, already divided by sigma; x
     and y are samples, which each block divides by sigma. So out gains
@@ -287,22 +288,20 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
     far from the axis to square its scaled distance gives a zero row,
     without a warning.
 
-    out has shape (G, G) with G = axis.size, weights G entries, and panel G
-    columns and at most G rows; rows is a flat buffer of at least 2G floats.
-    Samples are taken in blocks of len(rows) // 2G, so each sample's two
-    kernel rows are built exactly once, in place in rows: a block's x
-    kernels grid-major (G x block) in its first half, so that a band of grid
-    rows is contiguous, and its y kernels (block x G) in its second. A
-    block's product is formed len(panel) grid rows at a time in panel and
-    added to the same band of out, so nothing of grid size is allocated
-    here; its mass is (weights @ Kx^T)(Ky @ weights). Adding the samples of
-    a dataset in consecutive slices gives the joint grid of every prefix on
-    the way.
+    out has shape (G, G) with G = axis.size, and panel G columns and at most
+    G rows; rows is a flat buffer of at least 2G floats. Samples are taken
+    in blocks of len(rows) // 2G, so each sample's two kernel rows are built
+    exactly once, in place in rows: a block's x kernels grid-major
+    (G x block) in its first half, so that a band of grid rows is
+    contiguous, and its y kernels (block x G) in its second. A block's
+    product is formed len(panel) grid rows at a time in panel and added to
+    the same band of out, so nothing of grid size is allocated here. Adding
+    the samples of a dataset in consecutive slices gives the joint grid of
+    every prefix on the way.
     """
     g = axis.size
     block = len(rows) // (2 * g)
     height = len(panel)
-    mass = 0.0
     with np.errstate(over="ignore"):
         for lo in range(0, len(x), block):
             k = min(block, len(x) - lo)
@@ -311,9 +310,7 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
                              out=rows[block * g:(block + k) * g].reshape(k, g))
             np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
             np.exp(gaussian_exponent(ky, out=ky), out=ky)
-            mass += float((weights @ kxt) @ (ky @ weights))
             for r in range(0, g, height):
                 # np.dot, as np.matmul takes a slow loop for a one-sample block.
                 band = np.dot(kxt[r:r + height], ky, out=panel[:min(height, g - r)])
                 out[r:r + height] += band
-    return mass

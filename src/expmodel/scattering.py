@@ -36,6 +36,12 @@ def _require_finite(name: str, value, rows: bool = False) -> None:
     )
 
 
+def _is_count(value) -> bool:
+    """Whether value is an int or a numpy integer but not a bool: a count
+    of samples or a seed, which True would pass for as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScatteringFunction:
     """Product of two equal channel Gaussians of width sigma, centered at the

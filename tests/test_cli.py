@@ -118,6 +118,16 @@ def test_info_rejects_sigma_whose_normalisation_is_not_finite(tmp_path, small_cs
     assert "InvalidGrid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("span_l", ["0", "-1", "nan", "inf"])
+def test_info_span_errors_name_the_span(tmp_path, small_csv, capsys, span_l):
+    # --span-l is L in the command's help and in every other grid message;
+    # the library keyword half_width is not what the user typed.
+    assert run("info", "--basic", small_csv, "--span-l", span_l,
+               "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "InvalidParameter: L must be" in err and "half_width" not in err
+
+
 def test_info_on_a_large_span_stays_finite(tmp_path, small_csv):
     # The quadrature sums carry no factor of the squared step, which at
     # L = 1e154 would overflow them. The samples lie within 1e-153 sigma of

@@ -37,7 +37,7 @@ def kernel_product_sum(data, sigma, xs, ys):
     out = np.zeros((g, g))
     accumulate_kernel_products(out, data.x, data.y, axis, sigma,
                                rows=np.empty(2 * CURVE_ROWS * g),
-                               panel=np.empty((_panel_rows(g), g)), weights=np.ones(g))
+                               panel=np.empty((_panel_rows(g), g)))
     nx = np.size(xs)
     return out[:nx, nx:] / (2.0 * math.pi * sigma ** 2)
 

@@ -40,6 +40,11 @@ def test_meta_validation():
         GenerationMeta(seed=1, sigma_noise=0.2, n=1.5)  # not a sample count
     with pytest.raises(InvalidParameter):
         GenerationMeta(seed=1.5, sigma_noise=0.2, n=5)  # not a seed
+    # A bool passes for 0 or 1, but the dataset CSV would record "seed=True",
+    # which read_dataset_csv cannot parse back.
+    for seed, n in ((True, 5), (False, 5), (1, True)):
+        with pytest.raises(InvalidParameter):
+            GenerationMeta(seed=seed, sigma_noise=0.2, n=n)
     assert GenerationMeta(seed=np.int64(7), sigma_noise=0.2, n=5).seed == 7
     assert GenerationMeta(seed=1, sigma_noise=0.2, n=np.int64(10)).n == 10
 
