@@ -51,7 +51,9 @@ GRID_POINTS = 257
 # most: the running sum, the kernel rows of one block (at most one grid) and
 # a panel of ceil(G/4) grid rows, a quarter grid plus under one row, through
 # which each block's product and then the entropy integrand pass. The
-# workspace is allocated once per curve; workspace_bytes adds the row.
+# workspace is allocated once per curve; workspace_bytes adds the row. As
+# the kernel rows are built without numpy's ufunc buffers, a curve's traced
+# peak is within a few axis-sized vectors (under 32 KB) of its workspace.
 GRID_BYTES_PER_NODE = 18
 
 
@@ -293,21 +295,32 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
     in blocks of len(rows) // 2G, so each sample's two kernel rows are built
     exactly once, in place in rows: a block's x kernels grid-major
     (G x block) in its first half, so that a band of grid rows is
-    contiguous, and its y kernels (block x G) in its second. A block's
-    product is formed len(panel) grid rows at a time in panel and added to
-    the same band of out, so nothing of grid size is allocated here. Adding
-    the samples of a dataset in consecutive slices gives the joint grid of
-    every prefix on the way.
+    contiguous, and its y kernels (block x G) in its second. The differences
+    axis_j - v_i/sigma are written there as the rank-2 products
+    [axis, 1] [1; -v/sigma] (and their transpose for y), not by a
+    broadcasting subtraction, for which numpy allocates two iteration
+    buffers of 8192 elements (128 KB) and takes about twice as long at
+    these shapes. Each entry is still one rounded sum, so the rows are those
+    of the subtraction but for the sign of a zero, which the square drops.
+    A block's product is formed len(panel) grid rows at a time in panel and
+    added to the same band of out, so nothing larger than a few axis-sized
+    vectors is allocated here. Adding the samples of a dataset in
+    consecutive slices gives the joint grid of every prefix on the way.
     """
     g = axis.size
     block = len(rows) // (2 * g)
     height = len(panel)
+    nodes = np.stack([axis, np.ones(g)], axis=1)  # [axis_j, 1], G x 2
+    shift = np.ones((2, block))  # [1; -v_i/sigma] for a block of samples v
     with np.errstate(over="ignore"):
         for lo in range(0, len(x), block):
             k = min(block, len(x) - lo)
-            kxt = np.subtract(axis[:, None], x[lo:lo + k] / sigma, out=rows[:g * k].reshape(g, k))
-            ky = np.subtract(axis, y[lo:lo + k, None] / sigma,
-                             out=rows[block * g:(block + k) * g].reshape(k, g))
+            # The differences as rank-2 products, which numpy does not buffer.
+            np.divide(x[lo:lo + k], -sigma, out=shift[1, :k])
+            kxt = np.dot(nodes, shift[:, :k], out=rows[:g * k].reshape(g, k))
+            np.divide(y[lo:lo + k], -sigma, out=shift[1, :k])
+            ky = np.dot(shift[:, :k].T, nodes.T,
+                        out=rows[block * g:(block + k) * g].reshape(k, g))
             np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
             np.exp(gaussian_exponent(ky, out=ky), out=ky)
             for r in range(0, g, height):

@@ -10,6 +10,7 @@ from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       read_dataset_csv, write_dataset_csv)
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
 from expmodel.information import _kernel_rows, _panel_rows, accumulate_kernel_products
+from expmodel.scattering import gaussian_exponent
 from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
 
@@ -128,6 +129,50 @@ def test_joint_grid_matches_brute_force(logistic200, logistic600, sf02):
         expected = kde_joint_grid(data.x, data.y, sf02.sigma, axis)
         got = kernel_product_sum(data, sf02.sigma, axis, axis) / len(data)
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-300)
+
+
+def subtract_outer_kernel_products(out, x, y, axis, sigma, block, height):
+    """accumulate_kernel_products with each block's kernel rows built by
+    np.subtract.outer in fresh arrays, the same exponent, bands and adds."""
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(x), block):
+            kxt = np.subtract.outer(axis, x[lo:lo + block] / sigma)
+            ky = np.ascontiguousarray(np.subtract.outer(axis, y[lo:lo + block] / sigma).T)
+            np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
+            np.exp(gaussian_exponent(ky, out=ky), out=ky)
+            for r in range(0, len(axis), height):
+                out[r:r + height] += np.dot(kxt[r:r + height], ky)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+@pytest.mark.parametrize("g,block,n", [(41, 3, 8), (257, CURVE_ROWS, 300)])
+def test_kernel_products_equal_subtract_outer_rows(fill, g, block, n):
+    # Each difference axis_j - v_i/sigma is one rounded sum either way, so
+    # the grid is byte-equal to the reference's. Both sizes end in a partial
+    # block. The samples include one on a grid node (sigma = 0.25 divides
+    # exactly), x = -0.0 and one whose scaled value overflows, which adds a
+    # zero row without a warning. The row and panel buffers start as fill,
+    # which must not leak into the grid.
+    sigma = 0.25
+    axis = np.linspace(-HALF_WIDTH, HALF_WIDTH, g) / sigma
+    x, y = np.random.default_rng(5).uniform(-2.5, 2.5, (2, n))
+    x[0], x[1], x[-1] = axis[g // 3] * sigma, -0.0, 1e308
+    assert x[0] / sigma == axis[g // 3] and x[-1] > sigma * np.finfo(float).max
+    height = _panel_rows(g)
+
+    def accumulate(xs, ys):
+        out = np.zeros((g, g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accumulate_kernel_products(out, xs, ys, axis, sigma,
+                                       rows=np.full(2 * block * g, fill),
+                                       panel=np.full((height, g), fill))
+        return out
+
+    expected = np.zeros((g, g))
+    subtract_outer_kernel_products(expected, x, y, axis, sigma, block, height)
+    assert accumulate(x, y).tobytes() == expected.tobytes()
+    assert not accumulate(x[-1:], y[-1:]).any()
 
 
 def test_conditional_single_sample_ignores_x(one_sample_model, sf02):

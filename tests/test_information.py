@@ -11,7 +11,7 @@ from expmodel import (Dataset, EmptyDataset, GenerationMeta, InfoCurve, InfoReco
                       generate, info_curve, quality_sweep, write_dataset_csv)
 from expmodel.cli import main
 from expmodel import information
-from expmodel.information import _kernel_rows, grid_points, workspace_bytes
+from expmodel.information import _kernel_rows, grid_points, resolve_schedule, workspace_bytes
 from conftest import HALF_WIDTH
 from oracles import LOG_2PIE, entropy_grid, kde_joint_grid
 
@@ -242,19 +242,21 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02):
     pytest.param("logistic600", None, 0.2, 257, id="logistic600-None"),
     pytest.param("logistic200", None, 0.05, 321, id="logistic200-None-sigma0.05")])
 def test_curve_holds_three_grids_at_most(request, fixture, schedule, sigma, g):
-    # The running sum, the kernel rows (at most one grid) and a panel of
-    # ceil(G/4) grid rows are one workspace allocated once per curve, at
-    # most 2.25 grids and one row. At sigma = 0.05 the step <= sigma/4 sets
-    # G = 321 over the 257 floor. 256 KB covers numpy's ufunc buffers and
-    # the axis-sized vectors.
+    # The running sum, the kernel rows of one block (at most one grid) and a
+    # panel of ceil(G/4) grid rows are one workspace allocated once per
+    # curve, at most 2.25 grids and one row. At sigma = 0.05 the step
+    # <= sigma/4 sets G = 321 over the 257 floor. The traced peak is that
+    # workspace plus 32 KB for the axis-sized vectors and the block's
+    # scaled samples.
     data = request.getfixturevalue(fixture)
+    block = _kernel_rows(resolve_schedule(schedule, len(data)), g)
     tracemalloc.start()
     try:
         info_curve(data, ScatteringFunction(sigma), schedule, half_width=HALF_WIDTH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (2.25 * g ** 2 + g) + 256 * 1024
+    assert peak <= 8 * (g + 2 * block + math.ceil(g / 4)) * g + 32 * 1024
 
 
 def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02):
