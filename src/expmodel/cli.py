@@ -61,8 +61,7 @@ def _seeds(args) -> list[int]:
 
 
 def _generate(seed: int, sigma: float, n: Optional[int] = None) -> Dataset:
-    n = N_SAMPLES if n is None else n
-    return generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=n))
+    return generate(GenerationMeta(seed=seed, sigma_noise=sigma), N_SAMPLES if n is None else n)
 
 
 def _resolve_sigma(args, dataset: Dataset) -> float:

@@ -1,27 +1,26 @@
 """Measured pairs and their kernel similarities C_i(x).
 
 A Dataset holds the measured pairs in order and, for generated data, the
-GenerationMeta that regenerates them; the noise-free pairs are not stored,
-as generate rebuilds them at sigma_noise = 0. A DensityModel adds the
-instrument's scattering function, and its normalised similarities C_i(x)
-(DensityModel.weights) weight the conditional-average predictor. They are
-computed from the kernels' exponents in samples x queries blocks. Each
-query's largest exponent is that of its nearest sample, found by one
-binary search in the sorted scaled samples (_nearest_exponents); a query
-where it is below MIN_UNSHIFTED_EXPONENT has it subtracted first, so far
-from all samples, where every kernel underflows to zero, they stay a convex
-combination.
+GenerationMeta that regenerates them at the dataset's length; the noise-free
+pairs are not stored, as generate rebuilds them at sigma_noise = 0. A
+DensityModel adds the instrument's scattering function, and its normalised
+similarities C_i(x) (DensityModel.weights) weight the conditional-average
+predictor. They are computed from the kernels' exponents in samples x
+queries blocks. Each query's largest exponent is that of its nearest sample,
+found by one binary search in the sorted scaled samples
+(_nearest_exponents); a query where it is below MIN_UNSHIFTED_EXPONENT has
+it subtracted first, so far from all samples, where every kernel underflows
+to zero, they stay a convex combination.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
-from .scattering import ScatteringFunction, gaussian_exponent, _require_finite
+from .scattering import ScatteringFunction, gaussian_exponent, _is_count, _require_finite
 
 # Queries whose largest kernel exponent is at least this are exponentiated
 # without a shift. Their largest kernel is then at least e^-300 (about
@@ -69,14 +68,14 @@ class Dataset:
         return self.x.size
 
     def prefix(self, n: int) -> "Dataset":
-        """First n samples, preserving order; the metadata records n samples."""
-        if not 1 <= n <= len(self):
-            raise InvalidParameter(f"prefix size {n} outside [1, {len(self)}]")
+        """First n samples, preserving order, under the same metadata."""
+        if not _is_count(n) or not 1 <= n <= len(self):
+            raise InvalidParameter(f"prefix size must be an integer in [1, {len(self)}], "
+                                   f"got {n!r}")
         if n == len(self):
             return self
         # Views of read-only columns: read-only themselves, nothing is copied.
-        meta = None if self.meta is None else replace(self.meta, n=n)
-        return Dataset._owning(self.x[:n], self.y[:n], meta=meta)
+        return Dataset._owning(self.x[:n], self.y[:n], meta=self.meta)
 
 
 def _nearest_exponents(scaled, qs: np.ndarray) -> np.ndarray:

@@ -44,11 +44,10 @@ NOISE_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
 @dataclass(frozen=True)
 class GenerationMeta:
-    """Provenance of a generated dataset; sufficient to regenerate it."""
+    """Provenance of a generated dataset; with its length, it regenerates it."""
 
     seed: int
     sigma_noise: float
-    n: int
 
     # The map and the noise generator are fixed; the dataset CSV names them.
     map_name: ClassVar[str] = "ulam"
@@ -57,8 +56,6 @@ class GenerationMeta:
     def __post_init__(self) -> None:
         if not _is_count(self.seed) or self.seed < 0:
             raise InvalidParameter(f"seed must be an integer >= 0, got {self.seed}")
-        if not _is_count(self.n) or self.n < 1:
-            raise InvalidParameter(f"n must be an integer >= 1, got {self.n}")
         if not (self.sigma_noise >= 0 and math.isfinite(self.sigma_noise * NOISE_BOUND)):
             raise InvalidParameter(f"sigma_noise must be >= 0 and keep the noise finite, "
                                    f"got {self.sigma_noise}")
@@ -84,17 +81,19 @@ def _box_muller(stream: np.random.SeedSequence, n: int) -> np.ndarray:
     return radius * angle
 
 
-def generate(meta: GenerationMeta) -> Dataset:
-    """Produce the noisy benchmark dataset described by meta.
+def generate(meta: GenerationMeta, n: int) -> Dataset:
+    """Produce the first n samples of the noisy benchmark dataset of meta.
 
     Returns a dataset whose x, y columns carry the noisy measurements and
     whose meta is the given one. The noise-free map iterates are not kept:
-    generate(replace(meta, sigma_noise=0.0)) returns them as its x, y.
+    generate(replace(meta, sigma_noise=0.0), n) returns them as its x, y.
     """
-    needed = 8 * FLOATS_PER_SAMPLE * int(meta.n)
+    if not _is_count(n) or n < 1:
+        raise InvalidParameter(f"n must be an integer >= 1, got {n}")
+    needed = 8 * FLOATS_PER_SAMPLE * int(n)
     available = memory_limit()
     if needed > available:
-        raise InvalidParameter(f"n={meta.n} samples need {needed} bytes, more than "
+        raise InvalidParameter(f"n={n} samples need {needed} bytes, more than "
                                f"the {available} bytes this process may allocate")
     s_init, s_x, s_y = np.random.SeedSequence(meta.seed).spawn(3)
     x = -0.99 + 1.98 * np.random.Generator(np.random.PCG64(s_init)).random()
@@ -103,7 +102,7 @@ def generate(meta: GenerationMeta) -> Dataset:
     for _ in range(TRANSIENT_STEPS):
         x = 1.0 - 2.0 * x * x
     orbit = array("d", [x])
-    for _ in range(meta.n):
+    for _ in range(n):
         x = 1.0 - 2.0 * x * x
         orbit.append(x)
     # Pair i is (orbit[i], orbit[i + 1]); both columns view the one orbit.
@@ -111,6 +110,6 @@ def generate(meta: GenerationMeta) -> Dataset:
     clean.flags.writeable = False
     x, y = clean[:-1], clean[1:]
     if meta.sigma_noise > 0:
-        x = x + meta.sigma_noise * _box_muller(s_x, meta.n)
-        y = y + meta.sigma_noise * _box_muller(s_y, meta.n)
+        x = x + meta.sigma_noise * _box_muller(s_x, n)
+        y = y + meta.sigma_noise * _box_muller(s_y, n)
     return Dataset._owning(x, y, meta=meta)

@@ -9,8 +9,8 @@ The dataset table has an optional leading comment
 "# seed=<s> sigma=<v> map=<name> prng=<name>", then the header "i,x,y" and
 one row per sample in insertion order. A header may name more columns after
 "i,x,y"; the reader ignores them, so older files with the clean columns
-"x_o,y_o" still load. The provenance read back records the number of rows
-read; older comments with an "n=<n>" field still load, and it is not read.
+"x_o,y_o" still load. The comment records no row count: older comments with
+an "n=<n>" field still load, and it is not read.
 Its fields are split on commas and are never quoted: a cell is any literal
 that Python's float() accepts, so a quoted cell is rejected like any other
 text that is not a number. Blank lines are skipped and are not counted as rows.
@@ -114,11 +114,10 @@ def _parse_dataset_csv(path) -> Dataset:
     # Nothing else holds the table, so the dataset takes its columns as views.
     table = np.frombuffer(values, dtype=float).reshape(-1, 2)
     try:
-        # The provenance records the rows read; an old comment's n is not read.
-        meta = GenerationMeta(seed=int(fields["seed"]), sigma_noise=float(fields["sigma"]),
-                              n=len(table)) if ours else None
+        meta = GenerationMeta(seed=int(fields["seed"]),
+                              sigma_noise=float(fields["sigma"])) if ours else None
     except (KeyError, ValueError, InvalidParameter):
-        meta = None  # unknown comment style, or no rows; data rows still load
+        meta = None  # unknown comment style; data rows still load
     return Dataset._owning(*table.T, meta=meta)
 
 

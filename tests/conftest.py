@@ -14,13 +14,13 @@ def sf02():
 @pytest.fixture(scope="session")
 def logistic200():
     """Benchmark dataset: 200 noisy chaotic pairs, seed 1, sigma 0.2."""
-    return generate(GenerationMeta(seed=1, sigma_noise=SIGMA, n=200))
+    return generate(GenerationMeta(seed=1, sigma_noise=SIGMA), 200)
 
 
 @pytest.fixture(scope="session")
 def logistic600():
     """Longer benchmark dataset spanning several kernel-product blocks."""
-    return generate(GenerationMeta(seed=1, sigma_noise=SIGMA, n=600))
+    return generate(GenerationMeta(seed=1, sigma_noise=SIGMA), 600)
 
 
 @pytest.fixture(scope="session")

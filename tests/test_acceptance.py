@@ -47,7 +47,7 @@ def curves():
     for sigma in SIGMAS:
         sf = ScatteringFunction(sigma)
         for seed in SEEDS:
-            data = generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=N_SAMPLES))
+            data = generate(GenerationMeta(seed=seed, sigma_noise=sigma), N_SAMPLES)
             start = time.perf_counter()
             out[sigma][seed] = info_curve(data, sf, half_width=HALF_WIDTH)
             if sigma == 0.2:
@@ -59,10 +59,10 @@ def curves():
 def sweeps():
     """Quality sweeps at sigma 0.2 for the three basic seeds, one test set."""
     sf = ScatteringFunction(0.2)
-    test = generate(GenerationMeta(seed=TEST_SEED, sigma_noise=0.2, n=N_SAMPLES))
+    test = generate(GenerationMeta(seed=TEST_SEED, sigma_noise=0.2), N_SAMPLES)
     out = {}
     for seed in SEEDS:
-        basic = generate(GenerationMeta(seed=seed, sigma_noise=0.2, n=N_SAMPLES))
+        basic = generate(GenerationMeta(seed=seed, sigma_noise=0.2), N_SAMPLES)
         out[seed] = quality_sweep(basic, test, sf)
     return out
 
@@ -134,7 +134,7 @@ def test_criterion_5c_kernel_entropy():
 
 def test_criterion_5d_weights_and_bounds():
     sf = ScatteringFunction(0.2)
-    basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2, n=50))
+    basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2), 50)
     p = CaPredictor(basic, sf)
     rng = np.random.default_rng(101)
     xs = np.concatenate([rng.uniform(-10 * HALF_WIDTH, 10 * HALF_WIDTH, 998),
@@ -163,7 +163,7 @@ def test_criterion_5e_quality_exact_cases():
 def test_criterion_5f_model_quadrature_identities():
     sigma = 0.2
     sf = ScatteringFunction(sigma)
-    basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=sigma, n=50))
+    basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=sigma), 50)
     axis = extended_axis(HALF_WIDTH, sigma)
     y_p = CaPredictor(basic, sf).predict_many(axis)
     fx = np.zeros_like(axis)
@@ -189,7 +189,7 @@ def test_criterion_5f_model_quadrature_identities():
 def test_criterion_5g_grid_convergence(monkeypatch):
     # The curve's 257-node grid against a floor of twice as many nodes.
     sf = ScatteringFunction(0.2)
-    data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2, n=N_SAMPLES))
+    data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2), N_SAMPLES)
     infos = []
     for floor in (information.GRID_POINTS, 2 * information.GRID_POINTS):
         monkeypatch.setattr(information, "GRID_POINTS", floor)

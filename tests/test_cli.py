@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expmodel import cli, default_schedule, generate, information, memory, read_dataset_csv
-from expmodel.cli import main
+from expmodel.cli import N_SAMPLES, main
 from expmodel.tables import READ_BLOCK
 
 
@@ -68,6 +68,12 @@ def test_info_of_an_empty_dataset_fails_as_empty(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("i,x,y\n")
     assert run("info", "--basic", str(empty), "--sigma", "0.2", "--out-dir", str(tmp_path)) == 2
+    assert "EmptyDataset" in capsys.readouterr().err
+    # Under this package's comment the file keeps its provenance, whose
+    # width stands in for --sigma, so it too fails as empty.
+    empty.write_text("# seed=1 sigma=0.2 map=ulam prng=pcg64\ni,x,y\n")
+    assert read_dataset_csv(empty).meta.sigma_noise == 0.2
+    assert run("info", "--basic", str(empty), "--out-dir", str(tmp_path)) == 2
     assert "EmptyDataset" in capsys.readouterr().err
 
 
@@ -535,13 +541,14 @@ def test_unread_flag_exits_2(tmp_path, small_csv, reproduced, capsys, command, f
 
 
 def test_reproduce_generates_each_dataset_once(tmp_path, monkeypatch):
-    metas = []
+    metas, sizes = [], []
 
-    def counted(meta):
+    def counted(meta, n):
         metas.append((meta.seed, meta.sigma_noise))
-        return generate(meta)
+        sizes.append(n)
+        return generate(meta, n)
 
     monkeypatch.setattr(cli, "generate", counted)
     assert run("reproduce", "--seed", "1", "--out-dir", str(tmp_path)) == 0
-    assert len(metas) == 10
+    assert len(metas) == 10 and sizes == [N_SAMPLES] * 10
     assert set(metas) == {(seed, sigma) for seed in (1, 2, 3) for sigma in (0.1, 0.2, 0.4)} | {(1 + 7919, 0.2)}

@@ -69,6 +69,18 @@ def test_dataset_prefix_preserves_order(logistic200):
         logistic200.prefix(201)
 
 
+# A prefix size is a count, checked by prefix itself whatever the meta:
+# True does not pass for 1, nor is 2.5 or 3.0 truncated.
+@pytest.mark.parametrize("meta", [None, GenerationMeta(seed=1, sigma_noise=0.2)])
+def test_prefix_size_is_a_count_in_range(meta):
+    data = Dataset([0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8], meta=meta)
+    for n in (True, 2.5, 3.0, 0, len(data) + 1):
+        with pytest.raises(InvalidParameter):
+            data.prefix(n)
+    p = data.prefix(np.int64(3))
+    assert p.x.tolist() == [0.1, 0.2, 0.3] and p.meta == meta
+
+
 def test_dataset_columns_are_read_only(logistic200):
     with pytest.raises(ValueError):
         logistic200.x[0] = 0.0
@@ -303,7 +315,7 @@ def test_csv_round_trip(tmp_path, logistic200):
     back = read_dataset_csv(path)
     assert np.array_equal(back.x, logistic200.x)
     assert np.array_equal(back.y, logistic200.y)
-    assert back.meta.seed == 1 and back.meta.n == 200
+    assert back.meta.seed == 1 and len(back) == 200
     assert back.meta.sigma_noise == 0.2
     assert back.meta.map_name == "ulam" and back.meta.prng_name == "pcg64"
 
@@ -384,7 +396,7 @@ def _peak_bytes(fn, *args):
 
 @pytest.fixture(scope="module")
 def dataset20k():
-    return generate(GenerationMeta(seed=1, sigma_noise=0.2, n=20000))
+    return generate(GenerationMeta(seed=1, sigma_noise=0.2), 20000)
 
 
 def test_csv_writer_fits_the_generate_budget(tmp_path, dataset20k):
@@ -419,7 +431,7 @@ def test_prefix_copies_no_column(dataset20k):
 
 
 def test_generated_csv_prefix_comment(tmp_path):
-    ds = generate(GenerationMeta(seed=9, sigma_noise=0.1, n=5))
+    ds = generate(GenerationMeta(seed=9, sigma_noise=0.1), 5)
     path = tmp_path / "gen.csv"
     write_dataset_csv(ds, path)
     first = path.read_text().splitlines()[0]

@@ -397,7 +397,7 @@ def test_information_is_invariant_under_symmetries_of_the_span(sigma):
     # The span square, the grid and the kernel are symmetric under swapping
     # and negating the channels, and a point of the curve reads its prefix
     # as a set. On seeds 1-3 the largest deviation was 1.8e-15 (seed 1: 8.9e-16).
-    data = generate(GenerationMeta(seed=1, sigma_noise=sigma, n=200))
+    data = generate(GenerationMeta(seed=1, sigma_noise=sigma), 200)
     sf = ScatteringFunction(sigma)
     start = default_schedule(len(data))[-2]  # of the last schedule segment
     order = np.r_[np.arange(start), start + np.random.default_rng(1).permutation(len(data) - start)]
@@ -418,7 +418,7 @@ def test_information_is_invariant_under_a_change_of_unit(seed):
     # about 1e242. I moves by 2k log 2 (m - 1), m the kernel mass inside
     # the span, which at sigma = 0.1 is 1 to about 1e-13: on seeds 1-3 the
     # largest deviation was 2.9e-11.
-    data = generate(GenerationMeta(seed=seed, sigma_noise=0.1, n=200))
+    data = generate(GenerationMeta(seed=seed, sigma_noise=0.1), 200)
     info = [r.info for r in info_curve(data, ScatteringFunction(0.1),
                                        half_width=HALF_WIDTH).records]
     for k in (-400, -10, 10, 400):
@@ -434,7 +434,7 @@ def test_information_reads_the_half_width_only_as_the_grid_extent(monkeypatch):
     # set with |x|, |y| < 1.15 to 8.5 sigma: no mass leaks from either, so
     # the records agree to rounding whatever L is. L = 2 takes the 257-node
     # floor and L = 3 a floor of 385.
-    data = generate(GenerationMeta(seed=1, sigma_noise=0.05, n=200))
+    data = generate(GenerationMeta(seed=1, sigma_noise=0.05), 200)
     assert max(np.abs(data.x).max(), np.abs(data.y).max()) < 1.15
     sf = ScatteringFunction(0.1)
     assert grid_points(2.0, sf) == 257 and 4.0 / 256 == 6.0 / 384 == 1.0 / 64

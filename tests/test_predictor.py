@@ -20,7 +20,7 @@ from oracles import extended_axis, gauss, trap1
 
 @pytest.fixture(scope="module")
 def basic50():
-    return generate(GenerationMeta(seed=1, sigma_noise=0.2, n=50))
+    return generate(GenerationMeta(seed=1, sigma_noise=0.2), 50)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_prediction_smooths_training_targets():
     # Smoother output cannot be more variable than the raw targets.
     for seed in (1, 2, 3):
         for sigma in (0.1, 0.2, 0.4):
-            data = generate(GenerationMeta(seed=seed, sigma_noise=sigma, n=50))
+            data = generate(GenerationMeta(seed=seed, sigma_noise=sigma), 50)
             p = CaPredictor(data, ScatteringFunction(sigma))
             fitted = p.predict_many(data.x)
             assert fitted.var() <= data.y.var()
@@ -176,7 +176,7 @@ def test_predict_many_matches_oracle_across_block_boundary(basic50):
 
 def test_predict_many_matches_oracle_with_samples_over_several_blocks(sf02):
     # More samples than one block holds at five queries.
-    basic = generate(GenerationMeta(seed=3, sigma_noise=0.2, n=QUERY_BLOCK_ELEMS + 1))
+    basic = generate(GenerationMeta(seed=3, sigma_noise=0.2), QUERY_BLOCK_ELEMS + 1)
     p = CaPredictor(basic, sf02)
     xs = np.array([-1.5, -0.3, 0.0, 0.7, 1.5])
     assert _sample_rows(xs.size) < len(basic)
@@ -298,7 +298,7 @@ def _predict_many_peak(predictor, xs):
 
 
 def test_predict_many_memory_does_not_grow_with_queries(sf02):
-    basic = generate(GenerationMeta(seed=5, sigma_noise=0.2, n=3000))
+    basic = generate(GenerationMeta(seed=5, sigma_noise=0.2), 3000)
     p = CaPredictor(basic, sf02)
     xs = np.linspace(-2.0, 2.0, 3000)
     peak_small = _predict_many_peak(p, xs[:300])
@@ -353,7 +353,7 @@ def test_shape_mismatch_is_rejected():
 
 
 def test_report_fields_reproduce_q(predictor50, basic50):
-    test = generate(GenerationMeta(seed=77, sigma_noise=0.2, n=100))
+    test = generate(GenerationMeta(seed=77, sigma_noise=0.2), 100)
     rep = predictor_quality(test.y, predictor50.predict_many(test.x))
     assert rep.q == pytest.approx(1.0 - rep.mse / (rep.var_true + rep.var_pred), abs=1e-12)
     assert rep.n_test == 100
@@ -409,7 +409,7 @@ def test_model_quadrature_identities_on_reduced_set(basic50, sf02):
 
 
 def test_quality_sweep_shape_and_single_sample_limit(basic50, sf02):
-    test = generate(GenerationMeta(seed=4001, sigma_noise=0.2, n=200))
+    test = generate(GenerationMeta(seed=4001, sigma_noise=0.2), 200)
     sweep = quality_sweep(basic50, test, sf02, schedule=[1, 2, 8, 32, 50])
     assert list(sweep) == [1, 2, 8, 32, 50]
     first = sweep[1]
@@ -423,12 +423,12 @@ def test_quality_sweep_shape_and_single_sample_limit(basic50, sf02):
 
 @pytest.fixture(scope="module")
 def basic3000():
-    return generate(GenerationMeta(seed=5, sigma_noise=0.2, n=3000))
+    return generate(GenerationMeta(seed=5, sigma_noise=0.2), 3000)
 
 
 @pytest.fixture(scope="module")
 def test3000():
-    return generate(GenerationMeta(seed=5 + TEST_SEED_OFFSET, sigma_noise=0.2, n=3000))
+    return generate(GenerationMeta(seed=5 + TEST_SEED_OFFSET, sigma_noise=0.2), 3000)
 
 
 def _hand_built(basic, sf, n, xs):
@@ -497,7 +497,7 @@ def test_sweep_points_with_scaled_targets_equal_predictors_built_by_hand(basic30
 # --- CSV (laid out by the CLI) ----------------------------------------------------
 
 def test_predictions_csv(tmp_path, basic50, sf02):
-    test = generate(GenerationMeta(seed=4001, sigma_noise=0.2, n=50))
+    test = generate(GenerationMeta(seed=4001, sigma_noise=0.2), 50)
     write_dataset_csv(basic50, tmp_path / "basic.csv")
     write_dataset_csv(test, tmp_path / "test.csv")
     assert main(["predict", "--basic", str(tmp_path / "basic.csv"),
@@ -520,7 +520,7 @@ def test_quality_csv(tmp_path, basic50, sf02):
     # Seed-major, in schedule order within a seed.
     assert [tuple(r[:2]) for r in rows] == [
         (n, seed) for seed in ("1", "2", "3") for n in ("2", "4")]
-    test = generate(GenerationMeta(seed=1 + TEST_SEED_OFFSET, sigma_noise=0.2, n=50))
+    test = generate(GenerationMeta(seed=1 + TEST_SEED_OFFSET, sigma_noise=0.2), 50)
     sweep = quality_sweep(basic50, test, sf02, schedule=[2, 4])
     assert list(sweep) == [2, 4]
     assert [float(r[2]) for r in rows[:2]] == [rep.q for rep in sweep.values()]

@@ -57,7 +57,7 @@ def test_estimator_methods_are_pinned(name):
 # The provenance a dataset CSV records; adding a field takes an edit here.
 def test_generation_meta_fields_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(expmodel.GenerationMeta))
-    assert fields == ("seed", "sigma_noise", "n")
+    assert fields == ("seed", "sigma_noise")
 
 
 # The results store what was measured; the rest are properties derived from it.
@@ -70,7 +70,7 @@ def test_result_fields_are_pinned():
 
 # A dataset holds its measured pairs and their provenance, nothing derived.
 def test_dataset_attributes_are_pinned():
-    data = expmodel.generate(expmodel.GenerationMeta(seed=1, sigma_noise=0.2, n=5))
+    data = expmodel.generate(expmodel.GenerationMeta(seed=1, sigma_noise=0.2), 5)
     assert sorted(vars(data)) == ["meta", "x", "y"]
     assert sorted(vars(data.prefix(2))) == ["meta", "x", "y"]
     assert sorted(vars(expmodel.Dataset([0.1], [0.2]))) == ["meta", "x", "y"]
