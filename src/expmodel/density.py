@@ -15,8 +15,6 @@ to zero, they stay a convex combination.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
@@ -102,10 +100,6 @@ class DensityModel:
         self.data = data
         self.sf = sf
 
-    @cached_property
-    def _scaled_x(self) -> np.ndarray:
-        return self.data.x / self.sf.sigma
-
     def _query_adjustments(self, xs: np.ndarray, qs: np.ndarray, n: int):
         """What the kernels of the first n samples need at the queries xs
         (qs scaled): None where every query's largest exponent is at least
@@ -142,14 +136,15 @@ class DensityModel:
                        adjust=None) -> np.ndarray:
         # Row i - lo is sample i's kernel at each scaled query up to a factor
         # per query, built in place in out[:hi - lo], contiguous along the
-        # queries. A query is exponentiated as it is unless adjust (from
-        # _query_adjustments) shifts it by its largest exponent, whose entry
-        # is then exactly 1, or gives it the far-query limit. Either way the
-        # kernels' common log normalisation cancels in C_i and is never added.
+        # queries, from the block's samples divided by sigma here. A query is
+        # exponentiated as it is unless adjust (from _query_adjustments)
+        # shifts it by its largest exponent, whose entry is then exactly 1, or
+        # gives it the far-query limit. Either way the kernels' common log
+        # normalisation cancels in C_i and is never added.
         # Far queries overflow, and give inf - inf where a query and a sample
         # both overflow when scaled; their columns are replaced.
         with np.errstate(over="ignore", invalid="ignore"):
-            e = np.subtract.outer(self._scaled_x[lo:hi], qs, out=out[:hi - lo])
+            e = np.subtract.outer(self.data.x[lo:hi] / self.sf.sigma, qs, out=out[:hi - lo])
             gaussian_exponent(e, out=e)
         if adjust is not None:
             shift, far = adjust

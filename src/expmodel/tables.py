@@ -29,12 +29,10 @@ from .errors import InvalidParameter
 from .generator import GenerationMeta
 
 
-# Rows converted to Python values at a time: about 32 B per cell live at once.
-ROW_BLOCK = 1024
-
-# Data rows the reader converts per numpy call. Their cell strings, about
-# 110 B per cell, are all it holds beyond its table of 8 B per value.
-READ_BLOCK = 128
+# Rows held as Python objects at a time, by the writers' column_rows and by
+# the reader, whose cell strings (about 110 B per cell) are all it holds
+# beyond its table of 8 B per value.
+ROW_BLOCK = 128
 
 
 def _cell(v):
@@ -107,7 +105,7 @@ def _parse_dataset_csv(path) -> Dataset:
                     f"row {k} of {path} has {len(row)} fields, the header has {len(header)}"
                 )
             cells += row[1:3]  # x and y; columns after them are not read
-            if len(cells) == READ_BLOCK * 2:
+            if len(cells) == ROW_BLOCK * 2:
                 _append_cells(values, cells, path)
                 cells = []
         _append_cells(values, cells, path)
@@ -124,13 +122,7 @@ def _parse_dataset_csv(path) -> Dataset:
 def _append_cells(values: array, cells: list, path) -> None:
     """Append the float values of cells, an x and a y per row, to the table values."""
     try:
-        values.frombytes(np.array(cells, dtype=float).data.cast("B"))
-    except ValueError:
-        # numpy parses a str with float()'s own parser; converting the block
-        # again with float() keeps float()'s values and finds the bad cell,
-        # whose row follows the complete rows already in the table.
-        for text in cells:
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise InvalidParameter(f"row {len(values) // 2 + 1} of {path}: {exc}") from None
+        values.extend(map(float, cells))
+    except ValueError as exc:
+        # The cells before the bad one are in the table, so it names its row.
+        raise InvalidParameter(f"row {len(values) // 2 + 1} of {path}: {exc}") from None

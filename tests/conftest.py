@@ -1,6 +1,7 @@
 import pytest
 
 from expmodel import DensityModel, GenerationMeta, ScatteringFunction, generate
+from expmodel.cli import main
 
 SIGMA = 0.2
 HALF_WIDTH = 2.0
@@ -26,3 +27,11 @@ def logistic600():
 @pytest.fixture(scope="session")
 def model200(logistic200, sf02):
     return DensityModel(logistic200, sf02)
+
+
+@pytest.fixture(scope="session")
+def reproduced(tmp_path_factory):
+    """Output directory of the default ``reproduce --seed 1``."""
+    out = tmp_path_factory.mktemp("reproduce")
+    assert main(["reproduce", "--seed", "1", "--out-dir", str(out)]) == 0
+    return out

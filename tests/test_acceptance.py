@@ -17,14 +17,11 @@ from expmodel import (CaPredictor, Dataset, GenerationMeta,
                       ScatteringFunction, criteria, default_schedule,
                       generate, info_curve, information, predictor_quality,
                       quality_sweep)
-from expmodel.cli import main as cli_main
+from expmodel.cli import N_SAMPLES, SIGMA_SWEEP, SPAN_L, TEST_SEED_OFFSET, main as cli_main
 from oracles import LOG_2PIE, extended_axis, gauss, trap1
 
 SEEDS = (1, 2, 3)
-SIGMAS = (0.1, 0.2, 0.4)
-HALF_WIDTH = 2.0
-N_SAMPLES = 200
-TEST_SEED = SEEDS[0] + 7919
+TEST_SEED = SEEDS[0] + TEST_SEED_OFFSET
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -42,14 +39,14 @@ def report_records(records) -> str:
 @pytest.fixture(scope="module")
 def curves():
     """Info curves by sigma and seed, plus per-seed wall time at 0.2."""
-    out = {sigma: {} for sigma in SIGMAS}
+    out = {sigma: {} for sigma in SIGMA_SWEEP}
     times = {}
-    for sigma in SIGMAS:
+    for sigma in SIGMA_SWEEP:
         sf = ScatteringFunction(sigma)
         for seed in SEEDS:
             data = generate(GenerationMeta(seed=seed, sigma_noise=sigma), N_SAMPLES)
             start = time.perf_counter()
-            out[sigma][seed] = info_curve(data, sf, half_width=HALF_WIDTH)
+            out[sigma][seed] = info_curve(data, sf, half_width=SPAN_L)
             if sigma == 0.2:
                 times[seed] = time.perf_counter() - start
     return out, times
@@ -71,9 +68,9 @@ def test_criterion_1_information_plateau(curves):
     # I = H_z - H_u <= -H_u since H_z <= 0, and I <= log N. -H_u is the closed
     # form here, so the bounds the records carry are checked independently.
     by_sigma, times = curves
-    neg_h_u = -(2.0 * math.log(0.2 / HALF_WIDTH) + math.log(math.pi / 2.0) + 1.0)
+    neg_h_u = -(2.0 * math.log(0.2 / SPAN_L) + math.log(math.pi / 2.0) + 1.0)
     half = max(n for n in default_schedule(N_SAMPLES) if n <= N_SAMPLES // 2)
-    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2), HALF_WIDTH)
+    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2), SPAN_L)
     for rec in records[1:]:
         assert rec.values["bound"] == pytest.approx(min(math.log(N_SAMPLES), neg_h_u), rel=1e-12)
         assert rec.values["k_cap"] == pytest.approx(min(N_SAMPLES, math.exp(neg_h_u)), rel=1e-12)
@@ -113,7 +110,7 @@ def test_criterion_5a_information_bounds(curves):
 def test_criterion_5b_isolated_kernels():
     sf = ScatteringFunction(0.05)  # G = 321, step = sigma/4
     data = Dataset([1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
-    info = info_curve(data, sf, [len(data)], half_width=HALF_WIDTH).records[0].info
+    info = info_curve(data, sf, [len(data)], half_width=SPAN_L).records[0].info
     ok = abs(info - math.log(4.0)) <= 0.02
     detail = f"I(4 isolated kernels) = {info:.5f} vs log 4 = {math.log(4.0):.5f}"
     assert report("5b exact-cases isolated-kernels", ok, detail), detail
@@ -122,11 +119,11 @@ def test_criterion_5b_isolated_kernels():
 def test_criterion_5c_kernel_entropy():
     sf = ScatteringFunction(0.2)
     # The kernel's quadrature entropy, from the record of one sample at (0, 0).
-    info = info_curve(Dataset([0.0], [0.0]), sf, [1], half_width=HALF_WIDTH).records[0].info
+    info = info_curve(Dataset([0.0], [0.0]), sf, [1], half_width=SPAN_L).records[0].info
     h = info + LOG_2PIE + 2.0 * math.log(sf.sigma)
     ok_h = abs(h - (-0.38083)) <= 1e-3
-    h_u = h - 2.0 * math.log(2.0 * HALF_WIDTH)
-    gap = abs(h_u - criteria.calibration_entropy(sf, HALF_WIDTH))
+    h_u = h - 2.0 * math.log(2.0 * SPAN_L)
+    gap = abs(h_u - criteria.calibration_entropy(sf, SPAN_L))
     ok_match = gap <= 1e-3
     detail = f"quadrature entropy {h:.5f} (pinned -0.38083), H_u gap {gap:.2e}"
     assert report("5c exact-cases kernel-entropy", ok_h and ok_match, detail), detail
@@ -137,8 +134,8 @@ def test_criterion_5d_weights_and_bounds():
     basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2), 50)
     p = CaPredictor(basic, sf)
     rng = np.random.default_rng(101)
-    xs = np.concatenate([rng.uniform(-10 * HALF_WIDTH, 10 * HALF_WIDTH, 998),
-                         [-10 * HALF_WIDTH, 10 * HALF_WIDTH]])
+    xs = np.concatenate([rng.uniform(-10 * SPAN_L, 10 * SPAN_L, 998),
+                         [-10 * SPAN_L, 10 * SPAN_L]])
     ok = True
     for x in xs:
         w = p.weights(x)
@@ -164,7 +161,7 @@ def test_criterion_5f_model_quadrature_identities():
     sigma = 0.2
     sf = ScatteringFunction(sigma)
     basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=sigma), 50)
-    axis = extended_axis(HALF_WIDTH, sigma)
+    axis = extended_axis(SPAN_L, sigma)
     y_p = CaPredictor(basic, sf).predict_many(axis)
     fx = np.zeros_like(axis)
     fy = np.zeros_like(axis)
@@ -193,19 +190,17 @@ def test_criterion_5g_grid_convergence(monkeypatch):
     infos = []
     for floor in (information.GRID_POINTS, 2 * information.GRID_POINTS):
         monkeypatch.setattr(information, "GRID_POINTS", floor)
-        infos.append(info_curve(data, sf, [N_SAMPLES], half_width=HALF_WIDTH).records[0].info)
+        infos.append(info_curve(data, sf, [N_SAMPLES], half_width=SPAN_L).records[0].info)
     coarse, fine = infos
     ok = abs(coarse - fine) <= 1e-3
     detail = f"I(200) change on grid doubling = {abs(coarse - fine):.2e}"
     assert report("5g exact-cases grid-convergence", ok, detail), detail
 
 
-def test_criterion_6_reproduce_determinism(tmp_path):
-    args = ["reproduce", "--seed", str(SEEDS[0])]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli_main(args + ["--out-dir", str(out_a)]) == 0
-    assert cli_main(args + ["--out-dir", str(out_b)]) == 0
+def test_criterion_6_reproduce_determinism(tmp_path, reproduced):
+    # A fresh run against the session's reproduce --seed 1.
+    assert cli_main(["reproduce", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     names = ["fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "report.txt"]
-    same = all((out_a / n).read_bytes() == (out_b / n).read_bytes() for n in names)
+    same = all((reproduced / n).read_bytes() == (tmp_path / n).read_bytes() for n in names)
     detail = "two identical reproduce runs emit byte-identical artifacts"
     assert report("6 determinism", same, detail), detail

@@ -310,6 +310,22 @@ def test_predict_many_memory_does_not_grow_with_queries(sf02):
     assert peak <= peak_small + 8 * xs.size + (64 << 10)
 
 
+def test_predict_many_keeps_no_copy_of_its_samples(basic3000, test3000, sf02):
+    # A scaled copy of the samples kept by the predictor would stay traced
+    # after the call at 8 B per sample. The warm-up call on another predictor
+    # leaves out what numpy allocates once per process.
+    CaPredictor(basic3000.prefix(100), sf02).predict_many(test3000.x)
+    p = CaPredictor(basic3000, sf02)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p.predict_many(test3000.x)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < len(basic3000)
+
+
 # --- quality ------------------------------------------------------------------
 
 def test_exact_prediction_scores_one():
