@@ -142,10 +142,10 @@ class DensityModel:
         # gives it the far-query limit. Either way the kernels' common log
         # normalisation cancels in C_i and is never added.
         # Far queries overflow, and give inf - inf where a query and a sample
-        # both overflow when scaled; their columns are replaced.
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.subtract.outer(self.data.x[lo:hi] / self.sf.sigma, qs, out=out[:hi - lo])
-            gaussian_exponent(e, out=e)
+        # both overflow when scaled; their columns are replaced. The caller
+        # silences numpy's overflow and invalid-value warnings.
+        e = np.subtract(self.data.x[lo:hi, None] / self.sf.sigma, qs, out=out[:hi - lo])
+        gaussian_exponent(e, out=e)
         if adjust is not None:
             shift, far = adjust
             if shift is not None:
@@ -165,6 +165,7 @@ class DensityModel:
         with np.errstate(over="ignore"):
             qs = xs / self.sf.sigma
         n = len(self.data)
-        e = self._block_kernels(0, n, qs, np.empty((n, 1)),
-                                self._query_adjustments(xs, qs, n))[:, 0]
+        adjust = self._query_adjustments(xs, qs, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = self._block_kernels(0, n, qs, np.empty((n, 1)), adjust)[:, 0]
         return e / e.sum()

@@ -7,9 +7,11 @@ convex combination for queries arbitrarily far from the data (see
 :mod:`expmodel.density`).
 
 Kernels are taken in samples x queries blocks. All queries of a call sit in
-one chunk while their per-query vectors leave room for a sample row, and
-samples come in blocks sized from the query count, so that a block and
-those vectors hold at most QUERY_BLOCK_ELEMS values. Each block is folded
+one chunk while their per-query vectors leave room for a sample row, so
+that a block and those vectors hold at most QUERY_BLOCK_ELEMS values.
+Samples come in blocks sized from the query count: a block holds at most
+_KERNEL_BLOCK_ELEMS kernel values, or _MIN_ROWS rows where that is more and
+the chunk leaves room for them (_block_rows). Each block is folded
 into every query's kernel-weighted target sum and kernel sum by one matmul
 with the stacked targets [y; 1], and a prediction is their ratio, so no
 normalised weight matrix is ever formed. Each query's kernels are
@@ -32,15 +34,28 @@ from .errors import DegenerateVariance, InvalidParameter, ShapeMismatch
 from .information import resolve_schedule
 from .scattering import ScatteringFunction, _require_finite
 
-# Values held by one kernel block and the per-query vectors beside it (about
-# 1 MB of float64): the memory of one prediction call, whatever the sample
-# and query counts.
+# Values held by one kernel block and the per-query vectors beside it
+# together (about 1 MB of float64): the memory of one prediction call,
+# whatever the sample and query counts.
 QUERY_BLOCK_ELEMS = 1 << 17
 # Per-query vectors beside a block: the scaled queries, the running sums
 # and a block's sums (two each).
 _QUERY_VECTORS = 5
 # Queries per chunk: as many as leave room for one sample row.
 _QUERY_CHUNK = QUERY_BLOCK_ELEMS // (_QUERY_VECTORS + 1)
+# Kernel values of one block (512 KB of float64): a larger block saves little
+# time per kernel value but adds its whole size to the peak memory.
+_KERNEL_BLOCK_ELEMS = 1 << 16
+# Fewest sample rows per block where the chunk leaves room for them: at many
+# queries the kernel budget alone gives blocks of a row or two, each paying
+# the fixed cost of a block's calls.
+_MIN_ROWS = 8
+
+
+def _block_rows(n_queries: int) -> int:
+    """Samples per kernel block at one chunk of n_queries queries."""
+    q = max(n_queries, 1)
+    return min(QUERY_BLOCK_ELEMS // q - _QUERY_VECTORS, max(_MIN_ROWS, _KERNEL_BLOCK_ELEMS // q))
 
 
 def _target_shift(y: np.ndarray) -> int:
@@ -105,28 +120,29 @@ class CaPredictor(DensityModel):
         last = sizes[-1]
         y = self.data.y[:last]
         targets = np.stack([np.ldexp(y, -shift), np.ones(last)], axis=1)
-        rows = QUERY_BLOCK_ELEMS // max(qs.size, 1) - _QUERY_VECTORS
+        rows = _block_rows(qs.size)
         block = np.empty((min(rows, last), qs.size))
         sums, part = np.zeros((2, qs.size)), np.empty((2, qs.size))
 
-        def predictions(s):
+        # The sums hold the samples before lo, and e the kernels of the block
+        # from lo once it is built. Overflow is silenced up to each yield
+        # only: numpy's error state is context-local, so one set across a
+        # yield would stay set in the caller.
+        lo, e = 0, None
+        for n in sizes:
+            with np.errstate(over="ignore", invalid="ignore"):
+                while lo < n:
+                    if e is None:
+                        e = self._block_kernels(lo, min(lo + rows, last), qs, block, adjust)
+                    if n < lo + rows:
+                        break
+                    sums += np.dot(targets[lo:lo + rows].T, e, out=part)
+                    lo, e = lo + rows, None
+                s = sums
+                if n > lo:
+                    s = np.add(sums, np.dot(targets[lo:n].T, e[:n - lo], out=part), out=part)
             out = np.divide(s[0], s[1])
-            return np.ldexp(out, shift, out=out)
-
-        i = 0
-        for lo in range(0, last, rows):
-            hi = min(lo + rows, last)
-            e = self._block_kernels(lo, hi, qs, block, adjust)
-            while i < len(sizes) and sizes[i] < lo + rows:
-                n = sizes[i]
-                yield predictions(np.add(sums, np.matmul(targets[lo:n].T, e[:n - lo], out=part),
-                                         out=part))
-                i += 1
-            if hi == lo + rows:
-                sums += np.matmul(targets[lo:hi].T, e, out=part)
-                if i < len(sizes) and sizes[i] == hi:
-                    yield predictions(sums)
-                    i += 1
+            yield np.ldexp(out, shift, out=out)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,6 @@ def gaussian_exponent(t, out=None):
     With out=t it is evaluated in place. A |t| above about 1.3e154 gives
     -inf, and numpy warns of the overflow unless the caller silences it.
     """
-    out = np.multiply(t, t, out=out)
+    out = np.square(t, out=out)
     out *= -0.5
     return out

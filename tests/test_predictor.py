@@ -12,7 +12,7 @@ from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       generate, predictor_quality, quality_sweep, write_dataset_csv)
 from expmodel.cli import TEST_SEED_OFFSET, main
 from expmodel.density import MIN_UNSHIFTED_EXPONENT, _nearest_exponents
-from expmodel.predictor import _QUERY_CHUNK, _QUERY_VECTORS, QUERY_BLOCK_ELEMS
+from expmodel.predictor import _QUERY_CHUNK, _QUERY_VECTORS, QUERY_BLOCK_ELEMS, _block_rows
 from expmodel.scattering import gaussian_exponent
 from conftest import HALF_WIDTH
 from oracles import extended_axis, gauss, trap1
@@ -149,9 +149,14 @@ def _oracle_predictions(data, sigma, xs):
     return np.concatenate(out)
 
 
-def _sample_rows(n_queries):
-    # Samples per kernel block at one chunk of n_queries queries.
-    return QUERY_BLOCK_ELEMS // n_queries - _QUERY_VECTORS
+@pytest.mark.parametrize("n_queries,rows", [(200, 327), (3000, 21), (10000, 8), (21845, 1)])
+def test_block_rows_fill_the_kernel_budget_within_the_cap(n_queries, rows):
+    # 2^16 kernel values per block, or 8 rows where that is more, as long as
+    # the block and the per-query vectors fit QUERY_BLOCK_ELEMS; a whole
+    # chunk of queries leaves room for one row.
+    assert _block_rows(n_queries) == rows
+    assert (rows + _QUERY_VECTORS) * n_queries <= QUERY_BLOCK_ELEMS
+    assert _QUERY_CHUNK == 21845
 
 
 def test_predict_many_matches_oracle_across_block_boundary(basic50):
@@ -163,7 +168,7 @@ def test_predict_many_matches_oracle_across_block_boundary(basic50):
     sf = ScatteringFunction(1.0)
     p = CaPredictor(basic50, sf)
     chunk, rest = _QUERY_CHUNK, 3000
-    assert _sample_rows(chunk) == 1 and _sample_rows(rest) < len(basic50)
+    assert _block_rows(chunk) == 1 and _block_rows(rest) < len(basic50)
     far, low = 10 * HALF_WIDTH, 30.0
     assert -0.5 * (low - np.abs(basic50.x).max()) ** 2 < MIN_UNSHIFTED_EXPONENT
     xs = np.linspace(-1.5, 1.5, chunk + rest)
@@ -179,7 +184,7 @@ def test_predict_many_matches_oracle_with_samples_over_several_blocks(sf02):
     basic = generate(GenerationMeta(seed=3, sigma_noise=0.2), QUERY_BLOCK_ELEMS + 1)
     p = CaPredictor(basic, sf02)
     xs = np.array([-1.5, -0.3, 0.0, 0.7, 1.5])
-    assert _sample_rows(xs.size) < len(basic)
+    assert _block_rows(xs.size) < len(basic)
     got = p.predict_many(xs)
     np.testing.assert_allclose(got, _oracle_predictions(basic, sf02.sigma, xs), rtol=1e-12,
                                atol=1e-12 * np.abs(basic.y).max())
@@ -303,9 +308,12 @@ def test_predict_many_memory_does_not_grow_with_queries(sf02):
     xs = np.linspace(-2.0, 2.0, 3000)
     peak_small = _predict_many_peak(p, xs[:300])
     peak = _predict_many_peak(p, xs)
-    # A whole n x q weight matrix would be 72 MB here; the block is built in
-    # place in one buffer, with only q- and n-vectors beside it.
-    assert peak <= 2 * QUERY_BLOCK_ELEMS * 8
+    # A whole n x q weight matrix would be 72 MB here. The block is built in
+    # place in one buffer of at most 2^16 kernel values, with only the
+    # per-query vectors, the predictions and the stacked targets [y; 1]
+    # beside it.
+    n, q = len(basic), xs.size
+    assert peak <= 8 * ((1 << 16) + (_QUERY_VECTORS + 1) * q + 2 * n) + (16 << 10)
     # Only the q-vector of predictions grows with the query count.
     assert peak <= peak_small + 8 * xs.size + (64 << 10)
 
@@ -454,7 +462,7 @@ def _hand_built(basic, sf, n, xs):
 def test_quality_sweep_equals_predictors_built_by_hand(basic3000, test3000, sf02):
     # The samples span many blocks; the schedule holds n = 1, points inside
     # a block and one on a block boundary.
-    rows = _sample_rows(len(test3000))
+    rows = _block_rows(len(test3000))
     schedule = [1, rows - 1, 2 * rows, 2 * rows + 1, 500, len(basic3000)]
     sweep = quality_sweep(basic3000, test3000, sf02, schedule)
     assert list(sweep) == schedule
@@ -491,7 +499,7 @@ def test_sweep_points_with_shifted_or_far_queries_equal_predictors_built_by_hand
     # A point whose predictor shifts a test query or gives one the far-query
     # limit is computed on its own; the others still stream.
     basic, test = case(basic3000, test3000, sf02.sigma)
-    schedule = [1, 39, 40, 41, 2 * _sample_rows(len(test)), len(basic)]
+    schedule = [1, 39, 40, 41, 2 * _block_rows(len(test)), len(basic)]
     sweep = quality_sweep(basic, test, sf02, schedule)
     for n in schedule:
         assert sweep[n] == predictor_quality(test.y, _hand_built(basic, sf02, n, test.x))
@@ -508,6 +516,18 @@ def test_sweep_points_with_scaled_targets_equal_predictors_built_by_hand(basic30
     swept = CaPredictor(basic, sf02)._predict_prefixes(test3000.x, schedule)
     for n, y_p in zip(schedule, swept):
         assert y_p.tobytes() == _hand_built(basic, sf02, n, test3000.x).tobytes()
+
+
+def test_a_suspended_sweep_leaves_numpy_error_state_as_it_was(basic3000, test3000, sf02):
+    # The sweep silences overflow while it builds blocks. numpy's error state
+    # is context-local, so one set across a yield would stay set in the
+    # caller while the sweep is suspended there.
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        sweep = CaPredictor(basic3000, sf02)._predict_prefixes(test3000.x, [1, 40, len(basic3000)])
+        next(sweep)
+        assert np.geterr() == before
+        sweep.close()
 
 
 # --- CSV (laid out by the CLI) ----------------------------------------------------

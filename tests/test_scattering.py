@@ -32,6 +32,18 @@ def test_gaussian_one_sigma_out():
     assert kernel(0.2, 0.0, 0.2) == pytest.approx(1.2098536225957168, rel=1e-12)
 
 
+def test_gaussian_exponent_is_bitwise_the_product():
+    # Around the overflow of t^2, a subnormal square, a signed zero, the
+    # infinities and NaN: into a fresh array and in place.
+    t = np.array([1.3e154, -1.3e154, 1.4e154, -1.4e154, 1e-160, -0.0, np.inf, -np.inf, np.nan])
+    with np.errstate(over="ignore"):
+        expected = (t * t * -0.5).tobytes()
+        fresh = gaussian_exponent(t)
+        in_place = t.copy()
+        assert gaussian_exponent(in_place, out=in_place) is in_place
+    assert fresh.tobytes() == expected and in_place.tobytes() == expected
+
+
 @given(x=finite, u=finite, sigma=st.floats(min_value=0.01, max_value=10))
 def test_gaussian_positive_and_symmetric(x, u, sigma):
     d = kernel(x, u, sigma)
