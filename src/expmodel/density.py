@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, ShapeMismatch
-from .scattering import ScatteringFunction, gaussian_exponent, _is_count, _require_finite
+from .scattering import (ScatteringFunction, gaussian_exponent, kernel_exponents, _is_count,
+                         _require_finite)
 
 # Queries whose largest kernel exponent is at least this are exponentiated
 # without a shift. Their largest kernel is then at least e^-300 (about
@@ -135,17 +136,16 @@ class DensityModel:
     def _block_kernels(self, lo: int, hi: int, qs: np.ndarray, out: np.ndarray,
                        adjust=None) -> np.ndarray:
         # Row i - lo is sample i's kernel at each scaled query up to a factor
-        # per query, built in place in out[:hi - lo], contiguous along the
-        # queries, from the block's samples divided by sigma here. A query is
-        # exponentiated as it is unless adjust (from _query_adjustments)
-        # shifts it by its largest exponent, whose entry is then exactly 1, or
-        # gives it the far-query limit. Either way the kernels' common log
-        # normalisation cancels in C_i and is never added.
+        # per query, built in place in out[:hi - lo] by kernel_exponents,
+        # contiguous along the queries, from the block's samples divided by
+        # sigma here. A query is exponentiated as it is unless adjust (from
+        # _query_adjustments) shifts it by its largest exponent, whose entry
+        # is then exactly 1, or gives it the far-query limit. Either way the
+        # kernels' common log normalisation cancels in C_i and is never added.
         # Far queries overflow, and give inf - inf where a query and a sample
         # both overflow when scaled; their columns are replaced. The caller
         # silences numpy's overflow and invalid-value warnings.
-        e = np.subtract(self.data.x[lo:hi, None] / self.sf.sigma, qs, out=out[:hi - lo])
-        gaussian_exponent(e, out=e)
+        e = kernel_exponents(self.data.x[lo:hi] / self.sf.sigma, qs, out)
         if adjust is not None:
             shift, far = adjust
             if shift is not None:

@@ -33,7 +33,7 @@ import numpy as np
 from .density import Dataset
 from .errors import EmptyDataset, InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
-from .scattering import ScatteringFunction, gaussian_exponent, _is_count, _require_finite
+from .scattering import ScatteringFunction, kernel_exponents, _is_count, _require_finite
 
 # The running kernel sum of an information curve starts at this value, so
 # its log is finite at every node and a node no kernel reaches contributes
@@ -293,15 +293,9 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
     out has shape (G, G) with G = axis.size, and panel G columns and at most
     G rows; rows is a flat buffer of at least 2G floats. Samples are taken
     in blocks of len(rows) // 2G, so each sample's two kernel rows are built
-    exactly once, in place in rows: a block's x kernels grid-major
-    (G x block) in its first half, so that a band of grid rows is
-    contiguous, and its y kernels (block x G) in its second. The differences
-    axis_j - v_i/sigma are written there as the rank-2 products
-    [axis, 1] [1; -v/sigma] (and their transpose for y), not by a
-    broadcasting subtraction, for which numpy allocates two iteration
-    buffers of 8192 elements (128 KB) and takes about twice as long at
-    these shapes. Each entry is still one rounded sum, so the rows are those
-    of the subtraction but for the sign of a zero, which the square drops.
+    exactly once, in place in rows, by :func:`kernel_exponents`: a block's
+    x kernels grid-major (G x block) in its first half, so that a band of
+    grid rows is contiguous, and its y kernels (block x G) in its second.
     A block's product is formed len(panel) grid rows at a time in panel and
     added to the same band of out, so nothing larger than a few axis-sized
     vectors is allocated here. Adding the samples of a dataset in
@@ -310,19 +304,13 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
     g = axis.size
     block = len(rows) // (2 * g)
     height = len(panel)
-    nodes = np.stack([axis, np.ones(g)], axis=1)  # [axis_j, 1], G x 2
-    shift = np.ones((2, block))  # [1; -v_i/sigma] for a block of samples v
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), block):
             k = min(block, len(x) - lo)
-            # The differences as rank-2 products, which numpy does not buffer.
-            np.divide(x[lo:lo + k], -sigma, out=shift[1, :k])
-            kxt = np.dot(nodes, shift[:, :k], out=rows[:g * k].reshape(g, k))
-            np.divide(y[lo:lo + k], -sigma, out=shift[1, :k])
-            ky = np.dot(shift[:, :k].T, nodes.T,
-                        out=rows[block * g:(block + k) * g].reshape(k, g))
-            np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
-            np.exp(gaussian_exponent(ky, out=ky), out=ky)
+            kxt = rows[:g * k].reshape(g, k)
+            ky = rows[block * g:(block + k) * g].reshape(k, g)
+            np.exp(kernel_exponents(axis, x[lo:lo + k] / sigma, kxt), out=kxt)
+            np.exp(kernel_exponents(y[lo:lo + k] / sigma, axis, ky), out=ky)
             for r in range(0, g, height):
                 # np.dot, as np.matmul takes a slow loop for a one-sample block.
                 band = np.dot(kxt[r:r + height], ky, out=panel[:min(height, g - r)])

@@ -17,9 +17,9 @@ with the stacked targets [y; 1], and a prediction is their ratio, so no
 normalised weight matrix is ever formed. Each query's kernels are
 exponentiated without a shift unless its nearest sample is far (see
 :mod:`expmodel.density`). Memory is one block plus O(n + q) for any sample
-and query count. Since the running sums after the first n samples are those
-of the predictor on the prefix of n, one pass over the samples predicts at
-every prefix of a quality sweep.
+and query count, the operands of scattering.kernel_exponents included.
+The running sums after the first n samples are those of the predictor on
+the prefix of n, so one pass predicts at every prefix of a quality sweep.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .information import resolve_schedule
 from .scattering import ScatteringFunction, _require_finite
 
 # Values held by one kernel block and the per-query vectors beside it
-# together (about 1 MB of float64): the memory of one prediction call,
-# whatever the sample and query counts.
+# together (about 1 MB of float64), whatever the sample and query counts.
+# kernel_exponents adds at most 2 per block row and query while it runs.
 QUERY_BLOCK_ELEMS = 1 << 17
 # Per-query vectors beside a block: the scaled queries, the running sums
 # and a block's sums (two each).

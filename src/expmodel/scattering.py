@@ -64,3 +64,20 @@ def gaussian_exponent(t, out=None):
     out = np.square(t, out=out)
     out *= -0.5
     return out
+
+
+def kernel_exponents(a, b, out):
+    """gaussian_exponent(a_i - b_j) in the rows out[:a.size], returned, for a
+    and b already divided by sigma: the rank-2 products [a, -1] [1; b] where
+    numpy would buffer a broadcast (1 < b.size <= np.getbufsize() // 3), else
+    the broadcast, faster there. Either way each entry is one rounded
+    difference, whose sign the square drops: the bytes agree. The caller
+    silences overflow and invalid-value warnings, which BLAS raises at inf."""
+    rows = out[:a.size]
+    if 1 < b.size <= np.getbufsize() // 3:
+        lhs, rhs = np.full((a.size, 2), -1.0), np.ones((2, b.size))
+        lhs[:, 0], rhs[1] = a, b
+        np.dot(lhs, rhs, out=rows)
+    else:
+        np.subtract(a[:, None], b, out=rows)
+    return gaussian_exponent(rows, out=rows)

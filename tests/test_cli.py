@@ -383,11 +383,18 @@ def test_report_matches_acceptance_and_figures(reproduced):
         tuple(n_opt[(sigma, s)] for sigma in (0.1, 0.2, 0.4)) for s in (1, 2, 3)]
 
 
+def _child_env(**extra):
+    """The environment of a child interpreter that imports the package under
+    test, installed or not."""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "expmodel", "generate", "--sigma", "0.2",
          "--n", "5", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "samples.csv").is_file()
@@ -400,7 +407,7 @@ def test_threads_env_does_not_change_output(tmp_path, samples_csv):
         threads: subprocess.Popen(
             [sys.executable, "-m", "expmodel", "info", "--basic", str(samples_csv),
              "--out-dir", str(tmp_path / threads)],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
         )
         for threads in ("1", "2")
     }

@@ -306,16 +306,19 @@ def test_predict_many_memory_does_not_grow_with_queries(sf02):
     basic = generate(GenerationMeta(seed=5, sigma_noise=0.2), 3000)
     p = CaPredictor(basic, sf02)
     xs = np.linspace(-2.0, 2.0, 3000)
-    peak_small = _predict_many_peak(p, xs[:300])
-    peak = _predict_many_peak(p, xs)
-    # A whole n x q weight matrix would be 72 MB here. The block is built in
-    # place in one buffer of at most 2^16 kernel values, with only the
-    # per-query vectors, the predictions and the stacked targets [y; 1]
-    # beside it.
-    n, q = len(basic), xs.size
-    assert peak <= 8 * ((1 << 16) + (_QUERY_VECTORS + 1) * q + 2 * n) + (16 << 10)
-    # Only the q-vector of predictions grows with the query count.
-    assert peak <= peak_small + 8 * xs.size + (64 << 10)
+    n, peaks = len(basic), {}
+    for q in (300, 2730, 3000):
+        peaks[q] = _predict_many_peak(p, xs[:q])
+        # A whole n x q weight matrix would be 72 MB at 3000 queries. The
+        # block is built in place in one buffer of at most 2^16 kernel
+        # values, with only the per-query vectors, the predictions, the
+        # stacked targets [y; 1] and, where numpy would buffer a broadcast
+        # (q <= np.getbufsize() // 3), the rank-2 operands [x/sigma, -1] and
+        # [1; q] beside it: no 128 KB ufunc buffer.
+        rank2 = 2 * (_block_rows(q) + q) if q <= np.getbufsize() // 3 else 0
+        assert peaks[q] <= 8 * ((1 << 16) + (_QUERY_VECTORS + 1) * q + 2 * n + rank2) + (16 << 10)
+    # Only the per-query vectors and the predictions grow with the query count.
+    assert peaks[3000] <= peaks[300] + 8 * (_QUERY_VECTORS + 1) * (3000 - 300) + (64 << 10)
 
 
 def test_predict_many_keeps_no_copy_of_its_samples(basic3000, test3000, sf02):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from expmodel import InvalidParameter, ScatteringFunction
 from expmodel.criteria import calibration_entropy
-from expmodel.scattering import gaussian_exponent
+from expmodel.scattering import gaussian_exponent, kernel_exponents
 from conftest import HALF_WIDTH
 from oracles import SQRT2PI, entropy_grid, gauss, trap1
 
@@ -42,6 +44,45 @@ def test_gaussian_exponent_is_bitwise_the_product():
         in_place = t.copy()
         assert gaussian_exponent(in_place, out=in_place) is in_place
     assert fresh.tobytes() == expected and in_place.tobytes() == expected
+
+
+@pytest.mark.parametrize("past_buffer", [0, 1])
+def test_kernel_exponents_are_bitwise_the_subtraction(past_buffer):
+    # A row length of np.getbufsize() // 3 takes the rank-2 products, one more
+    # or a single node the broadcast. Each side holds -0.0, a value of the
+    # other side, 1e308 and one whose scaled form overflows (+inf among the
+    # a, -inf among the b: inf - inf has no sign to compare). Rows past
+    # a.size stay untouched.
+    sigma = 0.25
+    b = np.linspace(-4.0, 4.0, np.getbufsize() // 3 + past_buffer) / sigma
+    a = np.random.default_rng(11).uniform(-5.0, 5.0, 40) / sigma
+    with np.errstate(over="ignore"):
+        a[:4] = -0.0, b[b.size // 3], 1e308, np.divide(1e308, sigma)
+        b[:4] = -0.0, a[7], 1e308, np.divide(-1e308, sigma)
+    for lhs, rhs in ((a, b), (b, a), (b, a[1:2])):
+        out = np.full((lhs.size + 2, rhs.size), np.nan)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            expected = gaussian_exponent(np.subtract.outer(lhs, rhs))
+            got = kernel_exponents(lhs, rhs, out)
+        assert np.shares_memory(got, out) and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes() and np.isnan(out[lhs.size:]).all()
+
+
+def test_kernel_exponents_allocate_no_ufunc_buffer():
+    # A broadcast with rows of np.getbufsize() // 3 makes numpy allocate two
+    # iteration buffers (128 KB at the default size); the rank-2 products
+    # hold only their operands [a, -1] and [1; b].
+    a, b = np.linspace(-8.0, 8.0, 200), np.linspace(-6.0, 6.0, np.getbufsize() // 3)
+    out = np.empty((a.size, b.size))
+    kernel_exponents(a, b, out)
+    tracemalloc.start()
+    try:
+        kernel_exponents(a, b, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 * (a.size + b.size) + (4 << 10)
 
 
 @given(x=finite, u=finite, sigma=st.floats(min_value=0.01, max_value=10))
