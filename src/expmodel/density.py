@@ -7,10 +7,10 @@ DensityModel adds the instrument's scattering function, and its normalised
 similarities C_i(x) (DensityModel.weights) weight the conditional-average
 predictor. They are computed from the kernels' exponents in samples x
 queries blocks. Each query's largest exponent is that of its nearest sample,
-found by one binary search in the sorted scaled samples
-(_nearest_exponents); a query where it is below MIN_UNSHIFTED_EXPONENT has
-it subtracted first, so far from all samples, where every kernel underflows
-to zero, they stay a convex combination.
+found by one binary search in the sorted samples (_nearest_samples), which
+the far-query rule reads too; a query where it is below
+MIN_UNSHIFTED_EXPONENT has it subtracted first, so far from all samples,
+where every kernel underflows to zero, they stay a convex combination.
 """
 
 from __future__ import annotations
@@ -77,19 +77,16 @@ class Dataset:
         return Dataset._owning(self.x[:n], self.y[:n], meta=self.meta)
 
 
-def _nearest_exponents(scaled, qs: np.ndarray) -> np.ndarray:
-    """Each scaled query's largest kernel exponent over the sorted scaled samples.
-
-    fl(q - s_i) is monotone in s_i and the exponent in |fl(q - s_i)|, so the
-    largest exponent is that of the nearest sample below or above q, and it
-    equals the maximum over all samples bit for bit. A NaN (a query and a
-    sample both infinite when scaled) propagates as it would in that maximum.
-    The caller silences numpy's overflow warnings.
-    """
-    j = np.searchsorted(scaled, qs)
-    below = gaussian_exponent(qs - scaled[np.maximum(j - 1, 0)])
-    above = gaussian_exponent(qs - scaled[np.minimum(j, scaled.size - 1)])
-    return np.maximum(below, above, out=below)
+def _nearest_samples(x: np.ndarray, xs: np.ndarray, qs: np.ndarray, sigma: float):
+    """Each query's neighbours x[j - 1] < q <= x[j] in the sorted samples x,
+    j clamped to the array, and its largest kernel exponent at qs = xs / sigma.
+    Division by sigma > 0 and fl(q - s) are monotone, so that is the larger of
+    the neighbours' two exponents, bit for bit the maximum over all samples,
+    a NaN (a query and a sample both infinite when scaled) included."""
+    j = np.searchsorted(x, xs)
+    below, above = x[np.maximum(j - 1, 0)], x[np.minimum(j, x.size - 1)]
+    top = gaussian_exponent(qs - below / sigma)
+    return below, above, np.maximum(top, gaussian_exponent(qs - above / sigma), out=top)
 
 
 class DensityModel:
@@ -105,46 +102,39 @@ class DensityModel:
         """What the kernels of the first n samples need at the queries xs
         (qs scaled): None where every query's largest exponent is at least
         MIN_UNSHIFTED_EXPONENT, else (shift, far) for _block_kernels."""
-        x = np.sort(self.data.x[:n])  # so is x / sigma, as sigma > 0
         with np.errstate(over="ignore", invalid="ignore"):
-            top = _nearest_exponents(x / self.sf.sigma, qs)
-        if (top >= MIN_UNSHIFTED_EXPONENT).all():
-            return None
-        far = np.flatnonzero(~np.isfinite(top))
-        if far.size:
-            top[far] = 0.0
-            far = (far, *self._far_neighbours(x, xs[far]))
-        else:
-            far = None
+            below, above, top = _nearest_samples(np.sort(self.data.x[:n]), xs, qs, self.sf.sigma)
+            if (top >= MIN_UNSHIFTED_EXPONENT).all():
+                return None
+            cols, far = np.flatnonzero(~np.isfinite(top)), None
+            if cols.size:
+                # Every squared scaled distance overflowed: in that limit the
+                # nearest samples by value share the weight evenly, both sides
+                # on an exact tie. Each distance u - v is d + e exactly (Knuth's
+                # two-sum), so e settles a tie of the rounded d. Beyond the
+                # samples both neighbours are the outermost; the farther gets NaN.
+                top[cols] = 0.0
+                u, v = np.array([xs[cols], above[cols]]), np.array([below[cols], xs[cols]])
+                d = u - v
+                w = u - d
+                e = (u - (d + w)) - (v - w)
+                nearer = (d < d[::-1]) | ((d == d[::-1]) & (e <= e[::-1]))
+                far = (cols, *np.where(nearer, [v[0], u[1]], np.nan))
         low = top < MIN_UNSHIFTED_EXPONENT
         return (np.where(low, top, 0.0) if low.any() else None), far
-
-    def _far_neighbours(self, x: np.ndarray, q: np.ndarray):
-        # Every squared scaled distance overflowed; in that limit the nearest
-        # samples share all the weight evenly, those below and above alike on
-        # an exact tie. They are read from the sorted sample values x, as
-        # q - x_i rounds alike for all of them there. A side that does not
-        # share the weight gets NaN, which no sample equals.
-        at_or_below = np.searchsorted(x, q, "right")
-        at_or_above = np.searchsorted(x, q, "left")
-        below = np.where(at_or_below > 0, x[np.maximum(at_or_below - 1, 0)], -np.inf)
-        above = np.where(at_or_above < x.size, x[np.minimum(at_or_above, x.size - 1)], np.inf)
-        with np.errstate(over="ignore"):
-            return (np.where(q - below <= above - q, below, np.nan),
-                    np.where(above - q <= q - below, above, np.nan))
 
     def _block_kernels(self, lo: int, hi: int, qs: np.ndarray, out: np.ndarray,
                        adjust=None) -> np.ndarray:
         # Row i - lo is sample i's kernel at each scaled query up to a factor
         # per query, built in place in out[:hi - lo] by kernel_exponents,
         # contiguous along the queries, from the block's samples divided by
-        # sigma here. A query is exponentiated as it is unless adjust (from
-        # _query_adjustments) shifts it by its largest exponent, whose entry
-        # is then exactly 1, or gives it the far-query limit. Either way the
-        # kernels' common log normalisation cancels in C_i and is never added.
-        # Far queries overflow, and give inf - inf where a query and a sample
-        # both overflow when scaled; their columns are replaced. The caller
-        # silences numpy's overflow and invalid-value warnings.
+        # sigma here. A query is exponentiated as it is unless adjust, from the
+        # one search of _query_adjustments, shifts it by its largest exponent
+        # (its entry is then exactly 1) or gives its nearest samples the whole
+        # weight. Either way the kernels' common log normalisation cancels in
+        # C_i and is never added. Far queries overflow, and give inf - inf where
+        # a query and a sample both overflow when scaled; their columns are
+        # replaced. The caller silences overflow and invalid-value warnings.
         e = kernel_exponents(self.data.x[lo:hi] / self.sf.sigma, qs, out)
         if adjust is not None:
             shift, far = adjust

@@ -5,6 +5,7 @@ not from the library's log-domain / separable-matmul code paths.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,3 +56,14 @@ def extended_axis(half_width, sigma, step_divisor=8):
 def quadratic_map(x):
     """One iterate of the generator's chaotic map y = 1 - 2 x^2."""
     return 1.0 - 2.0 * x * x
+
+
+def far_query_weights(x_data, q):
+    """C_i(q) in the limit far from every sample, where a kernel outweighs any
+    farther one without bound: the samples nearest to q share the weight
+    evenly, ties on both sides included. Distances are exact rationals, so
+    no rounding makes or breaks a tie."""
+    d = [abs(Fraction(q) - Fraction(xi)) for xi in x_data]
+    nearest = min(d)
+    near = np.array([di == nearest for di in d], float)
+    return near / near.sum()

@@ -11,11 +11,11 @@ from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, InvalidParameter, ScatteringFunction, ShapeMismatch,
                       generate, predictor_quality, quality_sweep, write_dataset_csv)
 from expmodel.cli import TEST_SEED_OFFSET, main
-from expmodel.density import MIN_UNSHIFTED_EXPONENT, _nearest_exponents
+from expmodel.density import MIN_UNSHIFTED_EXPONENT, _nearest_samples
 from expmodel.predictor import _QUERY_CHUNK, _QUERY_VECTORS, QUERY_BLOCK_ELEMS, _block_rows
 from expmodel.scattering import gaussian_exponent
 from conftest import HALF_WIDTH
-from oracles import extended_axis, gauss, trap1
+from oracles import extended_axis, far_query_weights, gauss, trap1
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,7 @@ def test_predict_many_matches_oracle_with_samples_over_several_blocks(sf02):
     assert got.tobytes() == p.predict_many(xs).tobytes()
 
 
-_SIGMAS = st.sampled_from([0.2, 1.0, 3.0, 1e-300, 1e300])
+_SIGMAS = st.sampled_from([0.2, 1.0, 3.0, 1e-300, 1e300, 5e-324])
 _VALUES = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e308, -1e308]))
 
@@ -205,13 +205,17 @@ def test_nearest_sample_exponent_is_the_row_max(sigma, x, extra):
     mids = [a / 2 + b / 2 for a, b in zip(x, x[1:])]
     xs = np.array(list(x) + mids + extra + [x.min() - 1e3, x.max() + 1e3])
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled, qs = x / sigma, xs / sigma
-        want = gaussian_exponent(np.subtract.outer(qs, scaled)).max(axis=1)
-        got = _nearest_exponents(np.sort(scaled), qs)
+        qs = xs / sigma
+        want = gaussian_exponent(np.subtract.outer(qs, x / sigma)).max(axis=1)
+        below, above, got = _nearest_samples(np.sort(x), xs, qs, sigma)
     # Bit for bit, signed zeros included; a NaN (inf - inf) may differ in sign.
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+    # The unscaled neighbours the far-query rule reads: the largest sample
+    # below each query and the smallest at or above it, else the outermost.
+    assert below.tolist() == [max(x[x < q], default=x.min()) for q in xs]
+    assert above.tolist() == [min(x[x >= q], default=x.max()) for q in xs]
 
 
 def test_far_rows_leave_the_rest_of_their_block_alone(predictor50, basic50, sf02):
@@ -226,6 +230,36 @@ def test_far_rows_leave_the_rest_of_their_block_alone(predictor50, basic50, sf02
     np.testing.assert_allclose(got[near], _oracle_predictions(basic50, sf02.sigma, xs[near]),
                                rtol=1e-12, atol=1e-12 * np.abs(basic50.y).max())
     assert got.tobytes() == predictor50.predict_many(xs).tobytes()
+
+
+_FAR_VALUES = st.one_of(
+    st.floats(1e299, 1.7e308), st.floats(-1.7e308, -1e299),
+    st.sampled_from([-1.7e308, -1e308, -1e300, 0.0, 1.0, 1e300, 1e308, 1.7e308]))
+
+
+@settings(deadline=None)
+@given(sigma=st.sampled_from([0.2, 1.0, 1e-300]), x=st.lists(_FAR_VALUES, min_size=1, max_size=8),
+       extra=st.lists(_FAR_VALUES, max_size=4), data=st.data())
+def test_far_queries_match_the_nearest_sample_oracle(sigma, x, extra, data):
+    # Samples with duplicates, some of which overflow when scaled; queries
+    # beyond them all, equal to them, midway between two far clusters (a
+    # rounded midpoint need not be an exact tie) or anywhere. Those whose
+    # every squared scaled distance overflows take the far-query limit.
+    x = np.array(x + x[::2])
+    y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=x.size, max_size=x.size)))
+    values = np.unique(x)
+    mids = [a / 2 + b / 2 for a, b in zip(values, values[1:])]
+    xs = np.array(list(x) + mids + extra + [-1.7e308, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = gaussian_exponent(np.subtract.outer(xs / sigma, x / sigma)).max(axis=1)
+    xs = xs[~np.isfinite(top)]
+    p = CaPredictor(Dataset(x, y), ScatteringFunction(sigma))
+    for q, got in zip(xs, p.predict_many(xs)):
+        want = far_query_weights(x, q)
+        assert p.weights(q).tobytes() == want.tobytes()
+        # Relative to the targets' mean size, so their cancellation does not count.
+        near = y[want > 0]
+        assert abs(got - math.fsum(near) / near.size) <= 1e-14 * np.abs(near).mean()
 
 
 def _shifted_oracle_prediction(data, sigma, x):
@@ -275,6 +309,15 @@ def test_queries_and_samples_that_overflow_when_scaled(sf02):
     assert CaPredictor(Dataset([-1e300, 1e300], [0.0, 1.0]), sf).predict_many([0.0])[0] == 0.5
 
 
+def test_far_query_at_a_rounded_midpoint_is_no_tie(sf02):
+    # Both distances round alike, but the nearer sample takes the whole weight.
+    x = [1e299, 4.49423284715579e307]
+    q = x[0] / 2 + x[1] / 2
+    assert q - x[0] == x[1] - q
+    p = CaPredictor(Dataset(x, [0.0, 1.0]), sf02)
+    assert p.weights(q).tolist() == [0.0, 1.0] and p.predict_many([q]).tolist() == [1.0]
+
+
 def test_targets_near_the_float_limit_give_finite_predictions():
     # Their kernel-weighted sum overflows unless the targets are scaled down;
     # each prediction is a convex combination of them.
@@ -300,6 +343,24 @@ def _predict_many_peak(predictor, xs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("x", [0.3, 30.0, 1e155])
+def test_query_adjustments_hold_one_sorted_copy_of_the_samples(sf02, x):
+    # An ordinary, a shifted and a far query: the sorted samples, 8 bytes
+    # each, and per-query vectors; no scaled copy beside them.
+    n = 200_000
+    rng = np.random.default_rng(0)
+    p = CaPredictor(Dataset(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)), sf02)
+    xs = np.array([x])
+    qs = xs / sf02.sigma
+    tracemalloc.start()
+    try:
+        p._query_adjustments(xs, qs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 8192
 
 
 def test_predict_many_memory_does_not_grow_with_queries(sf02):
