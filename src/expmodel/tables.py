@@ -9,16 +9,19 @@ The dataset table has an optional leading comment
 "# seed=<s> sigma=<v> map=<name> prng=<name>", then the header "i,x,y" and
 one row per sample in insertion order. A header may name more columns after
 "i,x,y"; the reader ignores them, so older files with the clean columns
-"x_o,y_o" still load. The comment records no row count: older comments with
-an "n=<n>" field still load, and it is not read.
-Its fields are split on commas and are never quoted: a cell is any literal
-that Python's float() accepts, so a quoted cell is rejected like any other
-text that is not a number. Blank lines are skipped and are not counted as rows.
+"x_o,y_o" still load, as do older comments with an unread "n=<n>" field.
+Fields are split on commas and are never quoted: a cell is any literal that
+Python's float() accepts, so a quoted cell is rejected like any other text
+that is not a number. Blank lines are skipped and are not counted as rows.
+Under the header "i,x,y" numpy's C tokenizer reads the rows: it rounds as
+float() does and rejects every literal float() rejects. A file it rejects, or
+one with a longer header, is read row by row with float(), naming the bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from array import array
 from typing import Iterable, Optional, Sequence
 
@@ -29,9 +32,7 @@ from .errors import InvalidParameter
 from .generator import GenerationMeta
 
 
-# Rows held as Python objects at a time, by the writers' column_rows and by
-# the reader, whose cell strings (about 110 B per cell) are all it holds
-# beyond its table of 8 B per value.
+# Rows the writers' column_rows holds as Python objects at a time.
 ROW_BLOCK = 128
 
 
@@ -78,9 +79,8 @@ def _parse_dataset_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
-            fields = dict(
-                item.split("=", 1) for item in first[1:].strip().split() if "=" in item
-            )
+            fields = dict(item.split("=", 1)
+                          for item in first[1:].strip().split() if "=" in item)
             ours = (fields.get("map", GenerationMeta.map_name) == GenerationMeta.map_name
                     and fields.get("prng", GenerationMeta.prng_name) == GenerationMeta.prng_name)
             header_line = fh.readline()
@@ -89,40 +89,40 @@ def _parse_dataset_csv(path) -> Dataset:
         header = [h.strip() for h in header_line.strip().split(",")]
         if header[:3] != ["i", "x", "y"]:
             raise InvalidParameter(f"unrecognized dataset header {header!r} in {path}")
-        values = array("d")  # 8 B per cell, read by numpy without a copy
-        cells: list[str] = []
-        k = 0
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue  # a blank line is no row
-            k += 1
-            row = line.split(",")
-            if len(row) < len(header):
-                # Earlier rows of the block first, so the first bad row is named.
-                _append_cells(values, cells, path)
-                raise InvalidParameter(
-                    f"row {k} of {path} has {len(row)} fields, the header has {len(header)}"
-                )
-            cells += row[1:3]  # x and y; columns after them are not read
-            if len(cells) == ROW_BLOCK * 2:
-                _append_cells(values, cells, path)
-                cells = []
-        _append_cells(values, cells, path)
-    # Nothing else holds the table, so the dataset takes its columns as views.
-    table = np.frombuffer(values, dtype=float).reshape(-1, 2)
+        table, start = None, fh.tell()
+        if len(header) == 3:  # usecols checks no row's width past column 2
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a table of no rows
+                    table = np.loadtxt(fh, delimiter=",", usecols=(1, 2), comments=None,
+                                       ndmin=2, dtype=float)
+            except ValueError:  # a bad row, or a literal only float() reads
+                fh.seek(start)
+        if table is None:
+            table = _read_rows(fh, len(header), path)
     try:
         meta = GenerationMeta(seed=int(fields["seed"]),
                               sigma_noise=float(fields["sigma"])) if ours else None
     except (KeyError, ValueError, InvalidParameter):
         meta = None  # unknown comment style; data rows still load
+    # Nothing else holds the table, so the dataset takes its columns as views.
     return Dataset._owning(*table.T, meta=meta)
 
 
-def _append_cells(values: array, cells: list, path) -> None:
-    """Append the float values of cells, an x and a y per row, to the table values."""
-    try:
-        values.extend(map(float, cells))
-    except ValueError as exc:
-        # The cells before the bad one are in the table, so it names its row.
-        raise InvalidParameter(f"row {len(values) // 2 + 1} of {path}: {exc}") from None
+def _read_rows(fh, width: int, path) -> np.ndarray:
+    """The (n, 2) x, y table of the rows left in fh, one float() per cell."""
+    values = array("d")  # 8 B per cell, read by numpy without a copy
+    k = 0
+    for line in fh:
+        line = line.rstrip("\r\n")
+        if not line:
+            continue  # a blank line is no row
+        k += 1
+        row = line.split(",")
+        if len(row) < width:
+            raise InvalidParameter(f"row {k} of {path} has {len(row)} fields, the header has {width}")
+        try:
+            values.extend(map(float, row[1:3]))  # columns after x and y are not read
+        except ValueError as exc:
+            raise InvalidParameter(f"row {k} of {path}: {exc}") from None
+    return np.frombuffer(values, dtype=float).reshape(-1, 2)

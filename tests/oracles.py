@@ -5,6 +5,7 @@ not from the library's log-domain / separable-matmul code paths.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -67,3 +68,31 @@ def far_query_weights(x_data, q):
     nearest = min(d)
     near = np.array([di == nearest for di in d], float)
     return near / near.sum()
+
+
+def dataset_rows(text):
+    """The x and y columns of a dataset file's text by the README's contract,
+    or the number of the row a reader must reject. Lines end at LF, CRLF or
+    CR; an optional '#' comment line precedes the header; empty lines are
+    skipped and the others count as rows from 1 after the header. A row needs
+    as many fields as the header and one float() per x and y cell; a
+    non-finite value rejects the first row holding one in x, else in y."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[0].startswith("#"):
+        lines = lines[1:]
+    width = len(lines[0].split(","))
+    x, y = [], []
+    for k, line in enumerate((line for line in lines[1:] if line), start=1):
+        fields = line.split(",")
+        if len(fields) < width:
+            return k
+        try:
+            x.append(float(fields[1]))
+            y.append(float(fields[2]))
+        except ValueError:
+            return k
+    for column in (x, y):
+        bad = [k for k, v in enumerate(column, start=1) if not math.isfinite(v)]
+        if bad:
+            return bad[0]
+    return x, y

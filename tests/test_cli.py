@@ -197,9 +197,9 @@ _PAST_A_BLOCK = ROW_BLOCK + 3
         "non_float_field_in_the_last_block"])
 def test_info_rejects_malformed_row(tmp_path, capsys, bad, rows, messages):
     # Good rows around the bad ones in a file of the given number of rows.
-    # Past the first block of the reader, twice the bad row's number spans
-    # three blocks, so each block must keep its row numbers; a file that ends
-    # inside the bad row's block is converted at the end of the file.
+    # numpy's tokenizer rejects the file at its first bad row, here also past
+    # the writers' ROW_BLOCK; the row-by-row reread from the first data row
+    # must name that row, before a second bad row and near the file's end.
     lines = [f"{k},{bad[k]}" if k in bad else f"{k},{0.01 * k!r},{-0.01 * k!r}"
              for k in range(1, rows + 1)]
     path = tmp_path / "bad.csv"

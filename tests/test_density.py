@@ -1,9 +1,13 @@
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       InvalidParameter, ScatteringFunction, ShapeMismatch,
@@ -12,7 +16,7 @@ from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
 from expmodel.information import _kernel_rows, _panel_rows, accumulate_kernel_products
 from expmodel.scattering import gaussian_exponent
 from conftest import HALF_WIDTH
-from oracles import extended_axis, gauss, kde_joint_grid, trap1, trap2
+from oracles import dataset_rows, extended_axis, gauss, kde_joint_grid, trap1, trap2
 
 
 @pytest.fixture()
@@ -371,6 +375,54 @@ def test_csv_reader_reads_what_float_reads(tmp_path, header, sep, end, extra):
     assert back.y.tobytes() == expected[::-1].tobytes()
 
 
+# Cells float() rejects, then values it reads that a dataset rejects.
+_BAD_CELLS = ["", " ", "abc", '"0.1"', "0.1#c", "1__0", "0x1p3", "1e", "--1", "0.1\x00",
+              "inf", "-1e400", "nan"]
+_CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+                  st.sampled_from(_FLOAT_LITERALS))
+_ROW = st.one_of(
+    st.tuples(_CELL, _CELL, st.sampled_from(["", ",z"])).map(lambda r: f"7,{r[0]},{r[1]}{r[2]}"),
+    st.sampled_from(["", " ", "\t", "7,0.5"]),  # blank, whitespace-only and short rows
+    st.tuples(_CELL, st.sampled_from(_BAD_CELLS), st.booleans()).map(
+        lambda r: f"7,{r[0]},{r[1]}" if r[2] else f"7,{r[1]},{r[0]}"),
+)
+_COMMENTS = [("", None),
+             ("# seed=3 sigma=0.5 map=ulam prng=pcg64\n", GenerationMeta(3, 0.5)),
+             ("# seed=3 sigma=0.5 map=henon prng=pcg64\n", None)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(comment_meta=st.sampled_from(_COMMENTS),
+       header=st.sampled_from(["i,x,y"] * 3 + ["i,x,y,note"]),
+       pad=st.sampled_from([0, 600]),
+       rows=st.lists(st.tuples(_ROW, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+@example(comment_meta=_COMMENTS[0], header="i,x,y", pad=0, rows=[("7,0.5,0.1#c", "\n")])
+@example(comment_meta=_COMMENTS[1], header="i,x,y", pad=600,
+         rows=[("7,1_0,0.5", "\r"), ("", "\r\n"), ("7,0.5,abc", "\r")])
+@example(comment_meta=_COMMENTS[1], header="i,x,y", pad=600, rows=[(" ", "\n")])
+@example(comment_meta=_COMMENTS[0], header="i,x,y,note", pad=600, rows=[("7,0.5,0.5", "\n")])
+def test_csv_reader_matches_the_float_oracle(comment_meta, header, pad, rows):
+    # 600 good rows of 17-digit cells (about 27 KB) put a bad row drawn after
+    # them past the file's first 16 KB, so the tokenizer fails mid-file.
+    comment, meta = comment_meta
+    text = (comment + header + "\n"
+            + "".join(f"{k},{k / 7:.17g},{-k / 3:.17g},f\n" for k in range(1, pad + 1))
+            + "".join(row + end for row, end in rows))
+    expected = dataset_rows(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        if isinstance(expected, int):
+            with pytest.raises(InvalidParameter, match=rf"\brow {expected}\b"):
+                read_dataset_csv(path)
+            return
+        back = read_dataset_csv(path)
+    assert back.x.tobytes() == np.array(expected[0], float).tobytes()
+    assert back.y.tobytes() == np.array(expected[1], float).tobytes()
+    assert back.meta == meta
+
+
 def test_csv_whitespace_line_is_a_short_row(tmp_path):
     path = tmp_path / "space.csv"
     path.write_text("i,x,y\n1,0.1,0.2\n \n3,0.5,0.6\n")
@@ -417,6 +469,22 @@ def test_csv_reader_holds_no_python_float_per_cell(tmp_path, dataset20k):
     assert np.may_share_memory(back.x, back.y)
     for column in (back.x, back.y):
         assert not column.flags.writeable
+
+
+def test_csv_round_trip_at_20000_rows(tmp_path, dataset20k):
+    # 20 000 rows span many reads of the file; a bad cell in the last row
+    # must still be named by its row.
+    path = tmp_path / "s.csv"
+    write_dataset_csv(dataset20k, path)
+    back = read_dataset_csv(path)
+    assert back.x.tobytes() == dataset20k.x.tobytes()
+    assert back.y.tobytes() == dataset20k.y.tobytes()
+    assert back.meta == dataset20k.meta
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",0.1#c"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidParameter, match=r"row 20000 of .*'0\.1#c'"):
+        read_dataset_csv(path)
 
 
 def test_prefix_copies_no_column(dataset20k):
