@@ -81,33 +81,47 @@ def _box_muller(stream: np.random.SeedSequence, n: int) -> np.ndarray:
     return radius * angle
 
 
+def _orbit(x0: float, n: int) -> np.ndarray:
+    """x0 and its first n iterates under the map, as one read-only array."""
+    # The start lies in [-1, 1] and the map keeps it there: no domain check.
+    x = x0
+    orbit = array("d", [x])
+    for _ in range(n):
+        x = 1.0 - 2.0 * x * x
+        orbit.append(x)
+    clean = np.frombuffer(orbit)
+    clean.flags.writeable = False
+    return clean
+
+
 def generate(meta: GenerationMeta, n: int) -> Dataset:
     """Produce the first n samples of the noisy benchmark dataset of meta.
 
     Returns a dataset whose x, y columns carry the noisy measurements and
     whose meta is the given one. The noise-free map iterates are not kept:
     generate(replace(meta, sigma_noise=0.0), n) returns them as its x, y.
+    Raises InvalidParameter where the float orbit of the seed reaches the
+    map's fixed point -1 within the n pairs.
     """
     if not _is_count(n) or n < 1:
         raise InvalidParameter(f"n must be an integer >= 1, got {n}")
-    needed = 8 * FLOATS_PER_SAMPLE * int(n)
+    n = int(n)  # a numpy integer would wrap in the sizes below
+    needed = 8 * FLOATS_PER_SAMPLE * n
     available = memory_limit()
     if needed > available:
         raise InvalidParameter(f"n={n} samples need {needed} bytes, more than "
                                f"the {available} bytes this process may allocate")
     s_init, s_x, s_y = np.random.SeedSequence(meta.seed).spawn(3)
-    x = -0.99 + 1.98 * np.random.Generator(np.random.PCG64(s_init)).random()
-
-    # The start lies in [-0.99, 0.99] and the map keeps [-1, 1]: no domain check.
-    for _ in range(TRANSIENT_STEPS):
-        x = 1.0 - 2.0 * x * x
-    orbit = array("d", [x])
-    for _ in range(n):
-        x = 1.0 - 2.0 * x * x
-        orbit.append(x)
-    # Pair i is (orbit[i], orbit[i + 1]); both columns view the one orbit.
-    clean = np.frombuffer(orbit)
-    clean.flags.writeable = False
+    start = -0.99 + 1.98 * np.random.Generator(np.random.PCG64(s_init)).random()
+    clean = _orbit(start, TRANSIENT_STEPS + n)[TRANSIENT_STEPS:]
+    # Once at -1.0 the float orbit stays there, so every later pair is noise
+    # around (-1, -1): pair i is (clean[i], clean[i + 1]).
+    first = int(np.argmax(clean == -1.0))
+    if clean[first] == -1.0:
+        raise InvalidParameter(f"the float orbit of seed {meta.seed} collapses onto the map's "
+                               f"fixed point -1.0: the seed supports n <= {max(first - 1, 0)}, "
+                               f"got {n}")
+    # Both columns view the one orbit.
     x, y = clean[:-1], clean[1:]
     if meta.sigma_noise > 0:
         x = x + meta.sigma_noise * _box_muller(s_x, n)

@@ -7,17 +7,17 @@ convex combination for queries arbitrarily far from the data (see
 :mod:`expmodel.density`).
 
 Kernels are taken in samples x queries blocks. All queries of a call sit in
-one chunk while their per-query vectors leave room for a sample row, so
-that a block and those vectors hold at most QUERY_BLOCK_ELEMS values.
-Samples come in blocks sized from the query count: a block holds at most
-_KERNEL_BLOCK_ELEMS kernel values, or _MIN_ROWS rows where that is more and
-the chunk leaves room for them (_block_rows). Each block is folded
-into every query's kernel-weighted target sum and kernel sum by one matmul
-with the stacked targets [y; 1], and a prediction is their ratio, so no
-normalised weight matrix is ever formed. Each query's kernels are
-exponentiated without a shift unless its nearest sample is far (see
-:mod:`expmodel.density`). Memory is one block plus O(n + q) for any sample
-and query count, the operands of scattering.kernel_exponents included.
+one chunk while their per-query vectors leave room for _MIN_ROWS sample
+rows, so that a block and those vectors hold at most QUERY_BLOCK_ELEMS
+values. Samples come in blocks sized from the query count: a block holds at
+most _KERNEL_BLOCK_ELEMS kernel values, or _MIN_ROWS rows where that is more
+(_block_rows). Each block is folded into every query's kernel-weighted
+target sum and kernel sum by one matmul with the stacked targets [y; 1],
+and a prediction is their ratio, so no normalised weight matrix is ever
+formed. Each query's kernels are exponentiated without a shift unless its
+nearest sample is far (see :mod:`expmodel.density`). Memory is one block
+plus O(n + q) for any sample and query count, the operands of
+scattering.kernel_exponents included.
 The running sums after the first n samples are those of the predictor on
 the prefix of n, so one pass predicts at every prefix of a quality sweep.
 """
@@ -41,21 +41,19 @@ QUERY_BLOCK_ELEMS = 1 << 17
 # Per-query vectors beside a block: the scaled queries, the running sums
 # and a block's sums (two each).
 _QUERY_VECTORS = 5
-# Queries per chunk: as many as leave room for one sample row.
-_QUERY_CHUNK = QUERY_BLOCK_ELEMS // (_QUERY_VECTORS + 1)
 # Kernel values of one block (512 KB of float64): a larger block saves little
 # time per kernel value but adds its whole size to the peak memory.
 _KERNEL_BLOCK_ELEMS = 1 << 16
-# Fewest sample rows per block where the chunk leaves room for them: at many
-# queries the kernel budget alone gives blocks of a row or two, each paying
-# the fixed cost of a block's calls.
+# Fewest sample rows per block: at many queries the kernel budget alone gives
+# blocks of a row or two, each paying the fixed cost of a block's calls.
 _MIN_ROWS = 8
+# Queries per chunk (10 082): as many as leave room for _MIN_ROWS sample rows.
+_QUERY_CHUNK = QUERY_BLOCK_ELEMS // (_QUERY_VECTORS + _MIN_ROWS)
 
 
 def _block_rows(n_queries: int) -> int:
     """Samples per kernel block at one chunk of n_queries queries."""
-    q = max(n_queries, 1)
-    return min(QUERY_BLOCK_ELEMS // q - _QUERY_VECTORS, max(_MIN_ROWS, _KERNEL_BLOCK_ELEMS // q))
+    return max(_MIN_ROWS, _KERNEL_BLOCK_ELEMS // max(n_queries, 1))
 
 
 def _target_shift(y: np.ndarray) -> int:
@@ -214,7 +212,8 @@ def quality_sweep(basic: Dataset,
     equal those of CaPredictor(basic.prefix(n), sf).predict_many(test.x) bit
     for bit. A point whose predictor shifts a test query, gives one the
     far-query limit or scales its targets is computed on its own, as is
-    every point when the test set spans several query chunks.
+    every point when the test set spans several query chunks (more than
+    10 082 queries); at any size a kernel block keeps at least 8 samples.
     """
     sizes = resolve_schedule(schedule, len(basic))
     predictions = CaPredictor(basic, sf)._predict_prefixes(test.x, sizes)

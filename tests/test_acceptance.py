@@ -18,6 +18,7 @@ from expmodel import (CaPredictor, Dataset, GenerationMeta,
                       generate, info_curve, information, predictor_quality,
                       quality_sweep)
 from expmodel.cli import N_SAMPLES, SIGMA_SWEEP, SPAN_L, TEST_SEED_OFFSET, main as cli_main
+import studies
 from oracles import LOG_2PIE, extended_axis, gauss, trap1
 
 SEEDS = (1, 2, 3)
@@ -91,6 +92,16 @@ def test_criterion_3_sigma_monotonicity(curves):
 
 def test_criterion_4_predictor_quality(sweeps):
     assert report_records(criteria.quality(sweeps)) == "PASS"
+
+
+def test_criteria_1_to_3_pass_in_19_of_20_seed_triples():
+    # The bound is pre-registered from the 20, 20 and 19 passes measured over
+    # the triples of seeds 1-60; criterion 4's rate (0 of 20) is in the
+    # README and not asserted.
+    passes = studies.criterion_passes()
+    print(f"ACCEPTANCE passes over {len(studies.TRIPLES)} seed triples: {dict(passes)}")
+    assert sorted(passes) == [1, 2, 3, 4]
+    assert all(passes[c] >= 19 for c in (1, 2, 3)), passes
 
 
 def test_criterion_5a_information_bounds(curves):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from expmodel import (Dataset, GenerationMeta, InvalidParameter, generate,
                       read_dataset_csv, write_dataset_csv)
+from expmodel import generator
+from expmodel.cli import main
 from expmodel.generator import FLOATS_PER_SAMPLE, TRANSIENT_STEPS
 from oracles import quadratic_map
 
@@ -49,6 +52,8 @@ def test_meta_validation():
         with pytest.raises(InvalidParameter):
             generate(meta, n)
     assert len(generate(meta, np.int64(10))) == 10
+    # Sizes are taken in Python integers: 2 n uniforms do not wrap in uint8.
+    assert len(generate(meta, np.uint8(200))) == 200
 
 
 def test_generate_budget_does_not_wrap_in_fixed_width(monkeypatch):
@@ -90,6 +95,26 @@ def test_clean_columns_iterate_the_map_from_the_recorded_start():
     assert clean.x.tobytes() == orbit[:-1].tobytes()
     assert clean.y.tobytes() == orbit[1:].tobytes()
     assert not clean.x.flags.writeable and not clean.y.flags.writeable
+
+
+def test_generate_refuses_an_orbit_that_collapsed_onto_minus_one(monkeypatch, tmp_path, capsys):
+    # 2^-29 maps to 1 - 2^-57, which rounds to 1.0, and 1.0 to the fixed
+    # point -1.0, where the float orbit stays.
+    real = generator._orbit
+    assert real(2.0 ** -29, 3).tolist() == [2.0 ** -29, 1.0, -1.0, -1.0]
+    # The seed's transient as drawn, then an orbit from 2^-29: pair 0 is
+    # (2^-29, 1.0) and pair 1 is (1.0, -1.0).
+    monkeypatch.setattr(generator, "_orbit", lambda x0, n: np.concatenate(
+        [real(x0, TRANSIENT_STEPS - 1), real(2.0 ** -29, n - TRANSIENT_STEPS)]))
+    assert noise_free(generate(GenerationMeta(seed=8, sigma_noise=0.2), 1)).y.tolist() == [1.0]
+    message = ("the float orbit of seed 8 collapses onto the map's fixed point -1.0: "
+               "the seed supports n <= 1")
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}, got 2$"):
+        generate(GenerationMeta(seed=8, sigma_noise=0.2), 2)
+    assert main(["generate", "--sigma", "0.2", "--seed", "8", "--n", "50",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"InvalidParameter: {message}, got 50\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_peak_stays_within_its_checked_budget():

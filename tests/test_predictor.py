@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from expmodel import (CaPredictor, Dataset, DegenerateVariance, EmptyDataset,
                       GenerationMeta, InvalidParameter, ScatteringFunction, ShapeMismatch,
-                      generate, predictor_quality, quality_sweep, write_dataset_csv)
+                      default_schedule, generate, predictor_quality, quality_sweep,
+                      write_dataset_csv)
 from expmodel.cli import TEST_SEED_OFFSET, main
 from expmodel.density import MIN_UNSHIFTED_EXPONENT, _nearest_samples
-from expmodel.predictor import _QUERY_CHUNK, _QUERY_VECTORS, QUERY_BLOCK_ELEMS, _block_rows
+from expmodel.predictor import (_MIN_ROWS, _QUERY_CHUNK, _QUERY_VECTORS, QUERY_BLOCK_ELEMS,
+                                _block_rows)
 from expmodel.scattering import gaussian_exponent
 from conftest import HALF_WIDTH
 from oracles import extended_axis, far_query_weights, gauss, trap1
@@ -149,26 +151,32 @@ def _oracle_predictions(data, sigma, xs):
     return np.concatenate(out)
 
 
-@pytest.mark.parametrize("n_queries,rows", [(200, 327), (3000, 21), (10000, 8), (21845, 1)])
+@pytest.mark.parametrize("n_queries,rows", [(200, 327), (3000, 21), (10000, 8), (10082, 8)])
 def test_block_rows_fill_the_kernel_budget_within_the_cap(n_queries, rows):
-    # 2^16 kernel values per block, or 8 rows where that is more, as long as
-    # the block and the per-query vectors fit QUERY_BLOCK_ELEMS; a whole
-    # chunk of queries leaves room for one row.
+    # 2^16 kernel values per block, or 8 rows where that is more; the block
+    # and the per-query vectors fit QUERY_BLOCK_ELEMS, since a whole chunk of
+    # queries leaves room for 8 rows.
     assert _block_rows(n_queries) == rows
     assert (rows + _QUERY_VECTORS) * n_queries <= QUERY_BLOCK_ELEMS
-    assert _QUERY_CHUNK == 21845
+    assert _QUERY_CHUNK == 10082
+
+
+def test_block_rows_keep_the_floor_within_the_cap_at_every_chunk_size():
+    for q in range(1, _QUERY_CHUNK + 1):
+        rows = _block_rows(q)
+        assert _MIN_ROWS <= rows and (rows + _QUERY_VECTORS) * q <= QUERY_BLOCK_ELEMS, q
 
 
 def test_predict_many_matches_oracle_across_block_boundary(basic50):
-    # The queries span two chunks: in the first every sample block is one
-    # row, in the second the 50 samples span two blocks. Far-field queries
-    # at 10 L and queries shifted by their largest exponent sit on both
-    # sides of the chunk boundary; a wide kernel keeps the oracle's plain
+    # The queries span two chunks: in the first the 50 samples come in
+    # blocks of 8 rows, in the second in blocks of 21. Far-field queries at
+    # 10 L and queries shifted by their largest exponent sit on both sides
+    # of the chunk boundary; a wide kernel keeps the oracle's plain
     # Gaussians above underflow at both.
     sf = ScatteringFunction(1.0)
     p = CaPredictor(basic50, sf)
     chunk, rest = _QUERY_CHUNK, 3000
-    assert _block_rows(chunk) == 1 and _block_rows(rest) < len(basic50)
+    assert _block_rows(chunk) == _MIN_ROWS and _block_rows(rest) < len(basic50)
     far, low = 10 * HALF_WIDTH, 30.0
     assert -0.5 * (low - np.abs(basic50.x).max()) ** 2 < MIN_UNSHIFTED_EXPONENT
     xs = np.linspace(-1.5, 1.5, chunk + rest)
@@ -567,6 +575,16 @@ def test_sweep_points_with_shifted_or_far_queries_equal_predictors_built_by_hand
     sweep = quality_sweep(basic, test, sf02, schedule)
     for n in schedule:
         assert sweep[n] == predictor_quality(test.y, _hand_built(basic, sf02, n, test.x))
+
+
+def test_sweep_over_two_query_chunks_equals_predictors_built_by_hand(basic50, sf02):
+    # Each point of a sweep whose test set spans two chunks is computed on
+    # its own, chunk by chunk.
+    test = generate(GenerationMeta(seed=6, sigma_noise=0.2), _QUERY_CHUNK + 100)
+    sweep = quality_sweep(basic50, test, sf02)
+    assert list(sweep) == default_schedule(len(basic50))
+    for n in sweep:
+        assert sweep[n] == predictor_quality(test.y, _hand_built(basic50, sf02, n, test.x))
 
 
 def test_sweep_points_with_scaled_targets_equal_predictors_built_by_hand(basic3000, test3000,
