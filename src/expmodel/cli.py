@@ -10,9 +10,9 @@ reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt, the
             records of expmodel.criteria next to the published targets
 
 Each subcommand accepts only the flags it reads (COMMANDS below); any other
-flag is a usage error (exit 2). reproduce runs the one configuration its
-criteria are stated for, so it reads only --seed and --out-dir. All outputs
-are deterministic functions of the flags. Entropic quantities are in nats.
+flag is a usage error (exit 2). reproduce runs the one configuration that
+expmodel.criteria states its checks on, so it reads only --seed and
+--out-dir. Outputs are deterministic in the flags; entropies are in nats.
 
 The library returns numbers; this module alone lays them out as tables, one
 write_table call per file (cell format in expmodel.tables). info_curve.csv,
@@ -31,6 +31,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import criteria, information
+from .criteria import N_SAMPLES, SIGMA_MAIN, SIGMA_SWEEP, SPAN_L, TEST_SEED_OFFSET
 from .density import Dataset
 from .errors import ExperimentModelError, InvalidParameter
 from .generator import GenerationMeta, generate
@@ -39,25 +40,12 @@ from .predictor import CaPredictor, QualityReport, quality_sweep
 from .scattering import ScatteringFunction
 from .tables import column_rows, read_dataset_csv, write_dataset_csv, write_table
 
-# Offset between the basic-set seed and the seed of the held-out test set.
-TEST_SEED_OFFSET = 7919
-
-# Noise and kernel widths of the benchmark sweep; fig2, fig4, fig5 and the
-# sample-count criteria use the main one, fig3 the others.
-SIGMA_MAIN = 0.2
-SIGMA_SWEEP = (0.1, 0.2, 0.4)
-
-# Samples per dataset and span half width L of the benchmark sweep, which the
-# other commands default to.
-N_SAMPLES = 200
-SPAN_L = 2.0
-
 # Columns of the information-curve table, one row per record.
 CURVE_COLUMNS = ("N", "logN", "I", "R", "C", "K")
 
 
-def _seeds(args) -> list[int]:
-    return [args.seed, args.seed + 1, args.seed + 2]
+def _seeds(first_seed: int) -> list[int]:
+    return [first_seed, first_seed + 1, first_seed + 2]
 
 
 def _generate(seed: int, sigma: float, n: Optional[int] = None) -> Dataset:
@@ -145,13 +133,14 @@ def cmd_quality(args) -> None:
     sf = ScatteringFunction(args.sigma)
     # One basic set at a time: memory stays that of one set whatever the seeds.
     reports = {seed: quality_sweep(_generate(seed, args.sigma, args.n), test, sf, args.schedule)
-               for seed in _seeds(args)}
+               for seed in _seeds(args.seed)}
     _write_quality(_out(args, "quality.csv"), reports)
     print(_out(args, "quality.csv"))
 
 
-def cmd_reproduce(args) -> None:
-    seeds = _seeds(args)
+def _sweep(first_seed: int):
+    """reproduce --seed first_seed's basic sets, curves, test set and reports."""
+    seeds = _seeds(first_seed)
     # Only the main-width sets are used again (fig4, fig5); the others are
     # made when their curve is, so one of them is held at a time.
     basics = {seed: _generate(seed, SIGMA_MAIN) for seed in seeds}
@@ -159,24 +148,27 @@ def cmd_reproduce(args) -> None:
                                    ScatteringFunction(s), half_width=SPAN_L)
                   for seed in seeds}
               for s in SIGMA_SWEEP}
+    sf = ScatteringFunction(SIGMA_MAIN)
+    test = _generate(first_seed + TEST_SEED_OFFSET, SIGMA_MAIN)
+    reports = {seed: quality_sweep(basic, test, sf) for seed, basic in basics.items()}
+    return basics, curves, test, reports
 
+
+def cmd_reproduce(args) -> None:
+    basics, curves, test, reports = _sweep(args.seed)
     write_table(_out(args, "fig2.csv"), ("seed",) + CURVE_COLUMNS,
-                ((seed, *row) for seed in seeds for row in _curve_rows(curves[SIGMA_MAIN][seed])))
+                ((seed, *row) for seed, curve in curves[SIGMA_MAIN].items()
+                 for row in _curve_rows(curve)))
     write_table(_out(args, "fig3.csv"), ("sigma", "seed") + CURVE_COLUMNS,
-                ((repr(float(s)), seed, *row)
-                 for s in SIGMA_SWEEP if s != SIGMA_MAIN
-                 for seed in seeds for row in _curve_rows(curves[s][seed])))
+                ((repr(float(s)), seed, *row) for s in SIGMA_SWEEP if s != SIGMA_MAIN
+                 for seed, curve in curves[s].items() for row in _curve_rows(curve)))
 
     # Prediction trace: reduced 50-sample basic set against the test set.
-    sf = ScatteringFunction(SIGMA_MAIN)
-    test = _generate(args.seed + TEST_SEED_OFFSET, SIGMA_MAIN)
-    y_p = CaPredictor(basics[args.seed].prefix(50), sf).predict_many(test.x)
+    y_p = CaPredictor(basics[args.seed].prefix(50),
+                      ScatteringFunction(SIGMA_MAIN)).predict_many(test.x)
     _write_predictions(_out(args, "fig4.csv"), test, y_p)
-
-    reports = {seed: quality_sweep(basic, test, sf) for seed, basic in basics.items()}
     _write_quality(_out(args, "fig5.csv"), reports)
-
-    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, reports, sf, SPAN_L))
+    _write_report(_out(args, "report.txt"), criteria.evaluate(curves, reports))
     print(_out(args, "report.txt"))
 
 

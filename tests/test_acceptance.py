@@ -3,8 +3,9 @@
 Each test prints "ACCEPTANCE ... PASS|FAIL" lines (visible with pytest -s or
 in failure reports) and then asserts the criterion at its stated tolerance.
 Criteria 1-4 assert on the records of ``expmodel.criteria``, the same ones
-``expmodel reproduce`` writes to report.txt; that module states them, and
-the README gives the values this configuration produces.
+``expmodel reproduce`` writes to report.txt, over the computation
+``cli._sweep`` runs for reproduce; that module states them and their
+configuration, and the README gives the values this configuration produces.
 """
 
 import math
@@ -15,14 +16,13 @@ import pytest
 
 from expmodel import (CaPredictor, Dataset, GenerationMeta,
                       ScatteringFunction, criteria, default_schedule,
-                      generate, info_curve, information, predictor_quality,
-                      quality_sweep)
-from expmodel.cli import N_SAMPLES, SIGMA_SWEEP, SPAN_L, TEST_SEED_OFFSET, main as cli_main
+                      generate, info_curve, information, predictor_quality)
+from expmodel.cli import _sweep, main as cli_main
+from expmodel.criteria import N_SAMPLES, SIGMA_MAIN, SPAN_L
 import studies
 from oracles import LOG_2PIE, extended_axis, gauss, trap1
 
 SEEDS = (1, 2, 3)
-TEST_SEED = SEEDS[0] + TEST_SEED_OFFSET
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -38,60 +38,48 @@ def report_records(records) -> str:
 
 
 @pytest.fixture(scope="module")
-def curves():
-    """Info curves by sigma and seed, plus per-seed wall time at 0.2."""
-    out = {sigma: {} for sigma in SIGMA_SWEEP}
-    times = {}
-    for sigma in SIGMA_SWEEP:
-        sf = ScatteringFunction(sigma)
-        for seed in SEEDS:
-            data = generate(GenerationMeta(seed=seed, sigma_noise=sigma), N_SAMPLES)
-            start = time.perf_counter()
-            out[sigma][seed] = info_curve(data, sf, half_width=SPAN_L)
-            if sigma == 0.2:
-                times[seed] = time.perf_counter() - start
-    return out, times
+def sweep():
+    """reproduce --seed 1's info curves by sigma and seed and quality reports
+    by seed, from cli._sweep, plus the sweep's wall time."""
+    start = time.perf_counter()
+    _, curves, _, reports = _sweep(SEEDS[0])
+    return curves, reports, time.perf_counter() - start
 
 
-@pytest.fixture(scope="module")
-def sweeps():
-    """Quality sweeps at sigma 0.2 for the three basic seeds, one test set."""
-    sf = ScatteringFunction(0.2)
-    test = generate(GenerationMeta(seed=TEST_SEED, sigma_noise=0.2), N_SAMPLES)
-    out = {}
-    for seed in SEEDS:
-        basic = generate(GenerationMeta(seed=seed, sigma_noise=0.2), N_SAMPLES)
-        out[seed] = quality_sweep(basic, test, sf)
-    return out
-
-
-def test_criterion_1_information_plateau(curves):
+def test_criterion_1_information_plateau(sweep):
     # I = H_z - H_u <= -H_u since H_z <= 0, and I <= log N. -H_u is the closed
     # form here, so the bounds the records carry are checked independently.
-    by_sigma, times = curves
-    neg_h_u = -(2.0 * math.log(0.2 / SPAN_L) + math.log(math.pi / 2.0) + 1.0)
+    curves, _, seconds = sweep
+    neg_h_u = -(2.0 * math.log(SIGMA_MAIN / SPAN_L) + math.log(math.pi / 2.0) + 1.0)
     half = max(n for n in default_schedule(N_SAMPLES) if n <= N_SAMPLES // 2)
-    records = criteria.plateau(by_sigma[0.2], ScatteringFunction(0.2), SPAN_L)
+    records = criteria.plateau(curves[SIGMA_MAIN])
     for rec in records[1:]:
         assert rec.values["bound"] == pytest.approx(min(math.log(N_SAMPLES), neg_h_u), rel=1e-12)
         assert rec.values["k_cap"] == pytest.approx(min(N_SAMPLES, math.exp(neg_h_u)), rel=1e-12)
         assert rec.values["half"] == half
-    assert all(t <= 60.0 for t in times.values()), f"per-seed runtime {times}"
+    assert seconds <= 60.0, f"sweep runtime {seconds:.3f} s"
     assert report_records(records) == "PASS"
 
 
-def test_criterion_2_optimal_sample_count(curves):
-    by_sigma, _ = curves
-    assert report_records(criteria.sample_count(by_sigma[0.2])) == "PASS"
+def test_criterion_2_optimal_sample_count(sweep):
+    curves, _, _ = sweep
+    assert report_records(criteria.sample_count(curves[SIGMA_MAIN])) == "PASS"
 
 
-def test_criterion_3_sigma_monotonicity(curves):
-    by_sigma, _ = curves
-    assert report_records(criteria.monotonicity(by_sigma)) == "PASS"
+def test_criterion_3_sigma_monotonicity(sweep):
+    curves, _, _ = sweep
+    assert report_records(criteria.monotonicity(curves)) == "PASS"
 
 
-def test_criterion_4_predictor_quality(sweeps):
-    assert report_records(criteria.quality(sweeps)) == "PASS"
+def test_criterion_4_predictor_quality(sweep):
+    _, reports, _ = sweep
+    assert report_records(criteria.quality(reports)) == "PASS"
+
+
+def test_report_holds_the_records_the_suite_asserts_on(sweep, reproduced):
+    curves, reports, _ = sweep
+    records = criteria.evaluate(curves, reports)
+    assert (reproduced / "report.txt").read_text() == "".join(f"{r}\n" for r in records)
 
 
 def test_criteria_1_to_3_pass_in_19_of_20_seed_triples():
@@ -104,12 +92,12 @@ def test_criteria_1_to_3_pass_in_19_of_20_seed_triples():
     assert all(passes[c] >= 19 for c in (1, 2, 3)), passes
 
 
-def test_criterion_5a_information_bounds(curves):
-    by_sigma, _ = curves
+def test_criterion_5a_information_bounds(sweep):
+    curves, _, _ = sweep
     ok = True
     worst = 0.0
-    for s in SEEDS:
-        recs = by_sigma[0.2][s].records
+    for curve in curves[SIGMA_MAIN].values():
+        recs = curve.records
         ok = ok and abs(recs[0].info) <= 1e-2
         for r in recs:
             ok = ok and r.info <= r.log_n + 5e-2
@@ -128,7 +116,7 @@ def test_criterion_5b_isolated_kernels():
 
 
 def test_criterion_5c_kernel_entropy():
-    sf = ScatteringFunction(0.2)
+    sf = ScatteringFunction(SIGMA_MAIN)
     # The kernel's quadrature entropy, from the record of one sample at (0, 0).
     info = info_curve(Dataset([0.0], [0.0]), sf, [1], half_width=SPAN_L).records[0].info
     h = info + LOG_2PIE + 2.0 * math.log(sf.sigma)
@@ -141,8 +129,8 @@ def test_criterion_5c_kernel_entropy():
 
 
 def test_criterion_5d_weights_and_bounds():
-    sf = ScatteringFunction(0.2)
-    basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2), 50)
+    sf = ScatteringFunction(SIGMA_MAIN)
+    basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=SIGMA_MAIN), 50)
     p = CaPredictor(basic, sf)
     rng = np.random.default_rng(101)
     xs = np.concatenate([rng.uniform(-10 * SPAN_L, 10 * SPAN_L, 998),
@@ -169,7 +157,7 @@ def test_criterion_5e_quality_exact_cases():
 
 
 def test_criterion_5f_model_quadrature_identities():
-    sigma = 0.2
+    sigma = SIGMA_MAIN
     sf = ScatteringFunction(sigma)
     basic = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=sigma), 50)
     axis = extended_axis(SPAN_L, sigma)
@@ -196,8 +184,8 @@ def test_criterion_5f_model_quadrature_identities():
 
 def test_criterion_5g_grid_convergence(monkeypatch):
     # The curve's 257-node grid against a floor of twice as many nodes.
-    sf = ScatteringFunction(0.2)
-    data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=0.2), N_SAMPLES)
+    sf = ScatteringFunction(SIGMA_MAIN)
+    data = generate(GenerationMeta(seed=SEEDS[0], sigma_noise=SIGMA_MAIN), N_SAMPLES)
     infos = []
     for floor in (information.GRID_POINTS, 2 * information.GRID_POINTS):
         monkeypatch.setattr(information, "GRID_POINTS", floor)
