@@ -10,9 +10,10 @@ reproduce   full benchmark sweep: fig2..fig5 CSV files plus report.txt, the
             records of expmodel.criteria next to the published targets
 
 Each subcommand accepts only the flags it reads (COMMANDS below); any other
-flag is a usage error (exit 2). reproduce runs the one configuration that
-expmodel.criteria states its checks on, so it reads only --seed and
---out-dir. Outputs are deterministic in the flags; entropies are in nats.
+flag, or a missing flag it needs, is a usage error (exit 2). reproduce runs
+the one configuration that expmodel.criteria states its checks on, so it
+reads only --seed and --out-dir. Outputs are deterministic in the flags;
+entropies are in nats.
 
 The library returns numbers; this module alone lays them out as tables, one
 write_table call per file (cell format in expmodel.tables). info_curve.csv,
@@ -83,8 +84,6 @@ def _write_quality(path: str, reports: Mapping[int, Mapping[int, QualityReport]]
 
 
 def cmd_generate(args) -> None:
-    if args.sigma is None:
-        raise InvalidParameter("generate requires --sigma (noise standard deviation)")
     dataset = _generate(args.seed, args.sigma, args.n)
     path = _out(args, "samples.csv")
     write_dataset_csv(dataset, path)
@@ -92,8 +91,6 @@ def cmd_generate(args) -> None:
 
 
 def cmd_info(args) -> None:
-    if args.basic is None:
-        raise InvalidParameter("info requires --basic <dataset.csv>")
     dataset = read_dataset_csv(args.basic)
     sf = ScatteringFunction(_resolve_sigma(args, dataset))
     points = grid_points(args.span_l, sf)
@@ -114,8 +111,6 @@ def cmd_info(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    if args.basic is None or args.test is None:
-        raise InvalidParameter("predict requires --basic and --test dataset paths")
     basic = read_dataset_csv(args.basic)
     test = read_dataset_csv(args.test)
     sigma = _resolve_sigma(args, basic)
@@ -127,8 +122,6 @@ def cmd_predict(args) -> None:
 
 
 def cmd_quality(args) -> None:
-    if args.sigma is None:
-        raise InvalidParameter("quality requires --sigma")
     test = _generate(args.seed + TEST_SEED_OFFSET, args.sigma, args.n)
     sf = ScatteringFunction(args.sigma)
     # One basic set at a time: memory stays that of one set whatever the seeds.
@@ -202,18 +195,18 @@ FLAGS = {
     "--out-dir": dict(default=".", help="directory for output files"),
 }
 
-# Subcommand, its function, help text and the flags it reads.
+# Subcommand, its function, help text, the flags it needs and those it only reads.
 COMMANDS = [
     ("generate", cmd_generate, "write a noisy chaotic benchmark dataset (samples.csv)",
-     ("--sigma", "--n", "--seed", "--out-dir")),
+     ("--sigma",), ("--n", "--seed", "--out-dir")),
     ("info", cmd_info, "information curve and summary for a dataset",
-     ("--basic", "--sigma", "--span-l", "--schedule", "--out-dir")),
+     ("--basic",), ("--sigma", "--span-l", "--schedule", "--out-dir")),
     ("predict", cmd_predict, "conditional-average predictions for a test set",
-     ("--basic", "--test", "--sigma", "--n", "--out-dir")),
+     ("--basic", "--test"), ("--sigma", "--n", "--out-dir")),
     ("quality", cmd_quality, "predictor quality over sample counts, three seeds",
-     ("--sigma", "--n", "--seed", "--schedule", "--out-dir")),
+     ("--sigma",), ("--n", "--seed", "--schedule", "--out-dir")),
     ("reproduce", cmd_reproduce, "full benchmark sweep: fig2..fig5 CSVs and report.txt",
-     ("--seed", "--out-dir")),
+     (), ("--seed", "--out-dir")),
 ]
 
 
@@ -223,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Statistical modeling of a physical law from noisy paired measurements.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, helptext, flags in COMMANDS:
+    for name, func, helptext, needs, reads in COMMANDS:
         p = sub.add_parser(name, help=helptext)
-        for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
+        for flag in needs + reads:
+            p.add_argument(flag, required=flag in needs, **FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expmodel import cli, default_schedule, generate, information, memory, read_dataset_csv
+from expmodel import (InvalidParameter, cli, default_schedule, generate, information, memory,
+                      read_dataset_csv)
 from expmodel.cli import N_SAMPLES, main
 from expmodel.tables import ROW_BLOCK
 
@@ -168,9 +169,24 @@ def test_info_rejects_grid_over_address_space_limit(tmp_path, monkeypatch, capsy
     assert run(*args, "--sigma", "0.2") == 0
 
 
-def test_info_rejects_bad_schedule(tmp_path, samples_csv):
+def test_mapped_bytes_reads_whole_pages(monkeypatch):
+    if os.path.exists("/proc/self/statm"):
+        mapped = memory.mapped_bytes()
+        assert mapped > 0 and mapped % os.sysconf("SC_PAGE_SIZE") == 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no statm")
+
+    monkeypatch.setattr(memory, "open", unreadable, raising=False)
+    assert memory.mapped_bytes() == 0
+
+
+def test_info_rejects_bad_schedule(tmp_path, samples_csv, capsys):
     assert run("info", "--basic", str(samples_csv), "--schedule", "5,5,7",
                "--out-dir", str(tmp_path)) == 2
+    assert _exit_code(["info", "--basic", str(samples_csv), "--schedule", "2,x",
+                       "--out-dir", str(tmp_path)]) == 2
+    assert "bad schedule" in capsys.readouterr().err
 
 
 def test_info_requires_sigma_for_plain_csv(tmp_path, capsys):
@@ -316,8 +332,23 @@ def test_quality_covers_three_seeds(tmp_path):
     assert sum(1 for r in rows if r[0] == "200") == 3
 
 
-def test_quality_requires_sigma(tmp_path):
-    assert run("quality", "--out-dir", str(tmp_path)) == 2
+def test_quality_requires_sigma(tmp_path, capsys):
+    assert _exit_code(["quality", "--out-dir", str(tmp_path)]) == 2
+    assert "the following arguments are required: --sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (RuntimeError("boom"), 1, "internal error: RuntimeError: boom"),
+    (InvalidParameter("bad"), 2, "InvalidParameter: bad"),
+], ids=["internal", "input"])
+def test_exit_code_tells_internal_from_input_failures(tmp_path, monkeypatch, capsys,
+                                                     exc, code, err):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "quality_sweep", fail)
+    assert main(["quality", "--sigma", "0.2", "--n", "10", "--out-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_reproduce_writes_its_artifacts(reproduced):
@@ -537,6 +568,22 @@ def test_unread_flag_exits_2(tmp_path, small_csv, reproduced, capsys, command, f
     assert "unrecognized arguments" in capsys.readouterr().err
     if command != "reproduce":
         assert _exit_code([command, *base, "--out-dir", str(tmp_path)]) == 0
+
+
+_NEEDED = [(name, flag, tuple(other for other in needs if other != flag))
+           for name, _, _, needs, _ in cli.COMMANDS for flag in needs]
+
+
+@pytest.mark.parametrize("command, flag, others", _NEEDED,
+                         ids=[f"{c}{f}" for c, f, _ in _NEEDED])
+def test_missing_needed_flag_exits_2(tmp_path, small_csv, capsys, command, flag, others):
+    # argparse refuses the run before the command reads or writes a file.
+    values = {"--sigma": "0.2", "--basic": small_csv, "--test": small_csv}
+    out = tmp_path / "out"
+    argv = [command, *(arg for other in others for arg in (other, values[other]))]
+    assert _exit_code([*argv, "--out-dir", str(out)]) == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reproduce_generates_each_dataset_once(tmp_path, monkeypatch):

@@ -60,6 +60,8 @@ def test_dataset_validation():
         Dataset([1.0, 2.0], [1.0])
     with pytest.raises(InvalidParameter):
         Dataset([1.0, float("nan")], [0.0, 0.0])
+    with pytest.raises(InvalidParameter):
+        Dataset([[1.0, 2.0]], [[0.0, 0.0]])
 
 
 def test_dataset_prefix_preserves_order(logistic200):
@@ -299,6 +301,8 @@ def test_query_validation(model200):
         p.predict_many([0.0, float("nan")])
     with pytest.raises(InvalidParameter):
         p.predict_many([float("-inf")])
+    with pytest.raises(InvalidParameter):
+        p.predict_many([[0.0, 0.5]])
 
 
 # weights is the one pointwise query left; predict_many takes arrays.

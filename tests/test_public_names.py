@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import expmodel
+from expmodel import cli
 
 # Removing a public name takes an edit here, argued in CHANGES.md.
 PUBLIC_NAMES = [
@@ -85,3 +86,12 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and len(lines[0].split()) == 3
+
+
+# The README's command table, read as written: a flag that a command comes
+# to need or read, or no longer does, fails here until the table says so.
+def test_readme_command_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = [[tuple(cell.strip(" `").split()) for cell in line.split("|")[1:-1]]
+             for line in readme.splitlines() if re.match(r"\| `\w+` \|", line)]
+    assert table == [[(name,), needs, reads] for name, _, _, needs, reads in cli.COMMANDS]
