@@ -33,7 +33,8 @@ import numpy as np
 from .density import Dataset
 from .errors import EmptyDataset, InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
-from .scattering import ScatteringFunction, kernel_exponents, _is_count, _require_finite
+from .scattering import (ScatteringFunction, gaussian_exponent, kernel_exponents,
+                         _difference_operands, _is_count, _require_finite)
 
 # The running kernel sum of an information curve starts at this value, so
 # its log is finite at every node and a node no kernel reaches contributes
@@ -47,22 +48,30 @@ _BASE_SCHEDULE = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 180)
 # Least nodes per axis of an information curve's grid (grid_points).
 GRID_POINTS = 257
 
-# Bytes held per grid node by info_curve's one workspace, float64 each, at
-# most: the running sum, the kernel rows of one block (at most one grid) and
-# a panel of ceil(G/4) grid rows, a quarter grid plus under one row, through
-# which each block's product and then the entropy integrand pass. The
-# workspace is allocated once per curve; workspace_bytes adds the row. As
-# the kernel rows are built without numpy's ufunc buffers, a curve's traced
-# peak is within a few axis-sized vectors (under 32 KB) of its workspace.
-GRID_BYTES_PER_NODE = 18
+# info_curve allocates one workspace of float64 per curve, laid out as
+# _workspace_floats counts it: the running sum (G x G), the y kernel rows of
+# one block (block x G), the block's x kernel rows a chunk of whole panel
+# bands at a time (block x ceil(G/4)), and a panel of ceil(G/4) grid rows
+# through which each band's product and then the entropy integrand pass.
+# With a block of at most G/2 samples (_kernel_rows) that is at most 1.875
+# grids and 1.125 grid rows. As the kernel rows are built without numpy's
+# ufunc buffers, a curve's traced peak is within a few axis-sized vectors
+# (under 32 KB) of its workspace.
+
+
+def _workspace_floats(g: int, block: int) -> int:
+    """Float64 values of info_curve's workspace on a grid of g nodes per axis
+    with kernel-product blocks of `block` samples."""
+    height = _panel_rows(g)
+    return g * g + block * (g + height) + height * g
 
 
 def workspace_bytes(g: int) -> int:
     """The most an information curve on a grid of G = g nodes per axis
-    allocates: 2.25 grids and one row of float64 (GRID_BYTES_PER_NODE), in
+    allocates: its workspace at the largest block, G // 2 samples, in
     Python integers."""
     g = int(g)
-    return (GRID_BYTES_PER_NODE * g + 8) * g
+    return 8 * _workspace_floats(g, g // 2)
 
 
 def _kernel_norm(sf: ScatteringFunction) -> float:
@@ -108,9 +117,10 @@ def grid_points(half_width: float, sf: ScatteringFunction) -> int:
 
 def _kernel_rows(sched: Sequence[int], g: int) -> int:
     """Samples per kernel-product block of a curve: at most half the grid
-    points g, so a block's x kernels (stored grid-major, G x block) and y
-    kernels (block x G) hold no more than one grid together (as
-    GRID_BYTES_PER_NODE counts), and at most the largest schedule segment."""
+    points g, so a block's y kernels (block x G) hold at most half a grid and
+    its x kernels, built a chunk of whole panel bands at a time in
+    block x ceil(G/4) floats, at most an eighth, and at most the largest
+    schedule segment."""
     segment = max(b - a for a, b in zip([0, *sched], sched))
     return min(g // 2, segment)
 
@@ -244,10 +254,11 @@ def info_curve(data: Dataset,
     once (see :func:`accumulate_kernel_products`), and at each point the
     entropy is taken of S with the one scalar c. Every sample's kernel rows
     are built exactly once. The curve allocates one workspace of at most
-    2.25 G x G float64 arrays and one row (:func:`workspace_bytes`): the
-    running sum, the kernel rows of one block (at most one grid), and a
-    panel of ceil(G/4) grid rows through which each block's product and then
-    the entropy integrand S (log S + log c) pass a band at a time. Nothing
+    1.875 G x G float64 arrays and 1.125 rows (:func:`workspace_bytes`):
+    the running sum, the kernel rows of one block (its y rows, at most half
+    a grid, and its x rows a chunk of panel bands at a time, at most an
+    eighth), and a panel of ceil(G/4) grid rows through which each band's
+    product and then the entropy integrand S (log S + log c) pass. Nothing
     of grid size is allocated per schedule point, and memory does not grow
     with the dataset or the schedule. Each I(n) is the trapezoid entropy of
     the joint density of the first n samples on the grid, less
@@ -259,10 +270,9 @@ def info_curve(data: Dataset,
     sched = resolve_schedule(schedule, len(data))
 
     step = 2.0 * half_width / (g - 1)
-    scaled_axis = np.linspace(-half_width, half_width, g) / sf.sigma
-    rows_end = (g + 2 * _kernel_rows(sched, g)) * g
-    workspace = np.empty(rows_end + _panel_rows(g) * g)
-    joint_sum, rows, panel = np.split(workspace, [g * g, rows_end])
+    axis_operand, _ = _difference_operands(np.linspace(-half_width, half_width, g) / sf.sigma)
+    workspace = np.empty(_workspace_floats(g, _kernel_rows(sched, g)))
+    joint_sum, rows, panel = np.split(workspace, [g * g, -_panel_rows(g) * g])
     joint_sum, panel = joint_sum.reshape(g, g), panel.reshape(-1, g)
     joint_sum.fill(DENSITY_FLOOR)
     weights = np.ones(g)
@@ -271,47 +281,64 @@ def info_curve(data: Dataset,
     done = 0
     for n in sched:
         accumulate_kernel_products(joint_sum, data.x[done:n], data.y[done:n],
-                                   scaled_axis, sf.sigma, rows=rows, panel=panel)
+                                   axis_operand, sf.sigma, rows=rows, panel=panel)
         done = n
         h = _entropy(joint_sum, kernel_norm / n, step, weights, panel)
         records.append(InfoRecord(n, h - (1.0 - math.log(kernel_norm))))
     return InfoCurve(tuple(records))
 
 
-def accumulate_kernel_products(out: np.ndarray, x, y, axis, sigma: float, *,
+def accumulate_kernel_products(out: np.ndarray, x, y, axis_operand, sigma: float, *,
                                rows: np.ndarray, panel: np.ndarray) -> None:
-    """Add sum_i g(axis - x[i]/sigma) g(axis - y[i]/sigma)^T to out, in place,
-    with g(t) = exp(-t^2 / 2) the unnormalised kernel.
+    """Add sum_i g(t - x[i]/sigma) g(t - y[i]/sigma)^T to out, in place,
+    with g(u) = exp(-u^2 / 2) the unnormalised kernel and t the grid axis.
 
-    axis is the grid axis both channels share, already divided by sigma; x
-    and y are samples, which each block divides by sigma. So out gains
-    2 pi sigma^2 times the sum of the samples' normalised kernel products,
-    and the normalisation is left to the caller as one scalar. A sample too
-    far from the axis to square its scaled distance gives a zero row,
-    without a warning.
+    axis_operand is the rank-2 operand [t, -1] (G x 2) of
+    :func:`_difference_operands` of the axis t both channels share, already
+    divided by sigma, which a curve builds once; x and y are samples, which
+    each block divides by sigma. So out gains 2 pi sigma^2 times the sum of
+    the samples' normalised kernel products, and the normalisation is left
+    to the caller as one scalar. A sample too far from the axis to square
+    its scaled distance gives a zero row, without a warning.
 
-    out has shape (G, G) with G = axis.size, and panel G columns and at most
-    G rows; rows is a flat buffer of at least 2G floats. Samples are taken
-    in blocks of len(rows) // 2G, so each sample's two kernel rows are built
-    exactly once, in place in rows, by :func:`kernel_exponents`: a block's
-    x kernels grid-major (G x block) in its first half, so that a band of
-    grid rows is contiguous, and its y kernels (block x G) in its second.
-    A block's product is formed len(panel) grid rows at a time in panel and
-    added to the same band of out, so nothing larger than a few axis-sized
-    vectors is allocated here. Adding the samples of a dataset in
-    consecutive slices gives the joint grid of every prefix on the way.
+    out has shape (G, G) with G = len(axis_operand), and panel G columns
+    and at most G rows; rows is a flat buffer of at least G + len(panel)
+    floats. Samples are taken in blocks of len(rows) // (G + len(panel)),
+    so each sample's kernel rows are built exactly once, in place in rows:
+    a block's y kernels (block x G) by :func:`kernel_exponents` in its first
+    block x G floats, and its x kernels grid-major in the next
+    block x len(panel), so that a band of grid rows is contiguous. The x
+    kernels are built right before the band products that read them, a
+    chunk of as many whole bands of len(panel) grid rows as fit at a time,
+    or all G rows where they fit, from the rows of axis_operand and the
+    block's operand [1; x/sigma], built once per block, under the rule of
+    :func:`kernel_exponents` for when to take the broadcast instead. Each
+    band's product is formed in panel and added to the same band of out, so
+    nothing larger than a few axis-sized vectors is allocated here. Adding
+    the samples of a dataset in consecutive slices gives the joint grid of
+    every prefix on the way.
     """
-    g = axis.size
-    block = len(rows) // (2 * g)
+    g, axis = len(axis_operand), axis_operand[:, 0]
     height = len(panel)
+    block = len(rows) // (g + height)
+    y_rows, x_rows = rows[:block * g], rows[block * g:block * (g + height)]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), block):
             k = min(block, len(x) - lo)
-            kxt = rows[:g * k].reshape(g, k)
-            ky = rows[block * g:(block + k) * g].reshape(k, g)
-            np.exp(kernel_exponents(axis, x[lo:lo + k] / sigma, kxt), out=kxt)
+            ky = y_rows[:k * g].reshape(k, g)
             np.exp(kernel_exponents(y[lo:lo + k] / sigma, axis, ky), out=ky)
-            for r in range(0, g, height):
-                # np.dot, as np.matmul takes a slow loop for a one-sample block.
-                band = np.dot(kxt[r:r + height], ky, out=panel[:min(height, g - r)])
-                out[r:r + height] += band
+            xs = x[lo:lo + k] / sigma
+            _, rhs = _difference_operands(b=xs)
+            chunk = g if g * k <= height * block else height * (block // k)
+            kx = x_rows[:chunk * k].reshape(chunk, k)
+            for c in range(0, g, chunk):
+                kxt = kx[:g - c]
+                if rhs is None:
+                    np.subtract(axis[c:c + chunk, None], xs, out=kxt)
+                else:
+                    np.dot(axis_operand[c:c + chunk], rhs, out=kxt)
+                np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
+                for r in range(c, c + len(kxt), height):
+                    # np.dot, as np.matmul takes a slow loop for a one-sample block.
+                    band = np.dot(kxt[r - c:r - c + height], ky, out=panel[:min(height, g - r)])
+                    out[r:r + height] += band

@@ -66,18 +66,35 @@ def gaussian_exponent(t, out=None):
     return out
 
 
+def _difference_operands(a=None, b=None):
+    """The operands [a, -1] (a.size x 2) and [1; b] (2 x b.size) whose
+    rank-2 product holds the differences a_i - b_j, for whichever of a and b
+    is given, so that each is built once for all its partners. Each entry
+    a_i * 1 + (-1) * b_j is one rounded difference whether or not BLAS
+    fuses it, so its bytes are those of the subtraction. The right operand
+    is None where the broadcast a[:, None] - b is faster, as numpy does not
+    buffer it: at one column or more than np.getbufsize() // 3."""
+    lhs = rhs = None
+    if a is not None:
+        lhs = np.full((a.size, 2), -1.0)
+        lhs[:, 0] = a
+    if b is not None and 1 < b.size <= np.getbufsize() // 3:
+        rhs = np.ones((2, b.size))
+        rhs[1] = b
+    return lhs, rhs
+
+
 def kernel_exponents(a, b, out):
     """gaussian_exponent(a_i - b_j) in the rows out[:a.size], returned, for a
-    and b already divided by sigma: the rank-2 products [a, -1] [1; b] where
-    numpy would buffer a broadcast (1 < b.size <= np.getbufsize() // 3), else
+    and b already divided by sigma: the rank-2 products of
+    :func:`_difference_operands` where numpy would buffer a broadcast, else
     the broadcast, faster there. Either way each entry is one rounded
     difference, whose sign the square drops: the bytes agree. The caller
     silences overflow and invalid-value warnings, which BLAS raises at inf."""
     rows = out[:a.size]
-    if 1 < b.size <= np.getbufsize() // 3:
-        lhs, rhs = np.full((a.size, 2), -1.0), np.ones((2, b.size))
-        lhs[:, 0], rhs[1] = a, b
-        np.dot(lhs, rhs, out=rows)
-    else:
+    _, rhs = _difference_operands(b=b)
+    if rhs is None:
         np.subtract(a[:, None], b, out=rows)
+    else:
+        np.dot(_difference_operands(a)[0], rhs, out=rows)
     return gaussian_exponent(rows, out=rows)

@@ -14,7 +14,7 @@ from expmodel import (CaPredictor, Dataset, DensityModel, EmptyDataset,
                       read_dataset_csv, write_dataset_csv)
 from expmodel.generator import FLOATS_PER_SAMPLE, GenerationMeta, generate
 from expmodel.information import _kernel_rows, _panel_rows, accumulate_kernel_products
-from expmodel.scattering import gaussian_exponent
+from expmodel.scattering import _difference_operands, gaussian_exponent
 from conftest import HALF_WIDTH
 from oracles import dataset_rows, extended_axis, gauss, kde_joint_grid, trap1, trap2
 
@@ -31,18 +31,18 @@ CURVE_ROWS = _kernel_rows([600], 257)
 def kernel_product_sum(data, sigma, xs, ys):
     """The joint grid sum_i g(xs - x_i) g(ys - y_i)^T, not divided by the
     sample count, from the accumulator info_curve runs, with a kernel-row
-    buffer of CURVE_ROWS samples per channel and a panel of a quarter of
-    the axis, as info_curve sizes it: xs and ys are joined into the one axis
+    buffer of blocks of CURVE_ROWS samples and a panel of a quarter of the
+    axis, as info_curve sizes them: xs and ys are joined into the one axis
     the accumulator takes, divided by sigma as info_curve passes it, the
     off-diagonal block of its grid is returned, and the sum is normalised
     here."""
     with np.errstate(over="ignore"):  # a far query scales to an infinite one
         axis = np.concatenate([np.ravel(xs), np.ravel(ys)]) / sigma
-    g = axis.size
+    g, height = axis.size, _panel_rows(axis.size)
     out = np.zeros((g, g))
-    accumulate_kernel_products(out, data.x, data.y, axis, sigma,
-                               rows=np.empty(2 * CURVE_ROWS * g),
-                               panel=np.empty((_panel_rows(g), g)))
+    accumulate_kernel_products(out, data.x, data.y, _difference_operands(axis)[0], sigma,
+                               rows=np.empty(CURVE_ROWS * (g + height)),
+                               panel=np.empty((height, g)))
     nx = np.size(xs)
     return out[:nx, nx:] / (2.0 * math.pi * sigma ** 2)
 
@@ -163,14 +163,22 @@ def subtract_outer_kernel_products(out, x, y, axis, sigma, block, height):
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])
-@pytest.mark.parametrize("g,block,n", [(41, 3, 8), (257, CURVE_ROWS, 300)])
+@pytest.mark.parametrize("g,block,n", [(41, 3, 8), (257, CURVE_ROWS, 300), (257, 52, 13),
+                                       (41, 1, 5), (41, 2731, 2735)])
 def test_kernel_products_equal_subtract_outer_rows(fill, g, block, n):
     # Each difference axis_j - v_i/sigma is one rounded sum either way, so
-    # the grid is byte-equal to the reference's. Both sizes end in a partial
-    # block. The samples include one on a grid node (sigma = 0.25 divides
-    # exactly), x = -0.0 and one whose scaled value overflows, which adds a
-    # zero row without a warning. The row and panel buffers start as fill,
-    # which must not leak into the grid.
+    # the grid is byte-equal to the reference's, however the x rows are
+    # chunked. A block's x rows are built whole where they fit in its
+    # block x ceil(G/4) floats, else as many whole bands of ceil(G/4) grid
+    # rows as fit. So at G = 41 (bands of 11, 11, 11 and 8) blocks of 3
+    # take a band per build, with a partial last band and a partial last
+    # block; at G = 257 blocks of 128 take one band of 65 and the last, of
+    # 44 samples, two; 13 samples in blocks of 52 fit whole; blocks of one
+    # sample and of 2731 (over np.getbufsize() // 3) take the broadcast,
+    # and the last 4 of 2735 fit whole. The samples include one on a grid
+    # node (sigma = 0.25 divides exactly), x = -0.0 and one whose scaled
+    # value overflows, which adds a zero row without a warning. The row and
+    # panel buffers start as fill, which must not leak into the grid.
     sigma = 0.25
     axis = np.linspace(-HALF_WIDTH, HALF_WIDTH, g) / sigma
     x, y = np.random.default_rng(5).uniform(-2.5, 2.5, (2, n))
@@ -182,8 +190,8 @@ def test_kernel_products_equal_subtract_outer_rows(fill, g, block, n):
         out = np.zeros((g, g))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            accumulate_kernel_products(out, xs, ys, axis, sigma,
-                                       rows=np.full(2 * block * g, fill),
+            accumulate_kernel_products(out, xs, ys, _difference_operands(axis)[0], sigma,
+                                       rows=np.full(block * (g + height), fill),
                                        panel=np.full((height, g), fill))
         return out
 

@@ -43,9 +43,9 @@ def curve_grid(monkeypatch, data, sf):
         seen["step"] = inspect.signature(entropy).bind(*args).arguments["step"]
         return entropy(*args)
 
-    def products_spy(out, x, y, axis, sigma, **kwargs):
-        seen["axis"] = axis
-        return products(out, x, y, axis, sigma, **kwargs)
+    def products_spy(out, x, y, axis_operand, sigma, **kwargs):
+        seen["axis"] = axis_operand[:, 0]
+        return products(out, x, y, axis_operand, sigma, **kwargs)
 
     monkeypatch.setattr(information, "_entropy", entropy_spy)
     monkeypatch.setattr(information, "accumulate_kernel_products", products_spy)
@@ -65,14 +65,16 @@ def test_span_requires_positive_half_width(logistic200, sf02):
 
 def test_grid_budget_does_not_wrap_in_fixed_width():
     # sigma = 16 / (2^31 - 2) sets G = ceil(8L/sigma) + 1 >= 2^31 - 1, whose
-    # workspace (18 G + 8) G, about 8.3e19 bytes, wraps in int64 arithmetic;
-    # in Python ints it exceeds any memory and is refused, with its count.
+    # workspace of 8 (G^2 + (G // 2)(G + ceil(G/4)) + ceil(G/4) G) bytes,
+    # about 6.9e19, wraps in int64 arithmetic; in Python ints it exceeds any
+    # memory and is refused, with its count.
     sf = ScatteringFunction(16.0 / (2 ** 31 - 2))
     g = math.ceil(8.0 * HALF_WIDTH / sf.sigma) + 1
     assert g >= 2 ** 31 - 1 and workspace_bytes(g) > 2 ** 64
     with pytest.raises(InvalidGrid, match=rf"a {g}\^2 grid needs {workspace_bytes(g)} bytes"):
         grid_points(HALF_WIDTH, sf)
-    assert workspace_bytes(np.int32(2 ** 31 - 1)) == (18 * (2 ** 31 - 1) + 8) * (2 ** 31 - 1)
+    g = 2 ** 31 - 1  # G // 2 = 2^30 - 1 and ceil(G/4) = 2^29
+    assert workspace_bytes(np.int32(g)) == 8 * (g * g + (2 ** 30 - 1) * (g + 2 ** 29) + 2 ** 29 * g)
 
 
 def test_grid_points_follow_the_kernel():
@@ -242,30 +244,29 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02):
     pytest.param("logistic600", None, 0.2, 257, id="logistic600-None"),
     pytest.param("logistic200", None, 0.05, 321, id="logistic200-None-sigma0.05")])
 def test_curve_holds_three_grids_at_most(request, fixture, schedule, sigma, g):
-    # The running sum, the kernel rows of one block (at most one grid) and a
-    # panel of ceil(G/4) grid rows are one workspace allocated once per
-    # curve, at most 2.25 grids and one row. At sigma = 0.05 the step
-    # <= sigma/4 sets G = 321 over the 257 floor. The traced peak is that
-    # workspace plus 32 KB for the axis-sized vectors and the block's
-    # scaled samples.
+    # The running sum, the y kernel rows of one block, its x kernel rows a
+    # chunk of whole panel bands at a time (block x ceil(G/4)) and a panel of
+    # ceil(G/4) grid rows are one workspace allocated once per curve, at most
+    # 1.875 grids and 1.125 rows. At sigma = 0.05 the step <= sigma/4 sets
+    # G = 321 over the 257 floor. The traced peak is that workspace plus
+    # 32 KB for the axis-sized vectors and the block's scaled samples.
     data = request.getfixturevalue(fixture)
     block = _kernel_rows(resolve_schedule(schedule, len(data)), g)
+    height = math.ceil(g / 4)
     tracemalloc.start()
     try:
         info_curve(data, ScatteringFunction(sigma), schedule, half_width=HALF_WIDTH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (g + 2 * block + math.ceil(g / 4)) * g + 32 * 1024
+    assert peak <= 8 * (g * g + block * (g + height) + height * g) + 32 * 1024
 
 
-def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02):
-    # At the curve's first entropy every grid-sized array it holds is live:
-    # the running sum, the kernel rows and the panel are views of one
-    # workspace, so one traced block of at least 64 G bytes is held. The
-    # default ladder's largest segment on 200 samples is 52 (128 to 180),
-    # so the kernel rows are 2 x 52 grid rows, and the panel is ceil(G/4).
-    g = grid_points(HALF_WIDTH, sf02)
+def grid_sized_blocks(monkeypatch, data, sf, schedule=None):
+    """The sizes of the traced blocks of at least 64 G bytes that a curve
+    holds at its first entropy, when every grid-sized array it uses is
+    live."""
+    g = grid_points(HALF_WIDTH, sf)
     snapshots = []
     entropy = information._entropy
 
@@ -277,12 +278,31 @@ def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02):
     monkeypatch.setattr(information, "_entropy", first_entropy_snapshot)
     tracemalloc.start()
     try:
-        info_curve(logistic200, sf02, half_width=HALF_WIDTH)
+        info_curve(data, sf, schedule, half_width=HALF_WIDTH)
     finally:
         tracemalloc.stop()
-    large = [t.size for t in snapshots[0].traces if t.size >= 64 * g]
+    return [t.size for t in snapshots[0].traces if t.size >= 64 * g]
+
+
+def test_curve_allocates_its_grids_in_one_block(monkeypatch, logistic200, sf02):
+    # The running sum, the kernel rows and the panel are views of one
+    # workspace, so one traced block is held. The default ladder's largest
+    # segment on 200 samples is 52 (128 to 180), so the kernel rows are
+    # 52 x (G + 65) floats, and the panel is ceil(G/4) = 65 grid rows.
+    g = grid_points(HALF_WIDTH, sf02)
+    large = grid_sized_blocks(monkeypatch, logistic200, sf02)
     assert len(large) == 1
-    assert large[0] == 8 * (g + 2 * 52 + 65) * g <= 8 * (2.25 * g ** 2 + g)
+    assert large[0] == 8 * (g ** 2 + 52 * (g + 65) + 65 * g) <= workspace_bytes(g)
+
+
+@pytest.mark.parametrize("sigma,g", [(0.2, 257), (0.05, 321), (0.03, 535)])
+def test_workspace_bytes_count_the_largest_block(monkeypatch, logistic600, sigma, g):
+    # A one-point schedule on 600 samples has a segment over G/2, so the
+    # curve takes blocks of G // 2 samples, the most workspace_bytes counts:
+    # the memory check counts exactly what the curve allocates.
+    sf = ScatteringFunction(sigma)
+    assert grid_points(HALF_WIDTH, sf) == g and len(logistic600) >= g / 2
+    assert grid_sized_blocks(monkeypatch, logistic600, sf, [600]) == [workspace_bytes(g)]
 
 
 # --- records and curve ------------------------------------------------------
