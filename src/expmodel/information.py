@@ -33,8 +33,8 @@ import numpy as np
 from .density import Dataset
 from .errors import EmptyDataset, InvalidGrid, InvalidParameter, InvalidSchedule
 from .memory import memory_limit
-from .scattering import (ScatteringFunction, gaussian_exponent, kernel_exponents,
-                         _difference_operands, _is_count, _require_finite)
+from .scattering import (ScatteringFunction, kernel_exponents, _difference_operands,
+                         _is_count, _require_finite)
 
 # The running kernel sum of an information curve starts at this value, so
 # its log is finite at every node and a node no kernel reaches contributes
@@ -50,11 +50,11 @@ GRID_POINTS = 257
 
 # info_curve allocates one workspace of float64 per curve, laid out as
 # _workspace_floats counts it: the running sum (G x G), the y kernel rows of
-# one block (block x G), the block's x kernel rows a chunk of whole panel
-# bands at a time (block x ceil(G/4)), and a panel of ceil(G/4) grid rows
-# through which each band's product and then the entropy integrand pass.
-# With a block of at most G/2 samples (_kernel_rows) that is at most 1.875
-# grids and 1.125 grid rows. As the kernel rows are built without numpy's
+# one block (block x G), the block's x kernel rows of one band of ceil(G/4)
+# grid rows (block x ceil(G/4)), and a panel of ceil(G/4) grid rows through
+# which each band's product and then the entropy integrand pass. With a
+# block of at most G/2 samples (_kernel_rows) that is at most 1.875 grids
+# and 1.125 grid rows. As the kernel rows are built without numpy's
 # ufunc buffers, a curve's traced peak is within a few axis-sized vectors
 # (under 32 KB) of its workspace.
 
@@ -117,10 +117,8 @@ def grid_points(half_width: float, sf: ScatteringFunction) -> int:
 
 def _kernel_rows(sched: Sequence[int], g: int) -> int:
     """Samples per kernel-product block of a curve: at most half the grid
-    points g, so a block's y kernels (block x G) hold at most half a grid and
-    its x kernels, built a chunk of whole panel bands at a time in
-    block x ceil(G/4) floats, at most an eighth, and at most the largest
-    schedule segment."""
+    points g, which bounds the workspace (see above), and at most the
+    largest schedule segment."""
     segment = max(b - a for a, b in zip([0, *sched], sched))
     return min(g // 2, segment)
 
@@ -254,13 +252,10 @@ def info_curve(data: Dataset,
     once (see :func:`accumulate_kernel_products`), and at each point the
     entropy is taken of S with the one scalar c. Every sample's kernel rows
     are built exactly once. The curve allocates one workspace of at most
-    1.875 G x G float64 arrays and 1.125 rows (:func:`workspace_bytes`):
-    the running sum, the kernel rows of one block (its y rows, at most half
-    a grid, and its x rows a chunk of panel bands at a time, at most an
-    eighth), and a panel of ceil(G/4) grid rows through which each band's
-    product and then the entropy integrand S (log S + log c) pass. Nothing
-    of grid size is allocated per schedule point, and memory does not grow
-    with the dataset or the schedule. Each I(n) is the trapezoid entropy of
+    1.875 G x G float64 arrays and 1.125 rows (:func:`workspace_bytes`),
+    laid out as the note above _workspace_floats states. Nothing of grid
+    size is allocated per schedule point, and memory does not grow with the
+    dataset or the schedule. Each I(n) is the trapezoid entropy of
     the joint density of the first n samples on the grid, less
     log(2 pi e sigma^2) = 1 - log c1, the entropy of one kernel, with
     c1 = 1/(2 pi sigma^2) its normalisation.
@@ -303,42 +298,30 @@ def accumulate_kernel_products(out: np.ndarray, x, y, axis_operand, sigma: float
 
     out has shape (G, G) with G = len(axis_operand), and panel G columns
     and at most G rows; rows is a flat buffer of at least G + len(panel)
-    floats. Samples are taken in blocks of len(rows) // (G + len(panel)),
-    so each sample's kernel rows are built exactly once, in place in rows:
-    a block's y kernels (block x G) by :func:`kernel_exponents` in its first
-    block x G floats, and its x kernels grid-major in the next
-    block x len(panel), so that a band of grid rows is contiguous. The x
-    kernels are built right before the band products that read them, a
-    chunk of as many whole bands of len(panel) grid rows as fit at a time,
-    or all G rows where they fit, from the rows of axis_operand and the
-    block's operand [1; x/sigma], built once per block, under the rule of
-    :func:`kernel_exponents` for when to take the broadcast instead. Each
-    band's product is formed in panel and added to the same band of out, so
-    nothing larger than a few axis-sized vectors is allocated here. Adding
-    the samples of a dataset in consecutive slices gives the joint grid of
-    every prefix on the way.
+    floats, laid out as the y and x kernel rows of info_curve's workspace
+    (the note above _workspace_floats). Samples are taken in blocks of
+    len(rows) // (G + len(panel)), and every kernel row is built by
+    :func:`kernel_exponents`, in place in rows, exactly once. A block's y
+    rows are built against the axis operand [1; t], made once per call.
+    Then, a band of len(panel) grid rows at a time, the band's x rows are
+    built grid-major from its rows of axis_operand and the block's operand
+    [1; x/sigma], and their product with the y rows is formed in panel and
+    added to the same band of out. So nothing larger than a few axis-sized
+    vectors is allocated here. Adding the samples of a dataset in
+    consecutive slices gives the joint grid of every prefix on the way.
     """
-    g, axis = len(axis_operand), axis_operand[:, 0]
-    height = len(panel)
+    g, height = len(axis_operand), len(panel)
     block = len(rows) // (g + height)
-    y_rows, x_rows = rows[:block * g], rows[block * g:block * (g + height)]
+    y_rows, x_rows = rows[:block * g], rows[block * g:]
+    _, axis = _difference_operands(b=axis_operand[:, 0])
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), block):
             k = min(block, len(x) - lo)
             ky = y_rows[:k * g].reshape(k, g)
             np.exp(kernel_exponents(y[lo:lo + k] / sigma, axis, ky), out=ky)
-            xs = x[lo:lo + k] / sigma
-            _, rhs = _difference_operands(b=xs)
-            chunk = g if g * k <= height * block else height * (block // k)
-            kx = x_rows[:chunk * k].reshape(chunk, k)
-            for c in range(0, g, chunk):
-                kxt = kx[:g - c]
-                if rhs is None:
-                    np.subtract(axis[c:c + chunk, None], xs, out=kxt)
-                else:
-                    np.dot(axis_operand[c:c + chunk], rhs, out=kxt)
-                np.exp(gaussian_exponent(kxt, out=kxt), out=kxt)
-                for r in range(c, c + len(kxt), height):
-                    # np.dot, as np.matmul takes a slow loop for a one-sample block.
-                    band = np.dot(kxt[r - c:r - c + height], ky, out=panel[:min(height, g - r)])
-                    out[r:r + height] += band
+            _, xs = _difference_operands(b=x[lo:lo + k] / sigma)
+            kx = x_rows[:height * k].reshape(height, k)
+            for r in range(0, g, height):
+                e = kernel_exponents(axis_operand[r:r + height], xs, kx)
+                # np.dot, as np.matmul takes a slow loop for a one-sample block.
+                out[r:r + height] += np.dot(np.exp(e, out=e), ky, out=panel[:len(e)])

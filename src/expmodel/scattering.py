@@ -72,29 +72,31 @@ def _difference_operands(a=None, b=None):
     is given, so that each is built once for all its partners. Each entry
     a_i * 1 + (-1) * b_j is one rounded difference whether or not BLAS
     fuses it, so its bytes are those of the subtraction. The right operand
-    is None where the broadcast a[:, None] - b is faster, as numpy does not
-    buffer it: at one column or more than np.getbufsize() // 3."""
-    lhs = rhs = None
+    is b itself where the broadcast a[:, None] - b is faster, as numpy does
+    not buffer it: at one column or more than np.getbufsize() // 3. A b
+    already in its operand form is returned as it is."""
+    lhs, rhs = None, b
     if a is not None:
         lhs = np.full((a.size, 2), -1.0)
         lhs[:, 0] = a
-    if b is not None and 1 < b.size <= np.getbufsize() // 3:
+    if b is not None and b.ndim == 1 and 1 < b.size <= np.getbufsize() // 3:
         rhs = np.ones((2, b.size))
         rhs[1] = b
     return lhs, rhs
 
 
 def kernel_exponents(a, b, out):
-    """gaussian_exponent(a_i - b_j) in the rows out[:a.size], returned, for a
-    and b already divided by sigma: the rank-2 products of
-    :func:`_difference_operands` where numpy would buffer a broadcast, else
+    """gaussian_exponent(a_i - b_j) in the rows out[:len(a)], returned, for a
+    and b already divided by sigma, each given as a vector or as its operand
+    of :func:`_difference_operands`, which a caller builds once for many
+    partners: the rank-2 products where numpy would buffer a broadcast, else
     the broadcast, faster there. Either way each entry is one rounded
     difference, whose sign the square drops: the bytes agree. The caller
     silences overflow and invalid-value warnings, which BLAS raises at inf."""
-    rows = out[:a.size]
+    rows = out[:len(a)]
     _, rhs = _difference_operands(b=b)
-    if rhs is None:
-        np.subtract(a[:, None], b, out=rows)
+    if rhs.ndim == 1:
+        np.subtract(a[:, :1] if a.ndim == 2 else a[:, None], rhs, out=rows)
     else:
-        np.dot(_difference_operands(a)[0], rhs, out=rows)
+        np.dot(a if a.ndim == 2 else _difference_operands(a)[0], rhs, out=rows)
     return gaussian_exponent(rows, out=rows)

@@ -5,6 +5,8 @@ import resource
 import subprocess
 import sys
 import tempfile
+import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -413,6 +415,34 @@ def test_report_matches_acceptance_and_figures(reproduced):
     mono = re.findall(r"N_opt non-increasing in sigma \((\d+), (\d+), (\d+)\)", report)
     assert [tuple(map(int, m)) for m in mono] == [
         tuple(n_opt[(sigma, s)] for sigma in (0.1, 0.2, 0.4)) for s in (1, 2, 3)]
+
+
+def _bench_workloads():
+    """bench/workloads.py, run from its source so that nothing is written
+    under bench/; its dataclass finds it in sys.modules while it runs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    with mock.patch.dict(sys.modules, {module.__name__: module}):
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["paper_sweep", "quality3000"])
+def test_outputs_match_the_benchmark_references(workload, reproduced, tmp_path):
+    # The benchmark's own check of a seed-1 operation, and its comparison
+    # with the values it recorded (integers exactly, I, Q and y_p within a
+    # relative 1e-9): paper_sweep is the session's reproduce --seed 1,
+    # quality3000 one quality --n 3000 run with the workload's arguments.
+    bench = _bench_workloads()
+    w = bench.WORKLOADS[workload]
+    out = reproduced
+    if workload == "quality3000":
+        assert main(w.argv(tmp_path, 1)) == 0
+        out = tmp_path / "out"
+    problems, values = w.check(out)
+    assert problems == []
+    assert bench.compare(values, bench.load_references()[workload]["1"]) == []
 
 
 def _child_env(**extra):

@@ -167,18 +167,16 @@ def subtract_outer_kernel_products(out, x, y, axis, sigma, block, height):
                                        (41, 1, 5), (41, 2731, 2735)])
 def test_kernel_products_equal_subtract_outer_rows(fill, g, block, n):
     # Each difference axis_j - v_i/sigma is one rounded sum either way, so
-    # the grid is byte-equal to the reference's, however the x rows are
-    # chunked. A block's x rows are built whole where they fit in its
-    # block x ceil(G/4) floats, else as many whole bands of ceil(G/4) grid
-    # rows as fit. So at G = 41 (bands of 11, 11, 11 and 8) blocks of 3
-    # take a band per build, with a partial last band and a partial last
-    # block; at G = 257 blocks of 128 take one band of 65 and the last, of
-    # 44 samples, two; 13 samples in blocks of 52 fit whole; blocks of one
+    # the grid is byte-equal to the reference's. A block's x rows are built
+    # a band of ceil(G/4) grid rows at a time: at G = 41 (bands of 11, 11,
+    # 11 and 8) blocks of 3 end in a partial band and a partial block; at
+    # G = 257 blocks of 128 (bands of 65 and a last of 62) end in one of 44
+    # samples, and 13 samples fill part of one block of 52; blocks of one
     # sample and of 2731 (over np.getbufsize() // 3) take the broadcast,
-    # and the last 4 of 2735 fit whole. The samples include one on a grid
-    # node (sigma = 0.25 divides exactly), x = -0.0 and one whose scaled
-    # value overflows, which adds a zero row without a warning. The row and
-    # panel buffers start as fill, which must not leak into the grid.
+    # and the last 4 of 2735 the rank-2 products. The samples include one
+    # on a grid node (sigma = 0.25 divides exactly), x = -0.0 and one whose
+    # scaled value overflows, which adds a zero row without a warning. The
+    # row and panel buffers start as fill, which must not leak into the grid.
     sigma = 0.25
     axis = np.linspace(-HALF_WIDTH, HALF_WIDTH, g) / sigma
     x, y = np.random.default_rng(5).uniform(-2.5, 2.5, (2, n))
@@ -199,6 +197,35 @@ def test_kernel_products_equal_subtract_outer_rows(fill, g, block, n):
     subtract_outer_kernel_products(expected, x, y, axis, sigma, block, height)
     assert accumulate(x, y).tobytes() == expected.tobytes()
     assert not accumulate(x[-1:], y[-1:]).any()
+
+
+@pytest.mark.parametrize("g,block,n", [(257, CURVE_ROWS, 300), (257, 52, 13), (41, 7, 20)])
+def test_kernel_products_take_either_difference_form_bitwise(g, block, n):
+    # Under a ufunc buffer of 16 values, the least numpy takes, every kernel
+    # row of more than 5 entries takes the broadcast: the y rows on the axis
+    # and the x rows of these multi-sample blocks, which at the default
+    # buffer take the rank-2 products. The grid is the same to the byte.
+    # np.errstate restores the buffer size on leaving.
+    sigma = 0.25
+    axis = np.linspace(-HALF_WIDTH, HALF_WIDTH, g) / sigma
+    x, y = np.random.default_rng(9).uniform(-2.5, 2.5, (2, n))
+    height, bufsize = _panel_rows(g), np.getbufsize()
+
+    def accumulate(form):
+        assert _difference_operands(b=x[:block] / sigma)[1].ndim == form
+        out = np.zeros((g, g))
+        accumulate_kernel_products(out, x, y, _difference_operands(axis)[0], sigma,
+                                   rows=np.empty(block * (g + height)),
+                                   panel=np.empty((height, g)))
+        return out
+
+    rank2 = accumulate(2)
+    with np.errstate():
+        np.setbufsize(16)
+        assert _difference_operands(b=axis)[1] is axis
+        broadcast = accumulate(1)
+    assert np.getbufsize() == bufsize
+    assert broadcast.tobytes() == rank2.tobytes()
 
 
 def test_conditional_single_sample_ignores_x(one_sample_model, sf02):

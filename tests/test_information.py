@@ -244,8 +244,8 @@ def test_curve_matches_per_prefix_models_across_blocks(logistic600, sf02):
     pytest.param("logistic600", None, 0.2, 257, id="logistic600-None"),
     pytest.param("logistic200", None, 0.05, 321, id="logistic200-None-sigma0.05")])
 def test_curve_holds_three_grids_at_most(request, fixture, schedule, sigma, g):
-    # The running sum, the y kernel rows of one block, its x kernel rows a
-    # chunk of whole panel bands at a time (block x ceil(G/4)) and a panel of
+    # The running sum, the y kernel rows of one block, its x kernel rows of
+    # one band of ceil(G/4) grid rows (block x ceil(G/4)) and a panel of
     # ceil(G/4) grid rows are one workspace allocated once per curve, at most
     # 1.875 grids and 1.125 rows. At sigma = 0.05 the step <= sigma/4 sets
     # G = 321 over the 257 floor. The traced peak is that workspace plus

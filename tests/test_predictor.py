@@ -471,6 +471,24 @@ def test_quality_moment_decomposition(pairs):
     assert rep.q == pytest.approx(alt, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("n,scale", [(2, 1e-3), (7, 1.0), (200, 0.2), (3000, 1e3), (4999, 37.0)])
+def test_quality_moments_are_bitwise_the_np_mean_formulas(n, scale):
+    # The report sums and divides as np.mean does, so each of its six
+    # moments is its np.mean formula to the bit, off-centre and across
+    # scales, at sizes below and past numpy's pairwise-summation blocks.
+    rng = np.random.default_rng(n)
+    yt = rng.normal(scale, scale, n)
+    yp = 0.8 * yt + rng.normal(0.0, scale, n)
+    mean_true, mean_pred = np.mean(yt), np.mean(yp)
+    d_true, d_pred = yt - mean_true, yp - mean_pred
+    expected = [mean_true, mean_pred, np.mean(d_true * d_true), np.mean(d_pred * d_pred),
+                np.mean(d_true * d_pred), np.mean((yt - yp) ** 2)]
+    rep = predictor_quality(yt, yp)
+    got = [rep.mean_true, rep.mean_pred, rep.var_true, rep.var_pred, rep.cov, rep.mse]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 def test_model_quadrature_identities_on_reduced_set(basic50, sf02):
     # Under the estimated joint density itself, the conditional average has
     # the same mean as y and its covariance with y equals its own variance.
@@ -585,6 +603,17 @@ def test_sweep_over_two_query_chunks_equals_predictors_built_by_hand(basic50, sf
     assert list(sweep) == default_schedule(len(basic50))
     for n in sweep:
         assert sweep[n] == predictor_quality(test.y, _hand_built(basic50, sf02, n, test.x))
+
+
+def test_prefix_predictions_over_two_query_chunks_run_to_their_end(sf02):
+    # Exhausting the generator, as zip over a sweep's sizes never does,
+    # runs the multi-chunk branch to its return: one array per size.
+    basic = generate(GenerationMeta(seed=3, sigma_noise=0.2), 10)
+    xs = np.linspace(-1.5, 1.5, _QUERY_CHUNK + 1)
+    got = list(CaPredictor(basic, sf02)._predict_prefixes(xs, [4, 10]))
+    assert len(got) == 2
+    for n, y_p in zip([4, 10], got):
+        assert y_p.tobytes() == CaPredictor(basic.prefix(n), sf02).predict_many(xs).tobytes()
 
 
 def test_sweep_points_with_scaled_targets_equal_predictors_built_by_hand(basic3000, test3000,
